@@ -118,7 +118,7 @@ let emit_json () =
   output_string oc "{\n";
   let fields =
     [
-      ("pr", "9");
+      ("pr", "10");
       ("scale", Printf.sprintf "%g" scale);
       ("cores_available", string_of_int (Domain.recommended_domain_count ()));
     ]

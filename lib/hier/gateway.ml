@@ -266,6 +266,12 @@ and on_bridge_inner t ~src msg =
     if r > t.round then t.round <- r;
     match msg with
     | Bridge_msg.Poll { round; coord_shard } ->
+        (* A lower shard is coordinating, so my own open round (from a
+           window when I thought it dead) must not close: its Agree would
+           carry a value taken after my answer to this Poll, and the lower
+           shard's newer round, max-combined from that earlier answer,
+           would then arrive as a newer round with a lower value. *)
+        if coord_shard < t.my_shard then t.offer_round <- -1;
         if coord_shard <> t.my_shard then
           (* The offer answers the poll, and only the poller consumes it —
              reply to the polling gateway instead of broadcasting, or the

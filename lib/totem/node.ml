@@ -24,13 +24,6 @@ type stats = {
   delivered : int;
 }
 
-type gather_state = {
-  mutable proc_set : Set.t;
-  mutable fail_set : Set.t;
-  joins : (Nid.t, Wire.join) Hashtbl.t;
-  mutable round : int; (* bumped on each Gather -> Wait_commit transition *)
-}
-
 type recovery_state = {
   commit : Wire.commit;
   my_rings : (Ring_id.t * (int * int)) list;
@@ -48,8 +41,8 @@ type recovery_state = {
 type state =
   | Idle
   | Operational
-  | Gather of gather_state
-  | Wait_commit of gather_state
+  | Gather of Gather.t
+  | Wait_commit of Gather.t
   | Recover of recovery_state
   | Crashed
 
@@ -80,6 +73,9 @@ type 'a t = {
          time (the paper's token-level duplicate suppression) *)
   mutable max_gen : int;
   mutable epoch : int; (* bumped on state change; cancels stale timers *)
+  mutable commit_round : int;
+      (* bumped on each Gather -> Wait_commit transition; a commit timer
+         armed for an earlier wait is stale *)
   mutable token_era : int; (* bumped per accepted token *)
   mutable token_deadline : Dsim.Time.t;
       (* the instant the token-loss watchdog declares a loss; every
@@ -130,6 +126,7 @@ let on_token t f = t.token_probe <- Some f
 (* Helpers                                                             *)
 
 let crashed t = match t.state with Crashed -> true | _ -> false
+let is_waiting_commit t = match t.state with Wait_commit _ -> true | _ -> false
 
 let after t span f =
   let ep = t.epoch in
@@ -216,30 +213,31 @@ let drain_deliveries ?upto t =
 (* ------------------------------------------------------------------ *)
 (* Gather / consensus                                                  *)
 
-let make_join t (g : gather_state) : Wire.join =
+let make_join t g : Wire.join =
   {
     j_sender = t.me;
-    proc_set = g.proc_set;
-    fail_set = g.fail_set;
+    proc_set = Gather.proc_set g;
+    fail_set = Gather.fail_set g;
     j_old = my_old_ring_info t;
     max_gen = t.max_gen;
   }
 
-let send_join t g =
+(* Store this node's join for the current sets, as consensus compares
+   every live candidate's latest join, its own included. *)
+let record_join t g =
   let j = make_join t g in
-  Hashtbl.replace g.joins t.me j;
-  bcast t (Wire.Join j)
+  ignore (Gather.absorb g j : bool);
+  j
+
+let send_join t g = bcast t (Wire.Join (record_join t g))
 
 let rec enter_gather t ~candidates ~prefail =
   t.epoch <- t.epoch + 1;
   let was_operational = is_operational t in
   let g =
-    {
-      proc_set = Set.add t.me (Set.union candidates (Set.of_list t.members));
-      fail_set = Set.remove t.me prefail;
-      joins = Hashtbl.create 8;
-      round = 0;
-    }
+    Gather.create ~me:t.me
+      ~proc:(Set.union candidates (Set.of_list t.members))
+      ~fail:prefail
   in
   t.state <- Gather g;
   (let s = Dsim.Engine.obs t.eng in
@@ -247,74 +245,63 @@ let rec enter_gather t ~candidates ~prefail =
      Obs.Sink.instant s
        ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
        ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Totem ~name:"gather"
-       ~args:[ ("candidates", Set.cardinal g.proc_set) ];
+       ~args:[ ("candidates", Set.cardinal (Gather.proc_set g)) ];
    if s.Obs.Sink.rec_on then
      Obs.Sink.rec_event s ~kind:Obs.Recorder.k_gather
        ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
        ~node:(Nid.to_int t.me)
-       ~a:(Set.cardinal g.proc_set)
+       ~a:(Set.cardinal (Gather.proc_set g))
        ~b:0);
   if was_operational then t.handler Blocked;
   Log.debug (fun m ->
       m "%a: enter gather (candidates=%d)" Nid.pp t.me
-        (Set.cardinal g.proc_set));
+        (Set.cardinal (Gather.proc_set g)));
   send_join t g;
-  join_tick t g;
-  arm_consensus_deadline t g;
+  join_tick t;
+  arm_consensus_deadline t;
   maybe_consensus t g
 
-and join_tick t g =
+(* The gather timers take the attempt from [t.state] rather than capturing
+   it: every attempt starts a new epoch, so a timer that passes [after]'s
+   epoch check is about the current one, and a finished attempt is not
+   kept alive by timers still queued. *)
+and join_tick t =
   after t t.cfg.join_retransmit (fun () ->
       match t.state with
-      | Gather g' | Wait_commit g' ->
-          if
-            (g' == g)
-            [@ctslint.allow
-              "phys-equality"
-                "generation check: is this timer still about the same \
-                 gather attempt, not a structurally identical later one"]
-          then begin
-            send_join t g;
-            join_tick t g
-          end
+      | Gather g | Wait_commit g ->
+          send_join t g;
+          join_tick t
       | _ -> ())
 
-and arm_consensus_deadline t g =
+and arm_consensus_deadline t =
   after t t.cfg.consensus_timeout (fun () ->
       match t.state with
-      | Gather g'
-        when (g' == g)
-             [@ctslint.allow
-               "phys-equality"
-                 "generation check: timer validity is attempt identity"] ->
-          let live = Set.diff g.proc_set g.fail_set in
-          let silent = Set.filter (fun p -> not (Hashtbl.mem g.joins p)) live in
+      | Gather g ->
+          let silent = Gather.deadline g in
           if not (Set.is_empty silent) then begin
             Log.debug (fun m ->
                 m "%a: consensus timeout, failing %d silent candidates" Nid.pp
                   t.me (Set.cardinal silent));
-            g.fail_set <- Set.union g.fail_set (Set.remove t.me silent);
+            Gather.fail g silent;
             send_join t g;
             maybe_consensus t g
           end;
-          arm_consensus_deadline t g
+          arm_consensus_deadline t
+      | Wait_commit _ ->
+          (* The commit timer covers this wait; keep the deadline running
+             for when a grown join sends us back to Gather. *)
+          arm_consensus_deadline t
       | _ -> ())
 
 and maybe_consensus t g =
-  let live = Set.diff g.proc_set g.fail_set in
-  let agree p =
-    match Hashtbl.find_opt g.joins p with
-    | Some (j : Wire.join) ->
-        Set.equal j.proc_set g.proc_set && Set.equal j.fail_set g.fail_set
-    | None -> false
-  in
-  if Set.mem t.me live && Set.for_all agree live then
+  if Gather.agreed g then
+    let live = Gather.live g in
     if Nid.equal (Set.min_elt live) t.me then begin
       (* This node is the representative: form and announce the new ring. *)
       let gens =
         Set.fold
           (fun p acc ->
-            match Hashtbl.find_opt g.joins p with
+            match Gather.find g p with
             | Some j -> max acc j.max_gen
             | None -> acc)
           live t.max_gen
@@ -323,7 +310,9 @@ and maybe_consensus t g =
       (* [Set.elements] is already ascending in [Nid.compare] order *)
       let members_sorted = Set.elements live in
       let member_old =
-        List.map (fun p -> (p, (Hashtbl.find g.joins p).Wire.j_old)) members_sorted
+        List.map
+          (fun p -> (p, (Option.get (Gather.find g p)).Wire.j_old))
+          members_sorted
       in
       let recover =
         let per_ring = Hashtbl.create 4 in
@@ -351,19 +340,17 @@ and maybe_consensus t g =
       bcast t (Wire.Commit c);
       install_ring t c
     end
-    else begin
-      g.round <- g.round + 1;
-      let round = g.round in
+    else if not (is_waiting_commit t) then begin
+      (* Arm the commit timer once per wait: retransmitted joins keep
+         re-confirming the agreement, and re-arming on each would defer a
+         dead leader's timeout forever. *)
+      t.commit_round <- t.commit_round + 1;
+      let round = t.commit_round in
       t.state <- Wait_commit g;
       after t t.cfg.commit_timeout (fun () ->
           match t.state with
-          | Wait_commit g'
-            when ((g' == g)
-                 [@ctslint.allow
-                   "phys-equality"
-                     "generation check: timer validity is attempt identity"])
-                 && g.round = round ->
-              let live = Set.diff g.proc_set g.fail_set in
+          | Wait_commit g when t.commit_round = round ->
+              let live = Gather.live g in
               let leader = Set.min_elt live in
               Log.debug (fun m ->
                   m "%a: commit timeout, failing leader %a" Nid.pp t.me Nid.pp
@@ -841,17 +828,14 @@ and on_join t (j : Wire.join) =
   match t.state with
   | Crashed | Idle -> ()
   | Gather g | Wait_commit g ->
-      Hashtbl.replace g.joins j.j_sender j;
-      let proc' = Set.union g.proc_set j.proc_set in
-      let fail' = Set.union g.fail_set (Set.remove t.me j.fail_set) in
-      if (not (Set.equal proc' g.proc_set)) || not (Set.equal fail' g.fail_set)
-      then begin
-        g.proc_set <- proc';
-        g.fail_set <- fail';
+      if Gather.absorb g j then begin
         (match t.state with
         | Wait_commit _ -> t.state <- Gather g
         | _ -> ());
-        send_join t g
+        (* No send here: the next [join_tick] carries the grown sets.
+           Totem needs only the latest sets to reach everyone, and a send
+           per change made each gather cost O(n^2) broadcasts. *)
+        ignore (record_join t g : Wire.join)
       end;
       maybe_consensus t g
   | Recover _ ->
@@ -1016,6 +1000,7 @@ let create eng net ~me ?(config = Config.default) ~handler () =
       pending = Queue.create ();
       max_gen = 0;
       epoch = 0;
+      commit_round = 0;
       token_era = 0;
       token_deadline = Dsim.Time.epoch;
       watchdog_ep = -1;

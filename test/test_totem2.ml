@@ -286,6 +286,178 @@ let prop_large_ring_total_order =
       List.length d0 = 12
       && Array.for_all (fun d -> !d = d0) h.delivered)
 
+(* ------------------------------------------------------------------ *)
+(* Gather *)
+
+module Set = Nid.Set
+
+(* Reference: the same set rules, with the agreement test as first
+   written — every live candidate's latest join compared with the local
+   sets structurally. *)
+type reference = {
+  me : Nid.t;
+  mutable proc : Set.t;
+  mutable fail : Set.t;
+  joins : (Nid.t, Totem.Wire.join) Hashtbl.t;
+}
+
+let ref_absorb r (j : Totem.Wire.join) =
+  if Set.mem j.j_sender r.fail then false
+  else begin
+    Hashtbl.replace r.joins j.j_sender j;
+    let proc = Set.union r.proc j.proc_set in
+    let fail =
+      if Set.mem r.me j.fail_set then Set.add j.j_sender r.fail
+      else Set.union r.fail j.fail_set
+    in
+    let grew = not (Set.equal proc r.proc && Set.equal fail r.fail) in
+    r.proc <- proc;
+    r.fail <- fail;
+    grew
+  end
+
+let ref_agreed r =
+  let live = Set.diff r.proc r.fail in
+  Set.mem r.me live
+  && Set.for_all
+       (fun p ->
+         match Hashtbl.find_opt r.joins p with
+         | Some (j : Totem.Wire.join) ->
+             Set.equal j.proc_set r.proc && Set.equal j.fail_set r.fail
+         | None -> false)
+       live
+
+let join_of ~sender ~proc ~fail : Totem.Wire.join =
+  {
+    j_sender = sender;
+    proc_set = proc;
+    fail_set = fail;
+    j_old = { old_ring = None; high_seq = 0; old_aru = 0 };
+    max_gen = 0;
+  }
+
+let set_of_mask k mask =
+  Set.of_list
+    (List.filter_map
+       (fun i -> if mask land (1 lsl i) <> 0 then Some (n i) else None)
+       (List.init k Fun.id))
+
+(* Node 0 receives a random sequence of steps over nodes 0..k-1:
+   0 a join with random sets; 1 a join echoing the local sets; 2 that
+   echo failing the receiver; 3 the receiver's own join; 4 a consensus
+   timeout failing random nodes.  After every step the cached agreement
+   count must give the reference's verdict, over the same sets. *)
+let prop_gather_agreement_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"gather: cached-cardinality agreement equals Set.equal"
+    QCheck.(
+      triple (int_range 2 8)
+        (pair (int_bound 255) (int_bound 255))
+        (list_of_size (Gen.int_range 1 40)
+           (quad (int_bound 4) (int_bound 7) (int_bound 255) (int_bound 255))))
+    (fun (k, (proc0, fail0), steps) ->
+      let me = n 0 in
+      let proc = set_of_mask k proc0 and fail = set_of_mask k fail0 in
+      let g = Totem.Gather.create ~me ~proc ~fail in
+      let r =
+        {
+          me;
+          proc = Set.add me proc;
+          fail = Set.remove me fail;
+          joins = Hashtbl.create 8;
+        }
+      in
+      let same () =
+        Set.equal (Totem.Gather.proc_set g) r.proc
+        && Set.equal (Totem.Gather.fail_set g) r.fail
+        && Set.equal (Totem.Gather.live g) (Set.diff r.proc r.fail)
+        && Totem.Gather.agreed g = ref_agreed r
+      in
+      let absorb j = Totem.Gather.absorb g j = ref_absorb r j in
+      same ()
+      && List.for_all
+           (fun (kind, s, pmask, fmask) ->
+             let sender = n (1 + (s mod (k - 1))) in
+             let ok =
+               match kind with
+               | 0 ->
+                   absorb
+                     (join_of ~sender
+                        ~proc:(Set.add sender (set_of_mask k pmask))
+                        ~fail:(set_of_mask k fmask))
+               | 1 -> absorb (join_of ~sender ~proc:r.proc ~fail:r.fail)
+               | 2 ->
+                   absorb
+                     (join_of ~sender ~proc:r.proc ~fail:(Set.add me r.fail))
+               | 3 -> absorb (join_of ~sender:me ~proc:r.proc ~fail:r.fail)
+               | _ ->
+                   let f = set_of_mask k fmask in
+                   Totem.Gather.fail g f;
+                   r.fail <- Set.union r.fail (Set.remove me f);
+                   true
+             in
+             ok && same ())
+           steps)
+
+(* A random minority of 3..8 nodes crashes at random instants of the
+   first gather, on a clean or a lossy LAN: every survivor must reach
+   Operational on one ring whose members are exactly the survivors, within
+   a simulated bound.  Joins are rebroadcast only by the retransmit tick,
+   so this is what shows that coalescing them never prevents consensus. *)
+let prop_formation_survives_mid_gather_crashes =
+  QCheck.Test.make ~count:60 ~name:"formation survives crashes mid-gather"
+    QCheck.(
+      quad (int_range 1 10_000) (int_range 3 8) bool
+        (list_of_size (Gen.int_range 0 3)
+           (pair (int_bound 7) (int_bound 2_000))))
+    (fun (seed, count, lossy, crashes) ->
+      let eng = Dsim.Engine.create ~seed:(Int64.of_int seed) () in
+      let net =
+        Netsim.Network.create eng
+          {
+            Netsim.Network.latency = Netsim.Latency.Constant (Span.of_us 26);
+            loss = (if lossy then 0.05 else 0.);
+          }
+      in
+      let nodes =
+        Array.init count (fun i ->
+            Totem.Node.create eng net ~me:(n i) ~handler:ignore ())
+      in
+      Array.iter Totem.Node.start nodes;
+      let doomed = Array.make count false in
+      let n_doomed = ref 0 in
+      List.iter
+        (fun (v, at_us) ->
+          let v = v mod count in
+          if (not doomed.(v)) && !n_doomed < (count - 1) / 2 then begin
+            doomed.(v) <- true;
+            incr n_doomed;
+            Dsim.Engine.schedule eng (Span.of_us at_us) (fun () ->
+                Totem.Node.crash nodes.(v))
+          end)
+        crashes;
+      let survivors =
+        List.filter (fun i -> not doomed.(i)) (List.init count Fun.id)
+      in
+      let expect = List.map n survivors in
+      let ring_of i = Totem.Node.ring nodes.(i) in
+      let formed () =
+        List.for_all
+          (fun i ->
+            Totem.Node.is_operational nodes.(i)
+            && List.equal Nid.equal (Totem.Node.members nodes.(i)) expect
+            && Option.equal Totem.Ring_id.equal (ring_of i)
+                 (ring_of (List.hd survivors)))
+          survivors
+      in
+      let bound = Time.of_ms 100 in
+      let rec run () =
+        formed ()
+        || Time.(Dsim.Engine.now eng < bound)
+           && Dsim.Engine.step eng && run ()
+      in
+      run ())
+
 let suites =
   [
     ( "totem.store",
@@ -312,5 +484,10 @@ let suites =
         Alcotest.test_case "wire pp" `Quick test_wire_pp_smoke;
         Alcotest.test_case "ring id order" `Quick test_ring_id_ordering;
         QCheck_alcotest.to_alcotest prop_large_ring_total_order;
+      ] );
+    ( "totem.gather",
+      [
+        QCheck_alcotest.to_alcotest prop_gather_agreement_matches_reference;
+        QCheck_alcotest.to_alcotest prop_formation_survives_mid_gather_crashes;
       ] );
   ]
