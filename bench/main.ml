@@ -5,10 +5,9 @@
    PRs can diff their perf numbers against this one.  The engine and
    explorer sections also report explicit deltas against the checked-in
    PR-2..PR-8 numbers (BENCH_PR2.json .. BENCH_PR8.json) measured on
-   the same machine; the OBS1 section guards PR 4's claim that
-   compiled-in but disabled probes cost nothing, the OBS2 section
-   guards PR 9's claim that the always-on flight recorder stays within
-   5% of recorder-off throughput at zero allocation, the LINT1 section
+   the same machine; the OBS section guards the claim that the
+   compiled-in probes cost nothing with the record stream off and stay
+   within 5% of that, at zero allocation, with it on, the LINT1 section
    times PR 5's full-tree ctslint pass, the LINT2 section times PR 10's
    typed .cmt certification pass, the HIER1 section scales the
    PR-6 hierarchical multi-ring service from 4 to 1024 replicas, and
@@ -66,7 +65,6 @@ let baseline_pr3_jobs1_schedules_per_sec = 6095.4
    out paths), none of which sit on the engine or explorer hot loops, so
    the bar is parity with these. *)
 let baseline_pr4_engine_events_per_sec = 2_986_596.
-let baseline_pr4_obs_disabled_events_per_sec = 2_938_873.
 let baseline_pr4_jobs1_schedules_per_sec = 5182.5
 
 (* PR-5 baselines (BENCH_PR5.json, this machine).  Note the engine number
@@ -104,11 +102,11 @@ let baseline_pr7_engine_events_per_sec = 2_714_787.
 let baseline_pr7_jobs1_schedules_per_sec = 6847.3
 
 (* PR-8 baselines (BENCH_PR8.json, this machine): the SoA event core and
-   diff-based world restore.  The obs-disabled number is what OBS2's
-   recorder-off pass should reproduce, and the 0.95x enabled/disabled
-   ratio gate is measured against a recorder-off pass from the same
-   process, not against this constant — the constant only keeps the
-   cross-PR trajectory visible. *)
+   diff-based world restore.  The obs-disabled number is what OBS's
+   stream-off pass should reproduce, and the 0.95x on/off ratio gate is
+   measured against a stream-off pass from the same process, not against
+   this constant — the constant only keeps the cross-PR trajectory
+   visible. *)
 let baseline_pr8_engine_events_per_sec = 4_498_350.
 let baseline_pr8_obs_disabled_events_per_sec = 4_564_674.
 let baseline_pr8_jobs1_schedules_per_sec = 11_886.7
@@ -277,17 +275,20 @@ let bench_mc () =
   let bounded =
     run "bounded-reorder (depth 1)" (Mc.Strategy.Bounded { depth = 1 })
   in
-  (* Which world-reset mechanism the harness settled on for this config
-     (PR-8): `Diff is the dirty-set restore; `Marshal means the restore
-     verification probe rejected it and the run fell back to the PR-3
-     template path — worth knowing when reading the throughput above. *)
+  (* Which world-reset mechanism the harness settled on for this config:
+     `Diff is the dirty-set restore; `Fresh means the restore
+     verification probe rejected it and every schedule rebuilt its world
+     from scratch — an order of magnitude slower, so it is loud. *)
   let mode =
     match Mc.Harness.reuse_mode (Mc.Harness.reusable cfg) with
     | `Diff -> "diff"
-    | `Marshal -> "marshal"
     | `Fresh -> "fresh"
   in
   Format.fprintf ppf "world reset mechanism: %s@." mode;
+  if mode <> "diff" then
+    Format.fprintf ppf
+      "PERF WARNING (explore): the Snap restore probe failed; every \
+       schedule pays fresh world construction@.";
   json_add "mc_explore"
     (Printf.sprintf
        "{\"schedules\": %d, \"distinct\": %d, \"schedules_per_sec\": %.1f, \
@@ -322,7 +323,7 @@ let bench_engine_events () =
         (* Warm outside the meter: engine construction and the queue's
            first growth to batch size are one-time costs, not per-event
            costs — the meter starts on a steady-state heap, the same
-           discipline OBS1 uses.  Scheduling itself stays inside the
+           discipline OBS uses.  Scheduling itself stays inside the
            timed region; it is half the per-event work being measured. *)
         let eng = Dsim.Engine.create () in
         for i = 1 to batch do
@@ -415,19 +416,21 @@ let bench_engine_events () =
            baseline_pr8_engine_events_per_sec vs_pr8 bytes_per_event
            minor_collections))
 
-(* OBS1: the PR-4 perf guard.  Probes are now compiled into every hot
-   path; this section measures what they cost (a) disabled — the default,
-   which must stay free: 0.0 bytes/event and throughput within 5% of the
-   PR-3 baseline — and (b) with a metrics registry attached.  Both passes
-   exclude engine construction and warm the event queue first, so the
-   steady-state loop is the only thing under the meter; the numbers are
-   reported through the registry's own section mechanism, which is also
-   how the per-event-type counters come out.
-
-   The disabled-probe check emits a distinct "PERF WARNING (obs-disabled)"
-   marker that CI greps for and turns into a hard failure. *)
+(* OBS: the observability stream's perf guard.  Probes are compiled into
+   every hot path and report through one gate, so one section measures
+   both of their costs on the same engine loop: stream off (nothing
+   attached — the default) and stream on with a recorder and [steps] set
+   (one record per fired engine event, the worst case; real runs only
+   record protocol-level events).  [n] wraps the ring dozens of times, so
+   the steady-state wrap path is what gets measured.  Both passes exclude
+   engine construction and warm the event queue first.  The bars: 0.0
+   bytes/event in both passes; stream off within 5% of the PR-3 baseline
+   (20% on scaled-down runs, whose short passes sit inside the box's load
+   noise); stream on within 5% of stream off from the same process (10%
+   scaled).  Any breach prints the one "PERF WARNING (obs)" marker, which
+   CI turns into a hard failure. *)
 let bench_obs () =
-  section "OBS1: probe overhead — disabled (must be free) and metrics-on";
+  section "OBS: probe overhead — stream off vs stream on (steps recorded)";
   let n = scaled 2_000_000 in
   Gc.compact ();
   Dsim.Engine.with_gc_tuning (fun () ->
@@ -466,132 +469,25 @@ let bench_obs () =
         !best
       in
       let dt_off, words_off = best5 None in
-      let metrics = Obs.Metrics.create () in
+      let recorder = Obs.Recorder.create () in
       let sink = Obs.Sink.create () in
-      Obs.Sink.attach sink ~metrics;
+      Obs.Sink.set_recorder sink (Some recorder);
+      Obs.Sink.set_steps sink true;
       let dt_on, words_on = best5 (Some sink) in
-      (* Report both passes through the registry the probes feed, so the
-         per-event-type accounting exercises the same exporter the CLI
-         dumps. *)
-      let s_off = Obs.Metrics.section metrics "engine-step/probes-off" in
-      Obs.Metrics.section_record s_off ~events:n ~ns:(dt_off *. 1e9)
-        ~minor_words:words_off;
-      let s_on = Obs.Metrics.section metrics "engine-step/metrics-on" in
-      Obs.Metrics.section_record s_on ~events:n ~ns:(dt_on *. 1e9)
-        ~minor_words:words_on;
       let per_sec_off = float_of_int n /. dt_off in
       let per_sec_on = float_of_int n /. dt_on in
       let bytes_off = words_off *. 8. /. float_of_int n in
       let bytes_on = words_on *. 8. /. float_of_int n in
-      let vs_pr3 = per_sec_off /. baseline_pr3_engine_events_per_sec in
-      let vs_pr4 = per_sec_off /. baseline_pr4_obs_disabled_events_per_sec in
-      Format.fprintf ppf
-        "probes disabled:   %.2e events/s, %.1f bytes/event (%.2fx vs \
-         PR-3's %.2e, %.2fx vs PR-4's %.2e; best of 5)@."
-        per_sec_off bytes_off vs_pr3 baseline_pr3_engine_events_per_sec
-        vs_pr4 baseline_pr4_obs_disabled_events_per_sec;
-      Format.fprintf ppf
-        "metrics attached:  %.2e events/s, %.1f bytes/event (%.1f%% \
-         slower than disabled)@."
-        per_sec_on bytes_on
-        (100. *. ((dt_on /. dt_off) -. 1.));
-      Format.fprintf ppf
-        "registry counted %d engine event(s) during the metrics-on runs@."
-        (Obs.Metrics.get metrics Obs.Metrics.Engine_events);
-      if bytes_off > 0.05 then
-        Format.fprintf ppf
-          "PERF WARNING (obs-disabled): disabled probes allocate %.2f \
-           bytes/event on the engine hot path (must be 0.0)@."
-          bytes_off;
-      (* The allocation gate above is deterministic at any scale.  The
-         throughput gate is 5% at full scale (the acceptance bar) but
-         relaxed to 20% on scaled-down runs, whose short passes sit
-         inside the box's load noise. *)
-      let tolerance = if scale >= 1. then 0.95 else 0.80 in
-      if vs_pr3 < tolerance then
-        Format.fprintf ppf
-          "PERF WARNING (obs-disabled): engine throughput with disabled \
-           probes is %.2e events/s, more than %.0f%% below the PR-3 \
-           baseline %.2e@."
-          per_sec_off
-          (100. *. (1. -. tolerance))
-          baseline_pr3_engine_events_per_sec;
-      json_add "obs_overhead"
-        (Printf.sprintf
-           "{\"events\": %d, \"disabled_events_per_sec\": %.0f, \
-            \"disabled_bytes_per_event\": %.2f, \
-            \"disabled_vs_pr3\": %.3f, \"disabled_vs_pr4\": %.3f, \
-            \"metrics_events_per_sec\": %.0f, \
-            \"metrics_bytes_per_event\": %.2f, \
-            \"metrics_overhead_pct\": %.1f}"
-           n per_sec_off bytes_off vs_pr3 vs_pr4 per_sec_on bytes_on
-           (100. *. ((dt_on /. dt_off) -. 1.))))
-
-(* OBS2: the PR-9 flight-recorder guard.  The recorder is meant to stay
-   attached in every run — the black box — so its enabled cost is the
-   claim under test: with a recorder attached and [rec_steps] on (one
-   record per fired engine event, the worst case; real runs only record
-   protocol-level events), throughput must stay within 5% of the
-   recorder-off pass from the same process, at 0.0 bytes/event.  The
-   workload and measurement discipline are OBS1's exactly; [n] is large
-   enough that the ring wraps dozens of times, so the steady-state wrap
-   path is what gets measured.  CI greps for the "PERF WARNING
-   (recorder)" marker and turns it into a hard failure. *)
-let bench_obs_recorder () =
-  section "OBS2: flight-recorder overhead — enabled vs off, wrap path";
-  let n = scaled 2_000_000 in
-  Gc.compact ();
-  Dsim.Engine.with_gc_tuning (fun () ->
-      let batch = 10_000 in
-      let one_pass sink =
-        let eng = Dsim.Engine.create () in
-        (match sink with
-        | Some s -> Dsim.Engine.set_obs eng s
-        | None -> ());
-        for i = 1 to batch do
-          Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
-        done;
-        Dsim.Engine.run eng;
-        let t0 = Mc.Explore.wall () in
-        let w0 = Gc.minor_words () in
-        let done_ = ref 0 in
-        while !done_ < n do
-          let k = min batch (n - !done_) in
-          for i = 1 to k do
-            Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
-          done;
-          Dsim.Engine.run eng;
-          done_ := !done_ + k
-        done;
-        let dt = Mc.Explore.wall () -. t0 in
-        (dt, Gc.minor_words () -. w0)
-      in
-      let best5 sink =
-        let best = ref (one_pass sink) in
-        for _ = 1 to 4 do
-          let (dt, _) as r = one_pass sink in
-          if dt < fst !best then best := r
-        done;
-        !best
-      in
-      let dt_off, _ = best5 None in
-      let recorder = Obs.Recorder.create () in
-      let sink = Obs.Sink.create () in
-      Obs.Sink.set_recorder sink (Some recorder);
-      Obs.Sink.set_rec_steps sink true;
-      let dt_on, words_on = best5 (Some sink) in
-      let per_sec_off = float_of_int n /. dt_off in
-      let per_sec_on = float_of_int n /. dt_on in
-      let bytes_on = words_on *. 8. /. float_of_int n in
       let ratio = per_sec_on /. per_sec_off in
+      let vs_pr3 = per_sec_off /. baseline_pr3_engine_events_per_sec in
       let vs_pr8 = per_sec_off /. baseline_pr8_obs_disabled_events_per_sec in
       Format.fprintf ppf
-        "recorder off:      %.2e events/s (%.2fx vs PR-8's %.2e; best of \
-         5)@."
-        per_sec_off vs_pr8 baseline_pr8_obs_disabled_events_per_sec;
+        "stream off: %.2e events/s, %.1f bytes/event (%.2fx vs PR-3's %.2e, \
+         %.2fx vs PR-8's %.2e; best of 5)@."
+        per_sec_off bytes_off vs_pr3 baseline_pr3_engine_events_per_sec vs_pr8
+        baseline_pr8_obs_disabled_events_per_sec;
       Format.fprintf ppf
-        "recorder enabled:  %.2e events/s, %.1f bytes/event — %.2fx of \
-         recorder-off@."
+        "stream on:  %.2e events/s, %.1f bytes/event — %.2fx of stream off@."
         per_sec_on bytes_on ratio;
       Format.fprintf ppf
         "ring after the runs: %d record(s) held of %d emitted (%d \
@@ -599,28 +495,34 @@ let bench_obs_recorder () =
         (Obs.Recorder.length recorder)
         (Obs.Recorder.total recorder)
         (Obs.Recorder.dropped recorder);
-      if bytes_on > 0.05 then
-        Format.fprintf ppf
-          "PERF WARNING (recorder): enabled recorder allocates %.2f \
-           bytes/event on the engine hot path (must be 0.0)@."
-          bytes_on;
-      (* 5% at full scale (the acceptance bar); scaled-down passes are
-         short enough to sit inside the box's load noise, so the gate
-         relaxes to 10% there — same policy as OBS1's throughput gate. *)
-      let tolerance = if scale >= 1. then 0.95 else 0.90 in
-      if ratio < tolerance then
-        Format.fprintf ppf
-          "PERF WARNING (recorder): enabled-recorder throughput is %.2fx \
-           of recorder-off (must be >= %.2f)@."
-          ratio tolerance;
-      json_add "recorder_overhead"
+      let warn fmt = Format.fprintf ppf ("PERF WARNING (obs): " ^^ fmt ^^ "@.") in
+      List.iter
+        (fun (pass, bytes) ->
+          if bytes > 0.05 then
+            warn "%s allocates %.2f bytes/event on the engine hot path (must \
+                  be 0.0)"
+              pass bytes)
+        [ ("stream off", bytes_off); ("stream on", bytes_on) ];
+      let off_tolerance = if scale >= 1. then 0.95 else 0.80 in
+      if vs_pr3 < off_tolerance then
+        warn
+          "stream-off engine throughput is %.2e events/s, more than %.0f%% \
+           below the PR-3 baseline %.2e"
+          per_sec_off
+          (100. *. (1. -. off_tolerance))
+          baseline_pr3_engine_events_per_sec;
+      let on_tolerance = if scale >= 1. then 0.95 else 0.90 in
+      if ratio < on_tolerance then
+        warn "stream-on throughput is %.2fx of stream off (must be >= %.2f)"
+          ratio on_tolerance;
+      json_add "obs_overhead"
         (Printf.sprintf
            "{\"events\": %d, \"off_events_per_sec\": %.0f, \
-            \"off_vs_pr8_disabled\": %.3f, \"enabled_events_per_sec\": \
-            %.0f, \"enabled_bytes_per_event\": %.2f, \
-            \"enabled_over_off\": %.3f, \"records_emitted\": %d, \
-            \"records_held\": %d}"
-           n per_sec_off vs_pr8 per_sec_on bytes_on ratio
+            \"off_bytes_per_event\": %.2f, \"off_vs_pr3\": %.3f, \
+            \"off_vs_pr8\": %.3f, \"on_events_per_sec\": %.0f, \
+            \"on_bytes_per_event\": %.2f, \"on_over_off\": %.3f, \
+            \"records_emitted\": %d, \"records_held\": %d}"
+           n per_sec_off bytes_off vs_pr3 vs_pr8 per_sec_on bytes_on ratio
            (Obs.Recorder.total recorder)
            (Obs.Recorder.length recorder)))
 
@@ -1238,7 +1140,6 @@ let () =
   bench_mc ();
   bench_engine_events ();
   bench_obs ();
-  bench_obs_recorder ();
   bench_mc_scaling ();
   bench_hier ();
   bench_scale ();

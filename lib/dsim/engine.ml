@@ -35,7 +35,7 @@ let create ?(seed = 1L) () =
     rng = Rng.create seed;
     stopped = false;
     scheduler = None;
-    obs = Obs.Sink.inactive ();
+    obs = Obs.Sink.create ();
     steps = 0;
   }
 
@@ -45,28 +45,13 @@ let obs t = t.obs
 let set_obs t s = t.obs <- s
 let set_scheduler t s = t.scheduler <- s
 
-(* Per-callback probe.  The common (disabled) case is one field load and
-   one predictable branch; the counter bump and the optional per-step
-   instant stay out of line behind the [active] check, so the inlined
-   disabled path adds nothing else to the call sites. *)
-let probe_step_active s at =
-  Obs.Sink.count s Obs.Metrics.Engine_events;
-  if s.Obs.Sink.trace_steps then
-    (Obs.Sink.instant s ~ts_ns:(Time.to_ns at) ~pid:0 ~sub:Obs.Subsystem.Dsim
-       ~name:"step" ~args:[]
-    [@ctslint.allow
-      "hotpath-alloc"
-        "trace-event boxing is gated by [trace_steps]; runs that measure \
-         the hot path keep step tracing off"])
-[@@inline never]
-
-(* Per-step flight-recorder record.  Gated by [rec_on] exactly like
-   [active] gates the trace probe, and further by [rec_steps] (off by
-   default: per-callback records would spend the whole window on
+(* Per-callback step record.  The common (inactive) case is one field
+   load and one predictable branch; the [steps] check stays out of line
+   (off by default: per-callback records would spend the whole window on
    steps).  All arguments are ints, so the enabled path allocates
-   nothing — OBS2 benches this. *)
-let rec_step_on s at =
-  if s.Obs.Sink.rec_steps then
+   nothing — bench/main.ml's OBS section measures it. *)
+let rec_step s at =
+  if s.Obs.Sink.steps then
     let us = Time.to_ns at / 1000 in
     Obs.Sink.rec_event s ~kind:Obs.Recorder.k_step ~ts_us:us ~node:0 ~a:us
       ~b:0
@@ -74,8 +59,7 @@ let rec_step_on s at =
 
 let probe_step t at =
   let s = t.obs in
-  if s.Obs.Sink.active then probe_step_active s at;
-  if s.Obs.Sink.rec_on then rec_step_on s at
+  if s.Obs.Sink.active then rec_step s at
 [@@inline]
 
 let schedule_at t at f =

@@ -26,11 +26,11 @@ val rng : t -> Rng.t
 
 val obs : t -> Obs.Sink.t
 (** The engine's observability sink — inactive (and therefore free apart
-    from one load + branch per probe) until a trace or metrics registry
-    is attached with {!Obs.Sink.attach}.  Every instrumented layer reads
-    the sink through its engine at each probe site rather than caching
-    it, so attaching after construction (or after [Mc.Harness] rebuilds a
-    marshalled world) takes effect immediately. *)
+    from one load + branch per probe) until a recorder or health monitor
+    is attached with {!Obs.Sink.set_recorder} / {!Obs.Sink.set_health}.
+    Every instrumented layer reads the sink through its engine at each
+    probe site rather than caching it, so attaching after construction
+    (or after [Mc.Harness] restores a world) takes effect immediately. *)
 
 val set_obs : t -> Obs.Sink.t -> unit
 (** Adopt an externally owned sink (used by the scenario harness and the

@@ -41,16 +41,7 @@ let with_id id f =
    the sink's load + branch; [eng] was already captured. *)
 let probe_fiber eng ~start id =
   let s = Engine.obs eng in
-  if s.Obs.Sink.active then begin
-    Obs.Sink.count s
-      (if start then Obs.Metrics.Fiber_spawns else Obs.Metrics.Fiber_switches);
-    Obs.Sink.instant s
-      ~ts_ns:(Time.to_ns (Engine.now eng))
-      ~pid:0 ~sub:Obs.Subsystem.Dsim
-      ~name:(if start then "fiber-start" else "fiber-resume")
-      ~args:[ ("fiber", id) ]
-  end;
-  if s.Obs.Sink.rec_on then
+  if s.Obs.Sink.active then
     Obs.Sink.rec_event s
       ~kind:
         (if start then Obs.Recorder.k_fiber_spawn

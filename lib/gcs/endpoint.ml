@@ -82,18 +82,7 @@ let view_of t group =
 
 let probe_view t view =
   let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then begin
-    Obs.Sink.count s Obs.Metrics.Gcs_views;
-    Obs.Sink.instant s
-      ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Gcs ~name:"view-change"
-      ~args:
-        [
-          ("members", List.length view.View.members);
-          ("primary", if view.View.primary then 1 else 0);
-        ]
-  end;
-  if s.Obs.Sink.rec_on then
+  if s.Obs.Sink.active then
     Obs.Sink.rec_event s ~kind:Obs.Recorder.k_view
       ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
       ~node:(Nid.to_int t.me)

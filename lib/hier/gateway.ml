@@ -119,30 +119,9 @@ let next_live t =
 (* ------------------------------------------------------------------ *)
 (* Obs probes                                                          *)
 
-let probe_instant t name args =
+let probe t ~kind ~a ~b =
   let s = Dsim.Engine.obs t.eng in
   if s.Obs.Sink.active then
-    Obs.Sink.instant s
-      ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Hier ~name ~args
-
-let probe_count t key =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then Obs.Sink.count s key
-
-let probe_span t which name args =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then
-    (match which with
-    | `Begin -> Obs.Sink.span_begin s
-    | `End -> Obs.Sink.span_end s)
-      ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Hier ~name ~args
-
-(* Flight-recorder feed, separate gate (all-int, no boxing). *)
-let probe_rec t ~kind ~a ~b =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.rec_on then
     Obs.Sink.rec_event s ~kind
       ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
       ~node:(Nid.to_int t.me) ~a ~b
@@ -154,8 +133,7 @@ let apply_agree t ~round ~time =
   if round > t.round then t.round <- round;
   let adopted = Global_clock.observe t.gclock ~round ~time in
   t.s_agreed <- t.s_agreed + 1;
-  probe_count t Obs.Metrics.Hier_rounds;
-  probe_rec t ~kind:Obs.Recorder.k_hier_round ~a:round ~b:0;
+  probe t ~kind:Obs.Recorder.k_hier_round ~a:round ~b:0;
   let local = estimate t in
   if Time.(adopted > local) then begin
     (* Bounded forward correction: raise the shard's causal floor, at
@@ -166,13 +144,7 @@ let apply_agree t ~round ~time =
     let target = Time.min adopted (Time.add local t.cfg.max_correction) in
     Cts.Service.observe_timestamp t.service target;
     t.s_corrections <- t.s_corrections + 1;
-    probe_count t Obs.Metrics.Hier_corrections;
-    probe_instant t "hier-correct"
-      [
-        ("round", round);
-        ("ahead_us", Span.to_us (Time.diff adopted local));
-      ];
-    probe_rec t ~kind:Obs.Recorder.k_hier_correct ~a:round
+    probe t ~kind:Obs.Recorder.k_hier_correct ~a:round
       ~b:(Span.to_us (Time.diff adopted local));
     t.on_correction ()
   end
@@ -187,8 +159,7 @@ let close_round t gen round () =
   then begin
     let time = Time.max t.offers (offer_time t) in
     t.offer_round <- -1;
-    probe_span t `End "hier-round"
-      [ ("round", round); ("offers", t.offers_n) ];
+    probe t ~kind:Obs.Recorder.k_bridge_close ~a:round ~b:t.offers_n;
     broadcast t (Bridge_msg.Agree { round; coord_shard = t.my_shard; time });
     apply_agree t ~round ~time
   end
@@ -202,7 +173,7 @@ let open_round t =
       t.offer_round <- round;
       t.offers <- offer_time t;
       t.offers_n <- 1;
-      probe_span t `Begin "hier-round" [ ("round", round) ];
+      probe t ~kind:Obs.Recorder.k_bridge_open ~a:round ~b:0;
       broadcast t (Bridge_msg.Poll { round; coord_shard = t.my_shard });
       let gen = t.gen in
       Dsim.Engine.schedule t.eng t.cfg.offer_timeout (close_round t gen round)
@@ -323,9 +294,7 @@ let activate t =
     t.s_elections <- t.s_elections + 1;
     t.gen <- t.gen + 1;
     Netsim.Network.attach t.bridge t.me (on_bridge t);
-    probe_count t Obs.Metrics.Hier_elections;
-    probe_instant t "hier-elect" [ ("shard", t.my_shard) ];
-    probe_rec t ~kind:Obs.Recorder.k_hier_elect ~a:t.my_shard
+    probe t ~kind:Obs.Recorder.k_hier_elect ~a:t.my_shard
       ~b:(Nid.to_int t.me);
     Log.debug (fun m ->
         m "%a: gateway of shard %d (election %d)" Nid.pp t.me t.my_shard

@@ -29,7 +29,8 @@ type outcome = {
       (** per replica, in completion order *)
   stats : Cts.Service.stats array;
   crashed : int option;  (** replica crashed mid-run, if any *)
-  packet_log : string;  (** rendered {!Netsim.Trace}, possibly empty *)
+  packet_log : string;
+      (** rendered packet records of the run's stream, possibly empty *)
 }
 
 type t = {

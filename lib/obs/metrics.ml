@@ -1,8 +1,8 @@
 (* Fixed-key counters live in a plain int array indexed by the key's
-   constructor number, so the hot-path [incr] is one load, one add, one
-   store — no boxing, no hashing, no allocation.  Everything dynamic
-   (gauges, bench sections) is find-or-create by name and only touched
-   from cold code. *)
+   constructor number, so [incr] is one load, one add, one store.  The
+   counters and histograms are filled by folding the record stream
+   ([of_recorder]); everything dynamic (gauges, bench sections) is
+   find-or-create by name. *)
 
 type key =
   | Engine_events
@@ -164,6 +164,41 @@ let reset t =
       s.s_ns <- 0.;
       s.s_minor_words <- 0.)
     t.sections
+
+(* ------------------------------------------------------------------ *)
+(* The stream fold                                                     *)
+
+(* Counter bumped by each record kind; a kind absent here feeds no
+   counter, or only a histogram (below). *)
+let counted =
+  Recorder.
+    [
+      (k_fiber_spawn, Fiber_spawns); (k_fiber_switch, Fiber_switches);
+      (k_send, Net_sent); (k_deliver, Net_delivered); (k_drop, Net_dropped);
+      (k_token, Totem_tokens); (k_operational, Totem_views);
+      (k_view, Gcs_views); (k_ccs_open, Ccs_rounds); (k_ccs_settle, Ccs_wins);
+      (k_ccs_suppress, Ccs_suppressed); (k_ccs_discard, Ccs_discards);
+      (k_ccs_offset, Ccs_offset_updates); (k_repl_request, Repl_requests);
+      (k_rpc_begin, Rpc_calls); (k_hier_round, Hier_rounds);
+      (k_hier_correct, Hier_corrections); (k_hier_elect, Hier_elections);
+    ]
+
+let add_record t ~kind ~a ~b =
+  (match List.assoc_opt kind counted with Some k -> incr t k | None -> ());
+  if kind = Recorder.k_ccs_offset then
+    observe t Ccs_adjustment_us (float_of_int b)
+  else if kind = Recorder.k_rpc_end then begin
+    if b = 1 then incr t Rpc_timeouts
+    else observe t Rpc_latency_us (float_of_int a)
+  end
+  else if kind = Recorder.k_repl_checkpoint && b = 0 then
+    incr t Repl_checkpoints
+
+let of_recorder ?(engine_events = 0) r =
+  let t = create () in
+  add t Engine_events engine_events;
+  Recorder.iter r (fun ~kind ~ts_us:_ ~node:_ ~a ~b -> add_record t ~kind ~a ~b);
+  t
 
 (* ------------------------------------------------------------------ *)
 (* JSON snapshot                                                       *)

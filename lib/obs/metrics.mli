@@ -1,10 +1,9 @@
-(** Metrics registry: zero-allocation counters, named gauges, latency /
-    adjustment histograms (reusing {!Stats.Histogram}) and bench
-    sections, with a snapshot-to-JSON exporter.
+(** Metrics registry: counters, named gauges, latency / adjustment
+    histograms (reusing {!Stats.Histogram}) and bench sections, with a
+    snapshot-to-JSON exporter.
 
-    The registry is plain data (no closures), so a metrics-carrying
-    simulator world still marshals — the property [Mc.Harness]'s world
-    reuse depends on. *)
+    The counters and the two histograms are a fold over the record
+    stream ({!of_recorder}); no probe feeds the registry directly. *)
 
 type t
 
@@ -12,7 +11,7 @@ type t
     [key_name] and [all_keys] in lock-step; the registry stores counts in
     a dense int array indexed by [key_index]. *)
 type key =
-  | Engine_events      (** callbacks run by [Dsim.Engine] *)
+  | Engine_events      (** callbacks run by [Dsim.Engine] ([Engine.steps]) *)
   | Fiber_spawns
   | Fiber_switches     (** fiber resumptions after a suspend *)
   | Net_sent
@@ -37,6 +36,15 @@ type key =
 type hkey = Ccs_adjustment_us | Rpc_latency_us
 
 val create : unit -> t
+
+val of_recorder : ?engine_events:int -> Recorder.t -> t
+(** Fold the recorder's window into a fresh registry: one counter bump
+    per record of a counted kind ([k_send] -> [Net_sent], [k_ccs_open]
+    -> [Ccs_rounds], ...), [Ccs_adjustment_us] from [k_ccs_offset] and
+    [Rpc_latency_us] from non-timed-out [k_rpc_end] records.
+    [engine_events] (default 0) sets [Engine_events], which no record
+    carries — pass [Dsim.Engine.steps].  Counts cover the window only:
+    records overwritten by wrap ({!Recorder.dropped}) are not counted. *)
 
 val incr : t -> key -> unit
 (** One array store; allocation-free. *)

@@ -1,102 +1,28 @@
 type t = {
   mutable active : bool;
-  mutable trace : Trace.t option;
-  mutable metrics : Metrics.t option;
-  mutable trace_steps : bool;
-  mutable attrib : Attrib.t option;
-  mutable rec_on : bool;
+  mutable steps : bool;
   mutable recorder : Recorder.t option;
   mutable health : Health.t option;
-  mutable rec_steps : bool;
+  mutable attrib : Attrib.t option;
 }
 
-let inactive () =
-  {
-    active = false;
-    trace = None;
-    metrics = None;
-    trace_steps = false;
-    attrib = None;
-    rec_on = false;
-    recorder = None;
-    health = None;
-    rec_steps = false;
-  }
+let create () =
+  { active = false; steps = false; recorder = None; health = None; attrib = None }
 
-let create = inactive
-
-let refresh t = t.active <- t.trace <> None || t.metrics <> None
-
-let attach ?trace ?metrics t =
-  (match trace with Some _ -> t.trace <- trace | None -> ());
-  (match metrics with Some _ -> t.metrics <- metrics | None -> ());
-  refresh t
-
-let detach t =
-  t.trace <- None;
-  t.metrics <- None;
-  t.active <- false
-
-let is_active t = t.active
-let trace t = t.trace
-let metrics t = t.metrics
-let set_trace_steps t v = t.trace_steps <- v
-
-let event t ~ph ~ts_ns ~pid ~sub ~name ~args =
-  match t.trace with
-  | Some tr -> Trace.record tr ~ph ~ts_ns ~pid ~sub ~name ~args
-  | None -> ()
-
-let span_begin t ~ts_ns ~pid ~sub ~name ~args =
-  event t ~ph:Trace.Begin ~ts_ns ~pid ~sub ~name ~args
-
-let span_end t ~ts_ns ~pid ~sub ~name ~args =
-  event t ~ph:Trace.End ~ts_ns ~pid ~sub ~name ~args
-
-let instant t ~ts_ns ~pid ~sub ~name ~args =
-  event t ~ph:Trace.Instant ~ts_ns ~pid ~sub ~name ~args
-
-let count t k = match t.metrics with Some m -> Metrics.incr m k | None -> ()
-
-let observe t hk v =
-  match t.metrics with Some m -> Metrics.observe m hk v | None -> ()
-
-(* Wall-time attribution is gated separately from [active]: a recorder
-   can be attached without paying for trace-event construction at every
-   [active]-gated probe, and vice versa.  Disabled cost is the same one
-   load + one branch. *)
-
-let set_attrib t a = t.attrib <- a
-let attrib t = t.attrib
-
-let attr_enter t site =
-  match t.attrib with Some a -> Attrib.enter a site | None -> ()
-[@@inline]
-
-let attr_leave t =
-  match t.attrib with Some a -> Attrib.leave a | None -> ()
-[@@inline]
-
-(* The flight recorder and health monitor are gated by [rec_on], a
-   third gate beside [active] and the attrib option: both consumers
-   take only unboxed int arguments, so a probe site that already has
-   the ints in hand feeds them with zero allocation — which is what
-   lets the recorder stay attached in production runs where [active]
-   stays false. *)
-
-let refresh_rec t = t.rec_on <- t.recorder <> None || t.health <> None
+let refresh t = t.active <- t.recorder <> None || t.health <> None
 
 let set_recorder t r =
   t.recorder <- r;
-  refresh_rec t
+  refresh t
 
 let set_health t h =
   t.health <- h;
-  refresh_rec t
+  refresh t
 
+let is_active t = t.active
 let recorder t = t.recorder
 let health t = t.health
-let set_rec_steps t v = t.rec_steps <- v
+let set_steps t v = t.steps <- v
 
 let rec_event t ~kind ~ts_us ~node ~a ~b =
   (match t.recorder with
@@ -109,5 +35,20 @@ let rec_event t ~kind ~ts_us ~node ~a ~b =
         "hotpath-alloc"
           "the health monitor's invariant checks walk hashtables; \
            attaching a monitor deliberately trades the zero-alloc \
-           guarantee of the recorder lane for diagnosis"])
+           guarantee of the recorder for diagnosis"])
   | None -> ()
+
+(* Wall-time attribution keeps its own gate: it brackets regions of
+   wall time rather than emitting records, so it is not part of the
+   stream.  Disabled cost is the same one load + one branch. *)
+
+let set_attrib t a = t.attrib <- a
+let attrib t = t.attrib
+
+let attr_enter t site =
+  match t.attrib with Some a -> Attrib.enter a site | None -> ()
+[@@inline]
+
+let attr_leave t =
+  match t.attrib with Some a -> Attrib.leave a | None -> ()
+[@@inline]

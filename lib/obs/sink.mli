@@ -3,111 +3,65 @@
     A sink is owned by the simulation engine ([Dsim.Engine.obs]) and is
     {e inactive} by default: [active] is false, nothing is attached, and
     a probe site costs one field load and one predictable branch — the
-    discipline that keeps PR 3's zero-allocation hot path intact with
-    probes compiled in.  The contract at every site is:
+    discipline that keeps the zero-allocation hot path intact with
+    probes compiled in.  Every probe reports its fact exactly once, as
+    one {!Recorder} record, with the ints it already holds:
 
     {[
       let s = Dsim.Engine.obs eng in
       if s.Obs.Sink.active then
-        (* construct args / record events — boxing allowed here *)
+        Obs.Sink.rec_event s ~kind:Obs.Recorder.k_token ~ts_us ~node ~a ~b
     ]}
 
-    i.e. nothing observable is even constructed unless the single
-    [active] check passes (the pattern proven by [Netsim.Network]'s
-    tracer-gated trace construction, which now routes through here).
+    Nothing is boxed on either side of the gate.  The record stream is
+    the only emit path: the Chrome trace ({!Recorder.to_trace}), the
+    metrics registry ({!Metrics.of_recorder}) and the model checker's
+    packet log are all read from the attached recorder afterwards, and
+    the {!Health} monitor consumes the same records online.
 
-    The record is plain data — no closures — so an engine carrying a
-    sink (attached or not) still marshals, which [Mc.Harness]'s
-    world-reuse path requires.  Components must read the sink through
-    the engine at each probe rather than caching it at construction
-    time, so a sink attached after world (re)build is still seen. *)
+    Components must read the sink through the engine at each probe
+    rather than caching it at construction time, so a sink attached
+    after world (re)build is still seen. *)
 
 type t = {
-  mutable active : bool;  (** true iff a trace or metrics is attached *)
-  mutable trace : Trace.t option;
-  mutable metrics : Metrics.t option;
-  mutable trace_steps : bool;
-      (** also emit one instant event per engine callback (very hot;
-          off by default even when tracing) *)
-  mutable attrib : Attrib.t option;
-      (** wall-time attribution recorder; gated separately from
-          [active] (see {!attr_enter}) so profiling a big run does not
-          also pay for trace-event construction *)
-  mutable rec_on : bool;
-      (** true iff a flight recorder or health monitor is attached —
-          the gate probe sites check before calling {!rec_event} *)
+  mutable active : bool;
+      (** true iff a recorder or health monitor is attached — the one
+          gate probe sites check before calling {!rec_event} *)
+  mutable steps : bool;
+      (** also emit one [k_step] record per engine callback (very hot;
+          off by default even when recording) *)
   mutable recorder : Recorder.t option;
   mutable health : Health.t option;
-  mutable rec_steps : bool;
-      (** also emit one flight-recorder record per engine callback
-          (very hot; off by default even when recording) *)
+  mutable attrib : Attrib.t option;
+      (** wall-time attribution; gated separately (see {!attr_enter}) *)
 }
 
-val inactive : unit -> t
 val create : unit -> t
-(** Alias of {!inactive}. *)
+(** An inactive sink: nothing attached. *)
 
-val attach : ?trace:Trace.t -> ?metrics:Metrics.t -> t -> unit
-(** Attach the given consumers (leaving absent ones as they are) and
-    recompute [active]. *)
+val set_recorder : t -> Recorder.t option -> unit
+val set_health : t -> Health.t option -> unit
+(** Attach or detach a consumer and recompute [active]. *)
 
-val detach : t -> unit
 val is_active : t -> bool
-val trace : t -> Trace.t option
-val metrics : t -> Metrics.t option
-val set_trace_steps : t -> bool -> unit
+val recorder : t -> Recorder.t option
+val health : t -> Health.t option
+val set_steps : t -> bool -> unit
 
-(** Emit helpers.  Callers are expected to have checked [active]; the
-    helpers still match on the individual consumers, so e.g. a
-    metrics-only sink records counters and skips trace events. *)
-
-val event :
-  t -> ph:Trace.phase -> ts_ns:int -> pid:int -> sub:Subsystem.t ->
-  name:string -> args:(string * int) list -> unit
-
-val span_begin :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val span_end :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val instant :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val count : t -> Metrics.key -> unit
-val observe : t -> Metrics.hkey -> float -> unit
+val rec_event : t -> kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit
+(** Feed one record to whichever of recorder / health is attached.
+    Callers are expected to have checked [active].  Record kinds and
+    payload meanings are defined by {!Recorder}. *)
 
 (** {1 Wall-time attribution}
 
-    Separate gate from [active]: [attr_enter]/[attr_leave] are no-ops
-    (one load, one branch) until a recorder is attached with
-    [set_attrib].  Callers bracket a region with a site interned once
-    via {!Attrib.site}; regions nest and must be exited on every
-    path. *)
+    Separate gate from [active]: attribution brackets wall time rather
+    than emitting records.  [attr_enter]/[attr_leave] are no-ops (one
+    load, one branch) until a recorder is attached with [set_attrib].
+    Callers bracket a region with a site interned once via
+    {!Attrib.site}; regions nest and must be exited on every path. *)
 
 val set_attrib : t -> Attrib.t option -> unit
 val attrib : t -> Attrib.t option
 val attr_enter : t -> Attrib.site -> unit
 val attr_leave : t -> unit
-
-(** {1 Flight recorder / health monitor}
-
-    Third gate beside [active] and [attrib]: probe sites check
-    [rec_on] (one load, one branch) and then call {!rec_event} with
-    the ints they already hold — no boxing on either side, so the
-    recorder can stay attached in runs where tracing would be too
-    expensive.  Record kinds and payload meanings are defined by
-    {!Recorder}. *)
-
-val set_recorder : t -> Recorder.t option -> unit
-val set_health : t -> Health.t option -> unit
-val recorder : t -> Recorder.t option
-val health : t -> Health.t option
-val set_rec_steps : t -> bool -> unit
-
-val rec_event : t -> kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit
-(** Feed one record to whichever of recorder / health is attached.
-    Callers are expected to have checked [rec_on]. *)

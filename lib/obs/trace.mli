@@ -1,13 +1,16 @@
-(** Span / instant-event tracer with a Chrome trace-event exporter.
+(** Span / instant-event buffer with a Chrome trace-event exporter.
 
-    Events carry the {e simulated} timestamp (integer nanoseconds), the
-    replica identity as [pid] and the {!Subsystem} as [tid], so a dump
-    loads directly into Perfetto / [chrome://tracing] with one process
-    row per replica and one named thread row per subsystem.
+    The simulator's probes do not write here: they emit {!Recorder}
+    records, and {!Recorder.to_trace} decodes a window into a [Trace.t]
+    for export.  Events carry the {e simulated} timestamp (integer
+    nanoseconds), the replica identity as [pid] and the {!Subsystem} as
+    [tid], so a dump loads directly into Perfetto / [chrome://tracing]
+    with one process row per replica and one named thread row per
+    subsystem.
 
-    The buffer is an append-only growable array of plain records —
-    Marshal-safe, bounded by [capacity].  Events past the capacity are
-    counted in {!dropped} rather than silently discarded. *)
+    The buffer is an append-only growable array of plain records,
+    bounded by [capacity].  Events past the capacity are counted in
+    {!dropped} rather than silently discarded. *)
 
 type phase = Begin | End | Instant
 

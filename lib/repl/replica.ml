@@ -98,15 +98,17 @@ let may_send_state t =
 (* ------------------------------------------------------------------ *)
 (* Processing thread                                                   *)
 
+(* Checkpoint probe: [applied] = 0 when a checkpoint is taken, 1 when a
+   recovering replica applies the transferred state. *)
+let probe_checkpoint t ~upto ~applied =
+  let s = Dsim.Engine.obs t.eng in
+  if s.Obs.Sink.active then
+    Obs.Sink.rec_event s ~kind:Obs.Recorder.k_repl_checkpoint
+      ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+      ~node:(Nid.to_int (me t)) ~a:upto ~b:applied
+
 let take_checkpoint t : Checkpoint.t =
-  (let s = Dsim.Engine.obs t.eng in
-   if s.Obs.Sink.active then begin
-     Obs.Sink.count s Obs.Metrics.Repl_checkpoints;
-     Obs.Sink.instant s
-       ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-       ~pid:(Nid.to_int (me t)) ~sub:Obs.Subsystem.Repl ~name:"checkpoint"
-       ~args:[ ("upto", t.processed) ]
-   end);
+  probe_checkpoint t ~upto:t.processed ~applied:0;
   {
     upto = t.processed;
     app_state = t.app.snapshot ();
@@ -148,13 +150,10 @@ let process_req t ~(header : Gcs.Msg.header) ~op ~arg ~ts ~index =
       in
       t.processed <- index;
       (let s = Dsim.Engine.obs t.eng in
-       if s.Obs.Sink.active then begin
-         Obs.Sink.count s Obs.Metrics.Repl_requests;
-         Obs.Sink.instant s
-           ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-           ~pid:(Nid.to_int (me t)) ~sub:Obs.Subsystem.Repl ~name:"request"
-           ~args:[ ("index", index) ]
-       end);
+       if s.Obs.Sink.active then
+         Obs.Sink.rec_event s ~kind:Obs.Recorder.k_repl_request
+           ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+           ~node:(Nid.to_int (me t)) ~a:index ~b:0);
       Hashtbl.replace t.reply_cache conn (header.msg_seq, result);
       send_reply result;
       maybe_periodic_checkpoint t
@@ -225,12 +224,7 @@ let apply_state t ~(for_node : Nid.t) (c : Checkpoint.t) =
     t.delivered_reqs <- c.upto;
     t.processed <- c.upto;
     t.recovered <- true;
-    (let s = Dsim.Engine.obs t.eng in
-     if s.Obs.Sink.active then
-       Obs.Sink.instant s
-         ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-         ~pid:(Nid.to_int (me t)) ~sub:Obs.Subsystem.Repl
-         ~name:"state-applied" ~args:[ ("upto", c.upto) ]);
+    probe_checkpoint t ~upto:c.upto ~applied:1;
     Log.debug (fun m ->
         m "%a: state applied (upto=%d), processing resumes" Nid.pp (me t)
           c.upto);

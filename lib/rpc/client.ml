@@ -87,53 +87,39 @@ let attempt ?timeout t ~seq ~op ~arg =
           o.abandoned <- true;
           None)
 
-(* Call-lifecycle probes.  The span covers the whole invocation including
-   retries; a timeout closes it with a [timeout] tag so the trace never
-   holds a dangling Begin. *)
-let probe_call_begin t seq =
+(* Call-lifecycle probes.  The [rpc] span covers the whole invocation
+   including retries; a timeout closes it with [timeout] = 1, so the
+   stream never holds a dangling begin. *)
+let probe_call t ~kind ~a ~b =
   let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then begin
-    Obs.Sink.count s Obs.Metrics.Rpc_calls;
-    Obs.Sink.span_begin s
-      ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Netsim.Node_id.to_int (Gcs.Endpoint.me t.endpoint))
-      ~sub:Obs.Subsystem.Rpc ~name:"rpc" ~args:[ ("seq", seq) ]
-  end
+  if s.Obs.Sink.active then
+    Obs.Sink.rec_event s ~kind
+      ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+      ~node:(Netsim.Node_id.to_int (Gcs.Endpoint.me t.endpoint))
+      ~a ~b
 
-let probe_call_end t seq ~started ~timed_out =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then begin
-    if timed_out then Obs.Sink.count s Obs.Metrics.Rpc_timeouts
-    else
-      Obs.Sink.observe s Obs.Metrics.Rpc_latency_us
-        (float_of_int
-           (Dsim.Time.Span.to_ns
-              (Dsim.Time.diff (Dsim.Engine.now t.eng) started))
-        /. 1000.);
-    Obs.Sink.span_end s
-      ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Netsim.Node_id.to_int (Gcs.Endpoint.me t.endpoint))
-      ~sub:Obs.Subsystem.Rpc ~name:"rpc"
-      ~args:[ ("seq", seq); ("timeout", if timed_out then 1 else 0) ]
-  end
+let probe_call_end t ~started ~timed_out =
+  probe_call t ~kind:Obs.Recorder.k_rpc_end
+    ~a:(Dsim.Time.Span.to_us (Dsim.Time.diff (Dsim.Engine.now t.eng) started))
+    ~b:(if timed_out then 1 else 0)
 
 let invoke ?timeout ?(retries = 0) t ~op ~arg =
   t.next_seq <- t.next_seq + 1;
   let seq = t.next_seq in
   let started = Dsim.Engine.now t.eng in
-  probe_call_begin t seq;
+  probe_call t ~kind:Obs.Recorder.k_rpc_begin ~a:seq ~b:0;
   (* Retries reuse the sequence number: the server-side duplicate-detection
      cache re-sends the cached reply instead of re-executing, so the
      invocation stays exactly-once even when a reply is lost to a crash. *)
   let rec go attempts_left =
     match attempt ?timeout t ~seq ~op ~arg with
     | Some r ->
-        probe_call_end t seq ~started ~timed_out:false;
+        probe_call_end t ~started ~timed_out:false;
         r
     | None ->
         if attempts_left > 0 then go (attempts_left - 1)
         else begin
-          probe_call_end t seq ~started ~timed_out:true;
+          probe_call_end t ~started ~timed_out:true;
           raise Timeout
         end
   in

@@ -354,22 +354,9 @@ let spread values =
   | Some lo, Some hi -> Time.diff hi lo
   | _ -> Span.zero
 
-let publish_gauge t name v =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then
-    match Obs.Sink.metrics s with
-    | Some m -> Obs.Metrics.gauge m name := v
-    | None -> ()
+let cross_shard_skew t = spread (shard_estimates t)
 
-let cross_shard_skew t =
-  let skew = spread (shard_estimates t) in
-  publish_gauge t "hier_cross_shard_skew_us" (float_of_int (Span.to_us skew));
-  skew
-
-let queue_hwm t =
-  let hwm = Dsim.Engine.queue_high_water t.eng in
-  publish_gauge t "event_queue_hwm" (float_of_int hwm);
-  hwm
+let queue_hwm t = Dsim.Engine.queue_high_water t.eng
 
 let neighbor_skew t =
   let est = shard_estimates t in
@@ -382,7 +369,6 @@ let neighbor_skew t =
         if Span.(d > !worst) then worst := d
     | _ -> ()
   done;
-  publish_gauge t "hier_neighbor_skew_us" (float_of_int (Span.to_us !worst));
   !worst
 
 let converged t ~bound = Span.compare (cross_shard_skew t) bound <= 0

@@ -108,9 +108,7 @@ val shard_estimates : t -> Dsim.Time.t option array
     entirely dead). *)
 
 val cross_shard_skew : t -> Dsim.Time.Span.t
-(** Worst-case spread (max − min) of the live shard estimates; also
-    published as the [hier_cross_shard_skew_us] gauge when an obs sink
-    with metrics is attached. *)
+(** Worst-case spread (max − min) of the live shard estimates. *)
 
 val neighbor_skew : t -> Dsim.Time.Span.t
 (** Largest estimate gap between ring-adjacent live shards (the Gradient
@@ -130,6 +128,4 @@ val ccs_rounds_completed : t -> int
 
 val queue_hwm : t -> int
 (** Event-queue high-water mark of the underlying engine (deepest the
-    queue has been since engine creation) — the backlog-pressure gauge;
-    also published as the [event_queue_hwm] gauge when an obs sink with
-    metrics is attached. *)
+    queue has been since engine creation) — the backlog-pressure gauge. *)

@@ -122,7 +122,9 @@ type skew_run = {
   samples : round_sample list array;
   ccs_sent : int array;
   ccs_suppressed : int array;
+  ccs_rounds : int array;
   rounds_total : int;
+  cluster : Cluster.t;
 }
 
 let skew ?seed ?(rounds = 100) ?(replicas = 3)
@@ -170,16 +172,6 @@ let skew ?seed ?(rounds = 100) ?(replicas = 3)
      per-replica samples and obs events undercount the last round on a
      seed-dependent minority of schedules. *)
   Cluster.run_for rig.cluster (Span.of_ms 50);
-  (* Mirror Cluster_hier: the engine's queue high-water mark is published
-     as a gauge so `ctsim run` can report it without holding the rig. *)
-  (match obs with
-  | Some s -> (
-      match Obs.Sink.metrics s with
-      | Some m ->
-          Obs.Metrics.gauge m "event_queue_hwm"
-          := float_of_int (Dsim.Engine.queue_high_water rig.cluster.Cluster.eng)
-      | None -> ())
-  | None -> ());
   let stats r = Cts.Service.stats (Repl.Replica.service r) in
   {
     samples = Array.map List.rev acc;
@@ -189,7 +181,11 @@ let skew ?seed ?(rounds = 100) ?(replicas = 3)
     ccs_suppressed =
       Array.of_list
         (List.map (fun r -> (stats r).Cts.Service.suppressed) rig.replicas);
+    ccs_rounds =
+      Array.of_list
+        (List.map (fun r -> (stats r).Cts.Service.rounds_completed) rig.replicas);
     rounds_total = rounds;
+    cluster = rig.cluster;
   }
 
 let drift_slope run =

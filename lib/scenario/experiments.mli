@@ -35,7 +35,9 @@ type skew_run = {
       (** per replica (index 0 = the replica on node 1), in round order *)
   ccs_sent : int array;  (** CCS messages sent per replica (E3) *)
   ccs_suppressed : int array;
+  ccs_rounds : int array;  (** CCS rounds completed per replica *)
   rounds_total : int;
+  cluster : Cluster.t;  (** the finished world, for post-run inspection *)
 }
 
 val skew :

@@ -73,6 +73,21 @@ let test_recorder_wrap_straddle () =
   check bool "straddle order" true
     (collect r = [ 13; 14; 15; 16; 17; 18; 19; 20 ])
 
+let test_recorder_clear_then_refill () =
+  (* clear resets both the window and the total, and the ring is fully
+     usable afterwards — including wrapping around again *)
+  let r = Rec.create ~capacity:3 () in
+  fill r 7;
+  Rec.clear r;
+  check int "length reset" 0 (Rec.length r);
+  check int "total reset" 0 (Rec.total r);
+  check bool "window empty" true (collect r = []);
+  fill r 5;
+  check int "refilled past capacity" 3 (Rec.length r);
+  check int "total restarts from zero" 5 (Rec.total r);
+  check int "dropped restarts from zero" 2 (Rec.dropped r);
+  check bool "window slid after reuse" true (collect r = [ 2; 3; 4 ])
+
 let test_recorder_zero_alloc () =
   (* the steady-state wrap path allocates nothing: run enough emits to
      wrap the ring many times and demand an exactly-zero minor-heap
@@ -379,6 +394,8 @@ let suites =
           test_recorder_wrap_off_by_one;
         Alcotest.test_case "wrap: straddling window" `Quick
           test_recorder_wrap_straddle;
+        Alcotest.test_case "wrap: clear then refill" `Quick
+          test_recorder_clear_then_refill;
         Alcotest.test_case "emit loop is allocation-free" `Quick
           test_recorder_zero_alloc;
         Alcotest.test_case "dump survives wrap" `Quick

@@ -336,30 +336,42 @@ let prop_broadcast_reaches_all_connected =
       got.(0) = 0
       && Array.for_all (( = ) 1) (Array.sub got 1 (nodes - 1)))
 
+(* The packet log is the engine's record stream: every send, delivery
+   and drop is one netsim record. *)
+let recorded eng =
+  let r = Obs.Recorder.create () in
+  let s = Obs.Sink.create () in
+  Obs.Sink.set_recorder s (Some r);
+  Dsim.Engine.set_obs eng s;
+  r
+
+let records r =
+  let out = ref [] in
+  Obs.Recorder.iter r (fun ~kind ~ts_us ~node ~a ~b ->
+      out := (kind, ts_us, node, a, b) :: !out);
+  List.rev !out
+
 let test_trace_records_events () =
   let eng = Dsim.Engine.create () in
   let net = constant_net eng 5 in
-  let tr = Netsim.Trace.create () in
-  Net.attach_trace net tr;
+  let r = recorded eng in
   Net.attach net (n 0) (fun ~src:_ _ -> ());
   Net.attach net (n 1) (fun ~src:_ _ -> ());
   Net.send net ~src:(n 0) ~dst:(n 1) "x";
   Net.broadcast net ~src:(n 1) "y";
   Dsim.Engine.run eng;
-  let es = Netsim.Trace.entries tr in
+  let es = records r in
   (* 2 sends + 2 deliveries *)
   check int "events recorded" 4 (List.length es);
   let sends =
-    List.filter
-      (fun (e : string Netsim.Trace.entry) ->
-        match e.ev with Netsim.Trace.Sent _ -> true | _ -> false)
-      es
+    List.filter (fun (kind, _, _, _, _) -> kind = Obs.Recorder.k_send) es
   in
   check int "two sends" 2 (List.length sends);
+  check (Alcotest.list int) "send destinations (-1 = broadcast)" [ 1; -1 ]
+    (List.map (fun (_, _, _, dst, _) -> dst) sends);
   check bool "timestamps ordered" true
     (let rec mono = function
-       | (a : string Netsim.Trace.entry) :: (b :: _ as rest) ->
-           Time.compare a.at b.at <= 0 && mono rest
+       | (_, a, _, _, _) :: ((_, b, _, _, _) :: _ as rest) -> a <= b && mono rest
        | [ _ ] | [] -> true
      in
      mono es)
@@ -367,8 +379,7 @@ let test_trace_records_events () =
 let test_trace_records_drops () =
   let eng = Dsim.Engine.create () in
   let net = constant_net eng 5 in
-  let tr = Netsim.Trace.create () in
-  Net.attach_trace net tr;
+  let r = recorded eng in
   Net.attach net (n 0) (fun ~src:_ _ -> ());
   Net.attach net (n 1) (fun ~src:_ _ -> ());
   Net.partition net [ [ n 0 ]; [ n 1 ] ];
@@ -376,71 +387,12 @@ let test_trace_records_drops () =
   Dsim.Engine.run eng;
   let dropped =
     List.filter
-      (fun (e : string Netsim.Trace.entry) ->
-        match e.ev with
-        | Netsim.Trace.Dropped { reason = Netsim.Trace.Partitioned; _ } -> true
-        | _ -> false)
-      (Netsim.Trace.entries tr)
+      (fun (kind, _, _, _, reason) ->
+        kind = Obs.Recorder.k_drop
+        && Obs.Recorder.drop_reason_name reason = "partitioned")
+      (records r)
   in
-  check int "partition drop traced" 1 (List.length dropped)
-
-let test_trace_ring_buffer_bounded () =
-  let tr = Netsim.Trace.create ~capacity:8 () in
-  for i = 1 to 20 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  check int "bounded" 8 (Netsim.Trace.length tr);
-  check int "total counted" 20 (Netsim.Trace.total_recorded tr);
-  (match Netsim.Trace.entries tr with
-  | first :: _ -> check int "oldest kept is 13" 13 (Time.to_us first.at)
-  | [] -> Alcotest.fail "empty");
-  Netsim.Trace.clear tr;
-  check int "cleared" 0 (Netsim.Trace.length tr)
-
-let test_trace_eviction_order () =
-  (* exactly the last [capacity] events survive, oldest first, and the
-     window keeps sliding as more events arrive *)
-  let tr = Netsim.Trace.create ~capacity:4 () in
-  let rec times acc = function
-    | [] -> List.rev acc
-    | (e : int Netsim.Trace.entry) :: rest -> times (Time.to_us e.at :: acc) rest
-  in
-  for i = 1 to 4 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  check int "at capacity" 4 (Netsim.Trace.length tr);
-  check (Alcotest.list int) "nothing evicted yet" [ 1; 2; 3; 4 ]
-    (times [] (Netsim.Trace.entries tr));
-  Netsim.Trace.record tr ~at:(Time.of_us 5)
-    (Netsim.Trace.Sent { src = n 0; dst = None; payload = 5 });
-  check (Alcotest.list int) "oldest evicted first" [ 2; 3; 4; 5 ]
-    (times [] (Netsim.Trace.entries tr));
-  check int "length pinned at capacity" 4 (Netsim.Trace.length tr);
-  check int "total keeps counting" 5 (Netsim.Trace.total_recorded tr)
-
-let test_trace_clear_then_reuse () =
-  (* clear resets both the window and the total, and the buffer is fully
-     usable afterwards — including wrapping around again *)
-  let tr = Netsim.Trace.create ~capacity:3 () in
-  for i = 1 to 7 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  Netsim.Trace.clear tr;
-  check int "length reset" 0 (Netsim.Trace.length tr);
-  check int "total reset" 0 (Netsim.Trace.total_recorded tr);
-  check bool "entries empty" true (Netsim.Trace.entries tr = []);
-  for i = 10 to 14 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  check int "refilled past capacity" 3 (Netsim.Trace.length tr);
-  check int "total restarts from zero" 5 (Netsim.Trace.total_recorded tr);
-  match Netsim.Trace.entries tr with
-  | first :: _ -> check int "window slid after reuse" 12 (Time.to_us first.at)
-  | [] -> Alcotest.fail "empty after refill"
+  check int "partition drop recorded" 1 (List.length dropped)
 
 let suites =
   [
@@ -481,9 +433,5 @@ let suites =
       [
         Alcotest.test_case "records events" `Quick test_trace_records_events;
         Alcotest.test_case "records drops" `Quick test_trace_records_drops;
-        Alcotest.test_case "ring buffer" `Quick test_trace_ring_buffer_bounded;
-        Alcotest.test_case "eviction order" `Quick test_trace_eviction_order;
-        Alcotest.test_case "clear then reuse" `Quick
-          test_trace_clear_then_reuse;
       ] );
   ]
