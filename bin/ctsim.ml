@@ -583,6 +583,15 @@ let hier_cmd =
     Format.fprintf ppf "rings and groups formed at t=%d us; initial skew %d us@."
       (Dsim.Time.to_us (Dsim.Engine.now t.CH.eng))
       (Span.to_us (CH.cross_shard_skew t));
+    (* The built world's size, measured as ctsbench measures [world_mb]:
+       the live heap after a full collection, less the recorder's ring,
+       which belongs to the observer rather than the world. *)
+    Gc.full_major ();
+    let world_words =
+      (Gc.stat ()).Gc.live_words - Obj.reachable_words (Obj.repr recorder)
+    in
+    let world_mb = float_of_int (world_words * (Sys.word_size / 8)) /. 1e6 in
+    Format.fprintf ppf "world: %.1f MB live after formation@." world_mb;
     CH.start_readers t;
     let slice = Span.of_ms 10 in
     let slices = max 1 (duration_ms / 10) in
@@ -640,6 +649,7 @@ let hier_cmd =
           ("hier_cross_shard_skew_us", Span.to_us skew);
           ("hier_neighbor_skew_us", Span.to_us (CH.neighbor_skew t));
         ];
+      Obs.Metrics.gauge m "world_mb" := world_mb;
       write_metrics_opt m metrics_file
     end;
     print_attrib_opt attrib;

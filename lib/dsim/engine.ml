@@ -198,4 +198,5 @@ let steps t = t.steps
 let pending t = Event_queue.length t.queue
 let queue_high_water t = Event_queue.high_water t.queue
 let reset_queue_high_water t = Event_queue.reset_high_water t.queue
+let trim t = Event_queue.trim t.queue
 let stop t = t.stopped <- true

@@ -101,5 +101,11 @@ val queue_high_water : t -> int
 
 val reset_queue_high_water : t -> unit
 
+val trim : t -> unit
+(** Shrink the event queue to fit what is pending now
+    ({!Event_queue.trim}).  The queue keeps the capacity of its deepest
+    burst otherwise; call this once a known burst (a cluster's formation)
+    has drained.  The schedule is unaffected. *)
+
 val stop : t -> unit
 (** Makes the current {!run} return after the in-progress callback. *)

@@ -26,7 +26,12 @@
    calling [Time.compare] per level.
 
    Slots at heap index >= size are junk; payload slots are scrubbed with
-   [nil] when vacated so popped payloads do not survive their pop. *)
+   [nil] when vacated so popped payloads do not survive their pop.
+
+   Pushes only ever grow the lanes.  Shrinking is explicit ([trim]), not
+   triggered by size: a formation join storm drains from tens of
+   thousands of events back to a few thousand on every 1 ms tick, and a
+   size-triggered shrink would reallocate on each of those bursts. *)
 
 type ('f, 'v) t = {
   mutable at : int array;
@@ -121,17 +126,20 @@ let rec sift_down h i at seq pidx =
   end
 [@@ctslint.hotpath]
 
-let grow h fill_fn fill_v =
+(* New payload slots start as [nil], like [create]'s: filling them with
+   the payload being pushed would pin it in every free slot long after
+   its pop. *)
+let grow h =
   let cap = Array.length h.at in
   let cap' = if cap = 0 then 64 else 2 * cap in
   let int_grow a = Array.append a (Array.make (cap' - cap) 0) in
   h.at <- int_grow h.at;
   h.seq <- int_grow h.seq;
   h.pidx <- int_grow h.pidx;
-  let pfn = Array.make cap' fill_fn in
+  let pfn = Array.make cap' (nil ()) in
   Array.blit h.pfn 0 pfn 0 cap;
   h.pfn <- pfn;
-  let pv = Array.make cap' fill_v in
+  let pv = Array.make cap' (nil ()) in
   Array.blit h.pv 0 pv 0 cap;
   h.pv <- pv;
   (* new payload slots cap .. cap'-1 all start free *)
@@ -145,7 +153,7 @@ let grow h fill_fn fill_v =
 
 let push h (at : Time.t) fn v =
   if h.size = Array.length h.at then
-    (grow h fn v
+    (grow h
     [@ctslint.allow
       "hotpath-alloc"
         "amortized capacity doubling; a steady-state push (pop rate = \
@@ -295,3 +303,29 @@ let clear h =
     h.nfree <- h.nfree + 1
   done;
   h.size <- 0
+
+(* Shrink every lane to the smallest power of two >= 2 x size (at least
+   64), renumbering payload slots densely in heap order: heap index [i]
+   gets slot [i], and the free stack hands out [size], [size + 1], ...
+   next.  [(at, seq)] are copied untouched, so pop order cannot change.
+   Never grows: a queue already that small is left as it is. *)
+let trim h =
+  let n = h.size in
+  let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
+  let cap' = pow2 64 in
+  if cap' < Array.length h.at then begin
+    let int_lane a = Array.init cap' (fun i -> if i < n then a.(i) else 0) in
+    let pfn = Array.make cap' (nil ()) and pv = Array.make cap' (nil ()) in
+    for i = 0 to n - 1 do
+      let slot = h.pidx.(i) in
+      pfn.(i) <- h.pfn.(slot);
+      pv.(i) <- h.pv.(slot)
+    done;
+    h.at <- int_lane h.at;
+    h.seq <- int_lane h.seq;
+    h.pidx <- Array.init cap' Fun.id;
+    h.pfn <- pfn;
+    h.pv <- pv;
+    h.free <- Array.init cap' (fun i -> cap' - 1 - i);
+    h.nfree <- cap' - n
+  end

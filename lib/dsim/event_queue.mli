@@ -67,3 +67,10 @@ val reset_high_water : ('f, 'v) t -> unit
 (** Restart the {!high_water} mark from the current length. *)
 
 val clear : ('f, 'v) t -> unit
+
+val trim : ('f, 'v) t -> unit
+(** Release the capacity a past burst left behind: reallocate every lane
+    to the smallest power of two at least twice {!length} (minimum 64),
+    if that is smaller than the current capacity.  Pending events keep
+    their [(time, sequence)] keys, so pop order is unchanged; the queue
+    grows again on demand.  O(length). *)

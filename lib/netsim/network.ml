@@ -5,45 +5,47 @@ let default_config =
 
 type 'a port = { handler : src:Node_id.t -> 'a -> unit }
 
-(* Pooled delivery cells.  Scheduling a packet used to allocate one
-   closure per packet capturing (t, src, dst, payload); instead the
-   fields are parked in a recycled cell and handed to the engine's
-   zero-allocation [schedule_call] path together with a top-level fire
-   function.  [d_next == cell] marks a cell in flight (off the free
-   list); the per-network [nil_d] sentinel marks the empty list.
+(* Delivery cells.  A packet in flight is one [dcell] handed to the
+   engine's [schedule_call] together with a top-level fire function, so
+   no closure is built per packet.  Cells are allocated per packet and
+   die when they fire: a free list would keep every cell of the largest
+   burst ever seen (the formation join storm) alive for the rest of the
+   run, several MB of a large world, to save a short-lived minor-heap
+   allocation.
 
    [bcell] is the batched variant used by {!broadcast_many}: one cell
    carries every message bound for one destination at one delivery
    instant, so a Totem token visit that emits k messages costs one
-   queued event per destination rather than k.  Payloads are kept as
-   [Obj.t] so the growable buffer is a uniform array even when ['a]
-   would be float (a flat float array could not be scrubbed with an
-   immediate). *)
+   queued event per destination rather than k. *)
 type 'a dcell = {
   d_net : 'a t;
-  mutable d_src : Node_id.t;
-  mutable d_dst : Node_id.t;
-  mutable d_payload : 'a;
-  mutable d_next : 'a dcell;
+  d_src : Node_id.t;
+  d_dst : Node_id.t;
+  d_payload : 'a;
 }
 
 and 'a bcell = {
   b_net : 'a t;
-  mutable b_src : Node_id.t;
-  mutable b_dst : Node_id.t;
-  mutable b_payloads : Obj.t array;
+  b_src : Node_id.t;
+  b_dst : Node_id.t;
+  mutable b_payloads : 'a array;
   mutable b_n : int;
-  mutable b_time : Dsim.Time.t;
-  mutable b_next : 'a bcell;
 }
 
 and 'a t = {
   eng : Dsim.Engine.t;
   rng : Dsim.Rng.t;
   mutable cfg : config;
+  mutable base : int;
+      (* lowest node id the per-node tables cover: [ports], [sent],
+         [delivered] and both dimensions of [last_delivery] are indexed
+         by [id - base], so a network whose ids start high (every shard
+         of a hierarchical cluster but the first) pays for the span of
+         its own ids only.  Only lowered, by [ensure_node], which then
+         shifts every table; meaningless while [ports] is empty *)
   mutable ports : 'a port option array;
-      (* indexed by node id — ids are small dense ints, so arrays beat
-         hash tables on the per-packet lookup paths *)
+      (* indexed by [id - base] — ids are small dense ints, so arrays
+         beat hash tables on the per-packet lookup paths *)
   mutable members : Node_id.t array;
       (* attached nodes, sorted ascending in slots [0 .. n_members-1]
          (slots beyond are junk).  The sorted invariant is maintained
@@ -60,58 +62,24 @@ and 'a t = {
   mutable group_sets : Node_id.Set.t list;
       (* overflow representation when a partition has more groups than
          mask bits — the legacy set-scan path; empty otherwise *)
-  mutable sent : int array; (* per-node sent counter, indexed by id *)
+  mutable sent : int array; (* per-node sent counter, by [id - base] *)
   mutable delivered : int array;
   mutable last_delivery : int array array;
-      (* per (src, dst) path: last delivery instant in ns ([-1] = never),
-         FIFO ordering like a switched LAN.  Rows are created lazily per
-         src and sized to the port table. *)
+      (* per (src, dst) path, both by [id - base]: last delivery instant
+         in ns ([-1] = never), FIFO ordering like a switched LAN.  Rows
+         are created lazily per src and sized to the port table. *)
   mutable dropped : int;
   mutable delay_hook : (src:Node_id.t -> dst:Node_id.t -> Dsim.Time.Span.t) option;
-  nil_d : 'a dcell;
-  mutable free_d : 'a dcell;
-  nil_b : 'a bcell;
-  mutable free_b : 'a bcell;
 }
-
-let obj_zero = Obj.repr 0
-
-(* Sentinels are never fired, so their net/src/dst slots are never read;
-   an immediate 0 is a safe placeholder for any of them. *)
-let make_nil_dcell () : 'a dcell =
-  let rec c =
-    {
-      d_net = Obj.magic 0;
-      d_src = Obj.magic 0;
-      d_dst = Obj.magic 0;
-      d_payload = Obj.magic 0;
-      d_next = c;
-    }
-  in
-  c
-
-let make_nil_bcell () : 'a bcell =
-  let rec c =
-    {
-      b_net = Obj.magic 0;
-      b_src = Obj.magic 0;
-      b_dst = Obj.magic 0;
-      b_payloads = [||];
-      b_n = 0;
-      b_time = Dsim.Time.epoch;
-      b_next = c;
-    }
-  in
-  c
 
 let create eng cfg =
   if cfg.loss < 0. || cfg.loss >= 1. then
     invalid_arg "Network.create: loss out of [0, 1)";
-  let nil_d = make_nil_dcell () and nil_b = make_nil_bcell () in
   {
     eng;
     rng = Dsim.Rng.split (Dsim.Engine.rng eng);
     cfg;
+    base = 0;
     ports = [||];
     members = [||];
     n_members = 0;
@@ -122,10 +90,6 @@ let create eng cfg =
     last_delivery = [||];
     dropped = 0;
     delay_hook = None;
-    nil_d;
-    free_d = nil_d;
-    nil_b;
-    free_b = nil_b;
   }
 
 let rng t = t.rng
@@ -139,18 +103,42 @@ let grow_to len a fill =
     a'
   end
 
-(* Make every per-node table cover node [id]. *)
+(* Prepend [d] slots of [fill]. *)
+let shift_by d a fill =
+  let a' = Array.make (Array.length a + d) fill in
+  Array.blit a 0 a' d (Array.length a);
+  a'
+
+(* Make every per-node table cover node [id]: the first node fixes
+   [base], a lower one shifts every table (both dimensions of the FIFO
+   rows) down to it, a higher one grows the tables. *)
 let ensure_node t id =
   let i = Node_id.to_int id in
-  if i >= Array.length t.ports then begin
-    t.ports <- grow_to (i + 1) t.ports None;
-    t.sent <- grow_to (i + 1) t.sent 0;
-    t.delivered <- grow_to (i + 1) t.delivered 0
+  if Array.length t.ports = 0 then t.base <- i
+  else if i < t.base then begin
+    let d = t.base - i in
+    t.ports <- shift_by d t.ports None;
+    t.sent <- shift_by d t.sent 0;
+    t.delivered <- shift_by d t.delivered 0;
+    t.last_delivery <-
+      shift_by d
+        (Array.map
+           (fun row -> if Array.length row = 0 then row else shift_by d row (-1))
+           t.last_delivery)
+        [||];
+    t.base <- i
+  end;
+  let j = i - t.base in
+  if j >= Array.length t.ports then begin
+    t.ports <- grow_to (j + 1) t.ports None;
+    t.sent <- grow_to (j + 1) t.sent 0;
+    t.delivered <- grow_to (j + 1) t.delivered 0
   end
 
 let port_of t id =
-  let i = Node_id.to_int id in
-  if i < Array.length t.ports then Array.unsafe_get t.ports i else None
+  let i = Node_id.to_int id - t.base in
+  if i >= 0 && i < Array.length t.ports then Array.unsafe_get t.ports i
+  else None
 
 (* Index of the first live member >= [id] (so [n_members] when every
    member is smaller): the insertion slot for attach, the candidate slot
@@ -170,7 +158,7 @@ let attach t id handler =
   if port_of t id <> None then
     invalid_arg
       (Format.asprintf "Network.attach: %a already attached" Node_id.pp id);
-  t.ports.(Node_id.to_int id) <- Some { handler };
+  t.ports.(Node_id.to_int id - t.base) <- Some { handler };
   let n = t.n_members in
   if n = Array.length t.members then begin
     let a = Array.make (if n = 0 then 8 else 2 * n) id in
@@ -183,8 +171,8 @@ let attach t id handler =
   t.n_members <- n + 1
 
 let detach t id =
-  let i = Node_id.to_int id in
-  if i < Array.length t.ports then t.ports.(i) <- None;
+  let i = Node_id.to_int id - t.base in
+  if i >= 0 && i < Array.length t.ports then t.ports.(i) <- None;
   let s = member_slot t id in
   if s < t.n_members && Node_id.equal t.members.(s) id then begin
     Array.blit t.members (s + 1) t.members s (t.n_members - s - 1);
@@ -236,12 +224,12 @@ let rec_dropped t ~src ~dst ~reason ~pos =
 
 let bump_sent t id =
   ensure_node t id;
-  let i = Node_id.to_int id in
+  let i = Node_id.to_int id - t.base in
   t.sent.(i) <- t.sent.(i) + 1
 
 (* Only called once [port_of] found the destination, so [id] is in range. *)
 let bump_delivered t id =
-  let i = Node_id.to_int id in
+  let i = Node_id.to_int id - t.base in
   Array.unsafe_set t.delivered i (Array.unsafe_get t.delivered i + 1)
 
 let reachable t ~src ~dst =
@@ -260,9 +248,10 @@ let reachable t ~src ~dst =
       && Array.unsafe_get m i land Array.unsafe_get m j <> 0
 
 (* The FIFO row for [src], sized to the port table; cells hold the last
-   delivery instant in ns, [-1] when the path is untouched. *)
+   delivery instant in ns, [-1] when the path is untouched.  [src] is
+   covered by the tables: its send was counted first. *)
 let paths_from t src =
-  let i = Node_id.to_int src in
+  let i = Node_id.to_int src - t.base in
   if i >= Array.length t.last_delivery then
     t.last_delivery <- grow_to (i + 1) t.last_delivery [||];
   let row = t.last_delivery.(i) in
@@ -274,52 +263,18 @@ let paths_from t src =
   end
   else row
 
-let path_prev (row : int array) dst =
-  let j = Node_id.to_int dst in
+(* [dst] is covered by the tables (an attached member, or ensured). *)
+let path_prev t (row : int array) dst =
+  let j = Node_id.to_int dst - t.base in
   if j < Array.length row then Array.unsafe_get row j else -1
 
-let path_set (row : int array) dst ns =
-  Array.unsafe_set row (Node_id.to_int dst) ns
+let path_set t (row : int array) dst ns =
+  Array.unsafe_set row (Node_id.to_int dst - t.base) ns
 
-let acquire_dcell t ~src ~dst payload =
-  let c = t.free_d in
-  let c =
-    if
-      (c != t.nil_d)
-      [@ctslint.allow
-        "phys-equality"
-          "pooled nil sentinel: cell identity marks the empty free list"]
-    then begin
-      t.free_d <- c.d_next;
-      c.d_next <- c;
-      c
-    end
-    else
-      let rec fresh =
-        {
-          d_net = t;
-          d_src = src;
-          d_dst = dst;
-          d_payload = payload;
-          d_next = fresh;
-        }
-      in
-      fresh
-  in
-  c.d_src <- src;
-  c.d_dst <- dst;
-  c.d_payload <- payload;
-  c
-
-(* Fires as a pooled engine call: deliver one packet, then recycle the
-   cell.  The payload is scrubbed and the cell released {e before} the
-   handler runs so a handler that immediately sends can reuse it. *)
+(* Fires as an engine call: deliver one packet. *)
 let dcell_fire (c : 'a dcell) =
   let t = c.d_net in
   let src = c.d_src and dst = c.d_dst and payload = c.d_payload in
-  c.d_payload <- Obj.magic 0;
-  c.d_next <- t.free_d;
-  t.free_d <- c;
   let s = Dsim.Engine.obs t.eng in
   Obs.Sink.attr_enter s at_deliver;
   (* The destination may have crashed while the packet was in flight. *)
@@ -353,14 +308,14 @@ let deliver_extra t ~extra ~src ~dst payload =
       let at = Dsim.Time.add (Dsim.Engine.now t.eng) lat in
       ensure_node t dst;
       let row = paths_from t src in
-      let prev = path_prev row dst in
+      let prev = path_prev t row dst in
       let at_ns =
         let ns = Dsim.Time.to_ns at in
         if ns <= prev then prev + 1 else ns
       in
-      path_set row dst at_ns;
+      path_set t row dst at_ns;
       Dsim.Engine.schedule_call_at t.eng (Dsim.Time.of_ns at_ns) dcell_fire
-        (acquire_dcell t ~src ~dst payload);
+        { d_net = t; d_src = src; d_dst = dst; d_payload = payload };
       true
     end
   else begin
@@ -394,60 +349,25 @@ let broadcast t ~src payload =
       ignore (deliver t ~src ~dst payload : bool)
   done
 
-let acquire_bcell t ~src ~dst ~at =
-  let b = t.free_b in
-  let b =
-    if
-      (b != t.nil_b)
-      [@ctslint.allow
-        "phys-equality"
-          "pooled nil sentinel: cell identity marks the empty free list"]
-    then begin
-      t.free_b <- b.b_next;
-      b.b_next <- b;
-      b
-    end
-    else
-      let rec fresh =
-        {
-          b_net = t;
-          b_src = src;
-          b_dst = dst;
-          b_payloads = Array.make 8 obj_zero;
-          b_n = 0;
-          b_time = at;
-          b_next = fresh;
-        }
-      in
-      fresh
-  in
-  b.b_src <- src;
-  b.b_dst <- dst;
-  b.b_time <- at;
-  b
-
 let bcell_append b payload =
   let cap = Array.length b.b_payloads in
   if b.b_n = cap then begin
-    let a = Array.make (if cap = 0 then 8 else 2 * cap) obj_zero in
+    let a = Array.make (2 * cap) payload in
     Array.blit b.b_payloads 0 a 0 b.b_n;
     b.b_payloads <- a
   end;
-  Array.unsafe_set b.b_payloads b.b_n (Obj.repr payload);
+  Array.unsafe_set b.b_payloads b.b_n payload;
   b.b_n <- b.b_n + 1
 
 (* Deliver the whole batch in append order.  The port is re-checked per
-   message because a handler may detach the destination mid-batch; the
-   cell is recycled only after the loop — while in flight it is off the
-   free list, so reentrant broadcasts from handlers cannot corrupt it. *)
+   message because a handler may detach the destination mid-batch. *)
 let bcell_fire (b : 'a bcell) =
   let t = b.b_net in
   let src = b.b_src and dst = b.b_dst in
-  let n = b.b_n in
   let s = Dsim.Engine.obs t.eng in
   Obs.Sink.attr_enter s at_deliver_batch;
-  for i = 0 to n - 1 do
-    let payload : 'a = Obj.obj (Array.unsafe_get b.b_payloads i) in
+  for i = 0 to b.b_n - 1 do
+    let payload = Array.unsafe_get b.b_payloads i in
     (* Re-checked per message, and recorded per message: a handler that
        detaches the destination mid-batch turns exactly the remaining
        messages into [No_port] drops, each with its own record. *)
@@ -460,12 +380,6 @@ let bcell_fire (b : 'a bcell) =
         rec_delivered t ~src ~dst ~pos:i;
         port.handler ~src payload
   done;
-  for i = 0 to n - 1 do
-    Array.unsafe_set b.b_payloads i obj_zero
-  done;
-  b.b_n <- 0;
-  b.b_next <- t.free_b;
-  t.free_b <- b;
   Obs.Sink.attr_leave s
 
 let broadcast_many t ~src payloads ~n =
@@ -491,8 +405,8 @@ let broadcast_many t ~src payloads ~n =
                path FIFO holds); a later instant closes the batch and
                opens a new one, subject to the same no-overtaking bump as
                the unbatched path. *)
-            let batch = ref t.nil_b in
-            let clock = ref (path_prev paths dst) in
+            let batch = ref None in
+            let clock = ref (path_prev t paths dst) in
             for i = 0 to n - 1 do
               let payload = payloads.(i) in
               if t.cfg.loss > 0. && Dsim.Rng.float t.rng 1.0 < t.cfg.loss
@@ -508,28 +422,27 @@ let broadcast_many t ~src payloads ~n =
                   | None -> lat
                 in
                 let raw = now_ns + Dsim.Time.Span.to_ns lat in
-                let b = !batch in
-                if
-                  ((b != t.nil_b)
-                  [@ctslint.allow
-                    "phys-equality"
-                      "nil sentinel marks no-open-batch; identity is the \
-                       point"])
-                  && raw <= Dsim.Time.to_ns b.b_time
-                then
-                  bcell_append b payload
-                else begin
-                  let at_ns = if raw <= !clock then !clock + 1 else raw in
-                  let at = Dsim.Time.of_ns at_ns in
-                  let nb = acquire_bcell t ~src ~dst ~at in
-                  bcell_append nb payload;
-                  Dsim.Engine.schedule_call_at t.eng at bcell_fire nb;
-                  batch := nb;
-                  clock := at_ns
-                end
+                (* while a batch is open, [clock] is its instant *)
+                match !batch with
+                | Some b when raw <= !clock -> bcell_append b payload
+                | _ ->
+                    let at_ns = if raw <= !clock then !clock + 1 else raw in
+                    let nb =
+                      {
+                        b_net = t;
+                        b_src = src;
+                        b_dst = dst;
+                        b_payloads = Array.make (min 8 (n - i)) payload;
+                        b_n = 1;
+                      }
+                    in
+                    Dsim.Engine.schedule_call_at t.eng (Dsim.Time.of_ns at_ns)
+                      bcell_fire nb;
+                    batch := Some nb;
+                    clock := at_ns
               end
             done;
-            if !clock >= 0 then path_set paths dst !clock
+            if !clock >= 0 then path_set t paths dst !clock
           end
           else begin
             for _ = 1 to n do
@@ -585,8 +498,8 @@ let heal t =
 
 let stats t ~sent id =
   let a = if sent then t.sent else t.delivered in
-  let i = Node_id.to_int id in
-  if i < Array.length a then a.(i) else 0
+  let i = Node_id.to_int id - t.base in
+  if i >= 0 && i < Array.length a then a.(i) else 0
 
 let packets_dropped t = t.dropped
 let set_delay_hook t hook = t.delay_hook <- hook

@@ -234,7 +234,10 @@ let start_all t =
               Hier.Gateway.on_view gateway v
           | Gcs.Endpoint.Block | Gcs.Endpoint.Evicted -> mark_dirty t shard))
     t.replicas;
-  form_barrier t ~limit:(Span.of_sec 30) shard_formed
+  form_barrier t ~limit:(Span.of_sec 30) shard_formed;
+  (* The join storm is over: drop the queue capacity it grew to (about 55x
+     what is pending at 24x24) so the world holds only live state. *)
+  Dsim.Engine.trim t.eng
 
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)

@@ -66,7 +66,9 @@ val start_all : t -> unit
     event-driven: ring-view/blocked/group-view hooks mark shards dirty
     and only dirty shards are re-checked, so a quiet engine step costs
     O(1) instead of the previous O(shards x shard_size^2) poll — the
-    exit step is unchanged. *)
+    exit step is unchanged.  On exit the event queue is trimmed
+    ({!Dsim.Engine.trim}) so the built world does not keep the join
+    storm's peak capacity. *)
 
 val start_readers : t -> unit
 (** Spawn the periodic clock-reader fiber on every live replica.  Readers

@@ -406,7 +406,7 @@ let test_golden_seed_fingerprint () =
    sets was rebroadcast at once, this 16x16 formation peaked at 59 257
    queued events and handled 61 440 join receipts; coalescing the
    rebroadcasts into the retransmit tick brings them to 20 429 and
-   11 520. *)
+   11 520.  The world's reachable size is an exact count too. *)
 let test_formation_join_storm_bounded () =
   let sink = Obs.Sink.create () in
   let attrib = Obs.Attrib.create () in
@@ -425,7 +425,15 @@ let test_formation_join_storm_bounded () =
   check bool
     (Printf.sprintf "join receipts %d <= 20000" join_receipts)
     true
-    (join_receipts <= 20_000)
+    (join_receipts <= 20_000);
+  (* The built world holds live state only: the event queue is trimmed
+     after formation, netsim cells are not pooled, and per-node tables
+     span each network's own ids.  616 345 reachable words before those
+     three changes, 254 402 after. *)
+  let words = Obj.reachable_words (Obj.repr t) in
+  check bool
+    (Printf.sprintf "world %d words <= 320000" words)
+    true (words <= 320_000)
 
 let suites =
   [

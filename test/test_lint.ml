@@ -231,15 +231,15 @@ let test_live_annotations_load_bearing () =
       check bool "audit mode exposes the suppressed sites" true
         (List.length audit.Lint.Driver.findings
         >= List.length normal.Lint.Driver.suppressions);
-      (* spot-check an annotated file: the network's fault plane is clean
-         normally, dirty with its annotations ignored *)
-      let net = Filename.concat root "lib/netsim/network.ml" in
-      let f_normal, _ = Lint.Driver.lint_file net in
+      (* spot-check an annotated file: the snapshot's identity table is
+         clean normally, dirty with its annotations ignored *)
+      let snap = Filename.concat root "lib/mc/snap.ml" in
+      let f_normal, _ = Lint.Driver.lint_file snap in
       let f_audit, _ =
-        Lint.Driver.lint_file ~respect_suppressions:false net
+        Lint.Driver.lint_file ~respect_suppressions:false snap
       in
-      check int "network clean with annotations" 0 (List.length f_normal);
-      check bool "network dirty without annotations" true
+      check int "snap clean with annotations" 0 (List.length f_normal);
+      check bool "snap dirty without annotations" true
         (List.length f_audit > 0)
 
 (* ------------------------------------------------------------------ *)

@@ -394,6 +394,121 @@ let test_trace_records_drops () =
   in
   check int "partition drop recorded" 1 (List.length dropped)
 
+(* Per-node tables are indexed by [id - base] over the span of attached
+   ids, so the same traffic must behave identically wherever the ids sit
+   and in whatever order they attach.  [early] nodes attach first; the
+   [late] ones attach while delayed packets among nodes 4-7 are still in
+   flight, and the plain sends that follow on those paths must queue
+   behind them (FIFO read from rows a lower attach has just shifted).
+   Then: unicast pairs on every path (the second of each pair takes the
+   1 ns FIFO bump), batches, loss, a partition and heal, and node 3
+   detaching itself mid-batch (its remaining messages become [No_port]
+   drops) before re-attaching.  Everything observable is reported with
+   ids shifted back to 0-7. *)
+let id_span_run ~offset ~early ~late =
+  let eng = Dsim.Engine.create ~seed:7L () in
+  let net =
+    Net.create eng
+      { Net.latency = Netsim.Latency.Constant (Span.of_us 10); loss = 0. }
+  in
+  let r = recorded eng in
+  let id i = n (offset + i) in
+  let log = ref [] in
+  let rec attach i = Net.attach net (id i) (handler i)
+  and handler i ~src msg =
+    log :=
+      (i, Nid.to_int src - offset, msg, Time.to_ns (Dsim.Engine.now eng))
+      :: !log;
+    if i = 3 && msg = -1 then Net.detach net (id 3)
+  in
+  let unicast s d m = Net.send net ~src:(id s) ~dst:(id d) m in
+  let among_4_7 f =
+    for s = 4 to 7 do
+      for d = 4 to 7 do
+        if s <> d then f s d
+      done
+    done
+  in
+  List.iter attach early;
+  among_4_7 (fun s d ->
+      ignore
+        (Net.send_tracked_after net ~delay:(Span.of_us 50) ~src:(id s)
+           ~dst:(id d) ((10 * s) + d)
+          : bool));
+  Dsim.Engine.schedule eng (Span.of_us 1) (fun () ->
+      List.iter attach late;
+      among_4_7 (fun s d -> unicast s d (100 + (10 * s) + d)));
+  Dsim.Engine.run eng;
+  Net.set_loss net 0.1;
+  for round = 0 to 3 do
+    for s = 0 to 7 do
+      let d = (s + round + 1) mod 8 in
+      unicast s d (1000 + (100 * s));
+      unicast s d (1001 + (100 * s))
+    done;
+    Net.broadcast_many net ~src:(id round) [| 10; 11; 12; 13; 14 |] ~n:5
+  done;
+  Dsim.Engine.run eng;
+  Net.partition net [ List.map id [ 0; 1; 2; 3 ]; List.map id [ 4; 5; 6; 7 ] ];
+  Net.broadcast net ~src:(id 1) 20;
+  Net.broadcast_many net ~src:(id 5) [| 21; 22; 23 |] ~n:3;
+  unicast 2 6 24;
+  unicast 6 7 25;
+  Dsim.Engine.run eng;
+  Net.heal net;
+  Net.set_loss net 0.;
+  Net.broadcast_many net ~src:(id 0) [| 30; -1; 31; 32 |] ~n:4;
+  Dsim.Engine.run eng;
+  attach 3;
+  Net.broadcast net ~src:(id 4) 40;
+  unicast 3 4 41;
+  Dsim.Engine.run eng;
+  let shift a = if a < 0 then a else a - offset in
+  ( List.rev !log,
+    List.init 8 (fun i ->
+        (Net.stats net ~sent:true (id i), Net.stats net ~sent:false (id i))),
+    Net.packets_dropped net,
+    List.map
+      (fun (kind, ts, node, a, b) -> (kind, ts, node - offset, shift a, b))
+      (records r) )
+
+let test_id_span_tables () =
+  let all = [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
+  let log, stats, dropped, recs = id_span_run ~offset:0 ~early:all ~late:[] in
+  (* the reference run exercises what the comparison is about *)
+  check bool "traffic delivered" true (List.length log > 100);
+  check bool "plain sends queued behind the delayed ones" true
+    (List.for_all
+       (fun (_, _, msg, at) -> msg < 100 || msg >= 200 || at > 60_000)
+       log);
+  check bool "every node sent" true (List.for_all (fun (s, _) -> s > 0) stats);
+  check bool "drops happened" true (dropped > 0);
+  check
+    (Alcotest.list int)
+    "mid-batch No_port drops at batch positions 2 and 3" [ 2; 3 ]
+    (List.filter_map
+       (fun (kind, _, node, _, b) ->
+         if
+           kind = Obs.Recorder.k_drop && node = 3
+           && Obs.Recorder.drop_reason_name b = "no-port"
+         then Some ((b lsr 2) - 1)
+         else None)
+       recs);
+  List.iter
+    (fun (what, offset, early, late) ->
+      let log', stats', dropped', recs' = id_span_run ~offset ~early ~late in
+      check bool (what ^ ": deliveries (FIFO order, instants)") true
+        (log' = log);
+      check bool (what ^ ": stats") true (stats' = stats);
+      check int (what ^ ": packets dropped") dropped dropped';
+      check bool (what ^ ": stream records") true (recs' = recs))
+    [
+      ("ids 1000-1007", 1000, all, []);
+      ("ids 1000-1007 attached downwards", 1000, [ 7; 6; 5; 4 ], [ 3; 2; 1; 0 ]);
+      ("ids 0-7 attached downwards", 0, [ 7; 6; 5; 4 ], [ 3; 2; 1; 0 ]);
+      ("ids 1000-1007 attached out of order", 1000, [ 6; 4; 7; 5 ], [ 2; 0; 3; 1 ]);
+    ]
+
 let suites =
   [
     ( "netsim",
@@ -427,6 +542,8 @@ let suites =
           test_latency_models_positive;
         Alcotest.test_case "calibrated peak" `Quick
           test_calibrated_peak_near_wire;
+        Alcotest.test_case "tables span the attached ids" `Quick
+          test_id_span_tables;
         QCheck_alcotest.to_alcotest prop_broadcast_reaches_all_connected;
       ] );
     ( "netsim.trace",
