@@ -1,20 +1,22 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index), runs Bechamel
-   micro-benchmarks of the building blocks, and emits a machine-readable
-   benchmark trajectory (BENCH_PR10.json, or $CTS_BENCH_JSON) so future
-   PRs can diff their perf numbers against this one.  The engine and
-   explorer sections also report explicit deltas against the checked-in
-   PR-2..PR-8 numbers (BENCH_PR2.json .. BENCH_PR8.json) measured on
-   the same machine; the OBS section guards the claim that the
-   compiled-in probes cost nothing with the record stream off and stay
-   within 5% of that, at zero allocation, with it on, the LINT1 section
-   times PR 5's full-tree ctslint pass, the LINT2 section times PR 10's
-   typed .cmt certification pass, the HIER1 section scales the
-   PR-6 hierarchical multi-ring service from 4 to 1024 replicas, and
-   the SCALE1 section guards PR 7's superlinear-cost elimination: it
-   attributes the 1024-replica run's wall time to (subsystem, probe)
-   sites and hard-fails CI (via the "PERF WARNING (scale)" marker) if
-   256-replica formation creeps back over budget.
+   micro-benchmarks of the building blocks, and writes this run's
+   numbers to BENCH_run.json.  A run becomes a point of the checked-in
+   trajectory when that file is renamed to BENCH_PR<N>.json; the run
+   ends by printing its headline metrics next to every checked-in point
+   of the same scale (bench/trajectory.ml).
+
+   The sections that guard an invariant print a "PERF WARNING (<tier>)"
+   marker that CI turns into a hard failure: MC1 (explore) when the
+   explorer's world restore falls back to fresh construction, MC2/OBS
+   (obs) when the compiled-in probes allocate or cost throughput with
+   the record stream off or on, MC3 (explore-scaling) when 4 explorer
+   domains lose to 1 on a host with 4 cores, HIER1 (hier, scale) when
+   the hierarchical service misses its skew bound or 256-replica
+   formation its budget, and LINT2 (lint-typed) when the hot path loses
+   its zero-alloc certificate.  SCALE1 attributes the largest HIER1
+   point's wall time to (subsystem, probe) sites; LINT1 times the
+   full-tree ctslint pass.
 
    Run with: dune exec bench/main.exe
    Scale the workloads down for a quick pass with CTS_BENCH_SCALE=0.01. *)
@@ -37,99 +39,59 @@ let scaled n = max 20 (int_of_float (float_of_int n *. scale))
 let ppf = Format.std_formatter
 let section name = Format.fprintf ppf "@.==== %s ====@.@." name
 
+(* The source tree (for the lint sections and the checked-in trajectory
+   points); None when the bench runs away from its sources. *)
+let root = Trajectory.find_root (Sys.getcwd ())
+let tree = [ "lib"; "bin"; "bench"; "test"; "examples" ]
+let points = Option.fold ~none:[] ~some:Trajectory.load root
+
+(* Every timed number is the best of [passes] runs: background load on
+   the host slows single runs by 15%+ and never speeds one up, so the
+   fastest run estimates what the machine sustains.  [f] returns the
+   seconds its own meter covered and a payload; the result is the
+   fastest run's payload and seconds, and the spread median/best - 1 of
+   the seconds — the noise band the trajectory report compares with. *)
+let passes = 5
+
+let best_of f =
+  let runs =
+    List.sort
+      (fun (a, _) (b, _) -> Float.compare a b)
+      (List.init passes (fun _ -> f ()))
+  in
+  let dt, x = List.hd runs in
+  (x, dt, (fst (List.nth runs (passes / 2)) /. dt) -. 1.)
+
+let timed f =
+  let t0 = Mc.Explore.wall () in
+  let x = f () in
+  (Mc.Explore.wall () -. t0, x)
+
 (* ------------------------------------------------------------------ *)
-(* The benchmark-trajectory JSON: every section below contributes the
-   numbers future PRs diff against.  Kept as a flat association of JSON
-   fragments so the emitter stays dependency-free. *)
+(* This run's point: every section below contributes a flat association
+   of JSON fragments. *)
 
 let json_fields : (string * string) list ref = ref []
 let json_add name fragment = json_fields := (name, fragment) :: !json_fields
-
-let json_path =
-  Option.value ~default:"BENCH_PR10.json" (Sys.getenv_opt "CTS_BENCH_JSON")
-
-(* PR-2 baselines (BENCH_PR2.json, this machine): the perf targets PR 3's
-   zero-allocation work was measured against. *)
-let baseline_pr2_engine_events_per_sec = 1_833_336.
-let baseline_pr2_jobs1_schedules_per_sec = 4026.4
-
-(* PR-3 baselines (BENCH_PR3.json, this machine): the numbers the probe
-   instrumentation must not regress.  The acceptance bar for PR 4 is
-   disabled-probe engine throughput within 5% of these. *)
-let baseline_pr3_engine_events_per_sec = 2_975_559.
-let baseline_pr3_jobs1_schedules_per_sec = 6095.4
-
-(* PR-4 baselines (BENCH_PR4.json, this machine): the observability PR's
-   numbers.  PR 5 is a static-analysis PR — its only runtime changes are
-   the deterministic-iteration fixes (Dsim.Det on gcs/repl/totem/cts fan
-   out paths), none of which sit on the engine or explorer hot loops, so
-   the bar is parity with these. *)
-let baseline_pr4_engine_events_per_sec = 2_986_596.
-let baseline_pr4_jobs1_schedules_per_sec = 5182.5
-
-(* PR-5 baselines (BENCH_PR5.json, this machine).  Note the engine number
-   is itself 0.90x of the PR-4 baseline — ROADMAP item 3's unexplained
-   regression, which the explicit deltas below keep visible until it is
-   hunted down; parity with PR-5 must not be read as parity with PR-4. *)
-let baseline_pr5_engine_events_per_sec = 2_689_172.
-let baseline_pr5_jobs1_schedules_per_sec = 5540.9
-
-(* PR-6 baselines (BENCH_PR6.json, this machine).  The engine number is
-   the small-scale hot path PR 7 must not regress; the HIER1 rows are
-   the superlinear scale-out costs PR 7 exists to kill — bridge rounds
-   per wall second fell 130x from 4 to 1024 replicas while rounds per
-   simulated second stayed flat, and 32x32 formation alone burned 238 s. *)
-let baseline_pr6_engine_events_per_sec = 3_208_399.
-
-(* (replicas, rounds_per_wall_sec, formation_wall_s) from BENCH_PR6's
-   HIER1 sweep. *)
-let baseline_pr6_hier =
-  [
-    (4, 7102.7, 0.0);
-    (16, 3370.3, 0.002);
-    (64, 1256.9, 0.045);
-    (256, 330.6, 2.626);
-    (1024, 54.5, 238.182);
-  ]
-
-(* PR-7 baselines (BENCH_PR7.json, this machine).  The engine number is
-   what the PR-8 struct-of-arrays event core must beat (ROADMAP item 3:
-   recover >PR-4); the jobs-1 explore number is the marshalled-reset
-   harness the diff-based restore replaces.  BENCH_PR7's
-   speedup_4_over_1 was 0.88 on a 1-core host — the wave-synchronized
-   frontier losing to its own coordination. *)
-let baseline_pr7_engine_events_per_sec = 2_714_787.
-let baseline_pr7_jobs1_schedules_per_sec = 6847.3
-
-(* PR-8 baselines (BENCH_PR8.json, this machine): the SoA event core and
-   diff-based world restore.  The obs-disabled number is what OBS's
-   stream-off pass should reproduce, and the 0.95x on/off ratio gate is
-   measured against a stream-off pass from the same process, not against
-   this constant — the constant only keeps the cross-PR trajectory
-   visible. *)
-let baseline_pr8_engine_events_per_sec = 4_498_350.
-let baseline_pr8_obs_disabled_events_per_sec = 4_564_674.
-let baseline_pr8_jobs1_schedules_per_sec = 11_886.7
+let json_path = "BENCH_run.json"
 
 let emit_json () =
-  let oc = open_out json_path in
-  output_string oc "{\n";
   let fields =
     [
-      ("pr", "10");
       ("scale", Printf.sprintf "%g" scale);
       ("cores_available", string_of_int (Domain.recommended_domain_count ()));
     ]
     @ List.rev !json_fields
   in
-  List.iteri
-    (fun i (name, fragment) ->
-      Printf.fprintf oc "  %S: %s%s\n" name fragment
-        (if i = List.length fields - 1 then "" else ","))
-    fields;
-  output_string oc "}\n";
-  close_out oc;
-  Format.fprintf ppf "@.benchmark trajectory written to %s@." json_path
+  let text =
+    "{\n"
+    ^ String.concat ",\n"
+        (List.map (fun (name, frag) -> Printf.sprintf "  %S: %s" name frag) fields)
+    ^ "\n}\n"
+  in
+  Out_channel.with_open_bin json_path (fun oc -> output_string oc text);
+  Format.fprintf ppf "@.this run's point written to %s@." json_path;
+  Benchsuite.Json.parse text
 
 (* ------------------------------------------------------------------ *)
 
@@ -264,15 +226,21 @@ let bench_mc () =
   let budget = scaled 500 in
   let cfg = { Mc.Harness.default with Mc.Harness.rounds = 8 } in
   let run name strategy =
-    let r = Mc.Explore.explore ~strategy ~budget cfg in
+    let r, _, spread =
+      best_of (fun () ->
+          let r = Mc.Explore.explore ~strategy ~budget cfg in
+          (r.Mc.Explore.elapsed_s, r))
+    in
     Format.fprintf ppf
-      "%-28s %6d schedules (%d distinct) in %.2f s — %.0f schedules/s@." name
-      r.Mc.Explore.schedules r.Mc.Explore.distinct r.Mc.Explore.elapsed_s
-      (Mc.Explore.schedules_per_sec r);
-    r
+      "%-28s %6d schedules (%d distinct) in %.2f s — %.0f schedules/s (best \
+       of %d, spread %.1f%%)@."
+      name r.Mc.Explore.schedules r.Mc.Explore.distinct r.Mc.Explore.elapsed_s
+      (Mc.Explore.schedules_per_sec r)
+      passes (100. *. spread);
+    (r, spread)
   in
-  let random = run "random walk" Mc.Strategy.default_random in
-  let bounded =
+  let random, spread = run "random walk" Mc.Strategy.default_random in
+  let bounded, _ =
     run "bounded-reorder (depth 1)" (Mc.Strategy.Bounded { depth = 1 })
   in
   (* Which world-reset mechanism the harness settled on for this config:
@@ -292,160 +260,52 @@ let bench_mc () =
   json_add "mc_explore"
     (Printf.sprintf
        "{\"schedules\": %d, \"distinct\": %d, \"schedules_per_sec\": %.1f, \
-        \"bounded_schedules_per_sec\": %.1f, \"reuse_mode\": %S}"
+        \"schedules_per_sec_spread\": %.3f, \"bounded_schedules_per_sec\": \
+        %.1f, \"reuse_mode\": %S}"
        random.Mc.Explore.schedules random.Mc.Explore.distinct
        (Mc.Explore.schedules_per_sec random)
+       spread
        (Mc.Explore.schedules_per_sec bounded)
        mode)
 
-(* Raw engine throughput: timer events through the unboxed queue, no
-   protocol on top.  The denominator every simulation pays.  Runs under
-   the engine's GC tuning (as the explorer does) and instruments the GC
-   so the zero-allocation claim is a measured number, not an assertion:
-   [bytes_per_event] counts minor-heap allocation per scheduled+fired
-   event, and [minor_collections] the collections the whole run cost. *)
-let bench_engine_events () =
-  section "MC2: raw engine event throughput";
+(* MC2/OBS: raw engine throughput — timer events through the unboxed
+   queue, no protocol on top, the denominator every simulation pays —
+   and the observability stream's perf guard on the same loop.  Probes
+   are compiled into every hot path and report through one gate, so the
+   loop runs with the stream off (nothing attached — the default) and on
+   with a recorder and [steps] set (one record per fired engine event,
+   the worst case; real runs only record protocol-level events).  [n]
+   wraps the ring dozens of times, so the steady-state wrap path is what
+   gets measured.  Both run under the engine's GC tuning (as the
+   explorer does) and meter the GC, so the zero-allocation claim is a
+   measured number: minor-heap bytes per scheduled+fired event, and the
+   minor collections a pass cost.  The bars: 0.0 bytes/event in both
+   passes; stream off within 5% of PR-3's engine throughput (20% on
+   scaled-down runs, whose short passes sit inside the box's load
+   noise); stream on within 5% of stream off from the same process (10%
+   scaled).  Any breach prints the one "PERF WARNING (obs)" marker,
+   which CI turns into a hard failure. *)
+let bench_engine () =
+  section "MC2/OBS: raw engine event throughput, probe stream off vs on";
   let n = scaled 2_000_000 in
   (* The figure experiments above leave a grown, fragmented major heap;
      compact so the measurement starts from the same heap state as a
      standalone run. *)
   Gc.compact ();
   Dsim.Engine.with_gc_tuning (fun () ->
-      (* One timed pass over [n] events.  The wall-clock number is taken
-         as the best of five passes: the box this runs on has periodic
-         background load that perturbs single runs by 15%+, and the
-         fastest pass is the standard estimator for the machine's actual
-         capability under such noise (the GC counters are load-invariant
-         and come from the same pass). *)
       let batch = 10_000 in
-      let one_pass () =
+      let one_pass sink () =
+        let eng = Dsim.Engine.create () in
+        Option.iter (Dsim.Engine.set_obs eng) sink;
         (* Warm outside the meter: engine construction and the queue's
            first growth to batch size are one-time costs, not per-event
-           costs — the meter starts on a steady-state heap, the same
-           discipline OBS uses.  Scheduling itself stays inside the
-           timed region; it is half the per-event work being measured. *)
-        let eng = Dsim.Engine.create () in
+           costs.  Scheduling itself stays inside the timed region; it
+           is half the per-event work being measured. *)
         for i = 1 to batch do
           Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
         done;
         Dsim.Engine.run eng;
-        let t0 = Mc.Explore.wall () in
         let s0 = Gc.quick_stat () in
-        let w0 = Gc.minor_words () in
-        let done_ = ref 0 in
-        while !done_ < n do
-          let k = min batch (n - !done_) in
-          for i = 1 to k do
-            Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
-          done;
-          Dsim.Engine.run eng;
-          done_ := !done_ + k
-        done;
-        let dt = Mc.Explore.wall () -. t0 in
-        let s1 = Gc.quick_stat () in
-        let bytes = (Gc.minor_words () -. w0) *. 8. /. float_of_int n in
-        let minors = s1.Gc.minor_collections - s0.Gc.minor_collections in
-        (dt, bytes, minors)
-      in
-      let best (adt, ab, am) (bdt, bb, bm) =
-        if bdt < adt then (bdt, bb, bm) else (adt, ab, am)
-      in
-      let dt, bytes_per_event, minor_collections =
-        best (one_pass ())
-          (best (one_pass ())
-             (best (one_pass ()) (best (one_pass ()) (one_pass ()))))
-      in
-      let per_sec = float_of_int n /. dt in
-      let speedup = per_sec /. baseline_pr2_engine_events_per_sec in
-      let vs_pr3 = per_sec /. baseline_pr3_engine_events_per_sec in
-      let vs_pr4 = per_sec /. baseline_pr4_engine_events_per_sec in
-      let vs_pr5 = per_sec /. baseline_pr5_engine_events_per_sec in
-      let vs_pr6 = per_sec /. baseline_pr6_engine_events_per_sec in
-      let vs_pr7 = per_sec /. baseline_pr7_engine_events_per_sec in
-      let vs_pr8 = per_sec /. baseline_pr8_engine_events_per_sec in
-      Format.fprintf ppf
-        "%d timer events in %.3f s — %.2e events/s (%.2fx vs PR-2's %.2e, \
-         %.2fx vs PR-3's %.2e, %.2fx vs PR-4's %.2e, %.2fx vs PR-5's \
-         %.2e, %.2fx vs PR-6's %.2e, %.2fx vs PR-7's %.2e; best of 5 \
-         passes)@."
-        n dt per_sec speedup baseline_pr2_engine_events_per_sec vs_pr3
-        baseline_pr3_engine_events_per_sec vs_pr4
-        baseline_pr4_engine_events_per_sec vs_pr5
-        baseline_pr5_engine_events_per_sec vs_pr6
-        baseline_pr6_engine_events_per_sec vs_pr7
-        baseline_pr7_engine_events_per_sec;
-      Format.fprintf ppf "vs PR-8's SoA core (%.2e events/s): %.2fx@."
-        baseline_pr8_engine_events_per_sec vs_pr8;
-      if vs_pr4 < 0.95 then
-        Format.fprintf ppf
-          "note: still below the PR-4 baseline (PR-5 measured 0.90x; \
-           ROADMAP item 3) — the PR-5 delta alone does not show it@.";
-      Format.fprintf ppf
-        "allocation: %.1f bytes/event on the minor heap, %d minor \
-         collection(s)@."
-        bytes_per_event minor_collections;
-      if per_sec < 0.8 *. baseline_pr2_engine_events_per_sec then
-        Format.fprintf ppf
-          "PERF WARNING: engine throughput %.2e events/s is more than 20%% \
-           below the PR-2 baseline %.2e@."
-          per_sec baseline_pr2_engine_events_per_sec;
-      json_add "engine"
-        (Printf.sprintf
-           "{\"events\": %d, \"events_per_sec\": %.0f, \
-            \"baseline_pr2_events_per_sec\": %.0f, \"speedup_over_pr2\": \
-            %.3f, \"baseline_pr3_events_per_sec\": %.0f, \
-            \"speedup_over_pr3\": %.3f, \
-            \"baseline_pr4_events_per_sec\": %.0f, \
-            \"speedup_over_pr4\": %.3f, \
-            \"baseline_pr5_events_per_sec\": %.0f, \
-            \"speedup_over_pr5\": %.3f, \
-            \"baseline_pr6_events_per_sec\": %.0f, \
-            \"speedup_over_pr6\": %.3f, \
-            \"baseline_pr7_events_per_sec\": %.0f, \
-            \"speedup_over_pr7\": %.3f, \
-            \"baseline_pr8_events_per_sec\": %.0f, \
-            \"speedup_over_pr8\": %.3f, \"bytes_per_event\": %.2f, \
-            \"minor_collections\": %d}"
-           n per_sec baseline_pr2_engine_events_per_sec speedup
-           baseline_pr3_engine_events_per_sec vs_pr3
-           baseline_pr4_engine_events_per_sec vs_pr4
-           baseline_pr5_engine_events_per_sec vs_pr5
-           baseline_pr6_engine_events_per_sec vs_pr6
-           baseline_pr7_engine_events_per_sec vs_pr7
-           baseline_pr8_engine_events_per_sec vs_pr8 bytes_per_event
-           minor_collections))
-
-(* OBS: the observability stream's perf guard.  Probes are compiled into
-   every hot path and report through one gate, so one section measures
-   both of their costs on the same engine loop: stream off (nothing
-   attached — the default) and stream on with a recorder and [steps] set
-   (one record per fired engine event, the worst case; real runs only
-   record protocol-level events).  [n] wraps the ring dozens of times, so
-   the steady-state wrap path is what gets measured.  Both passes exclude
-   engine construction and warm the event queue first.  The bars: 0.0
-   bytes/event in both passes; stream off within 5% of the PR-3 baseline
-   (20% on scaled-down runs, whose short passes sit inside the box's load
-   noise); stream on within 5% of stream off from the same process (10%
-   scaled).  Any breach prints the one "PERF WARNING (obs)" marker, which
-   CI turns into a hard failure. *)
-let bench_obs () =
-  section "OBS: probe overhead — stream off vs stream on (steps recorded)";
-  let n = scaled 2_000_000 in
-  Gc.compact ();
-  Dsim.Engine.with_gc_tuning (fun () ->
-      let batch = 10_000 in
-      let one_pass sink =
-        let eng = Dsim.Engine.create () in
-        (match sink with
-        | Some s -> Dsim.Engine.set_obs eng s
-        | None -> ());
-        (* Warm up outside the meter: queue growth to [batch] capacity and
-           code paging happen here, not in the measured loop. *)
-        for i = 1 to batch do
-          Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
-        done;
-        Dsim.Engine.run eng;
         let t0 = Mc.Explore.wall () in
         let w0 = Gc.minor_words () in
         let done_ = ref 0 in
@@ -458,37 +318,31 @@ let bench_obs () =
           done_ := !done_ + k
         done;
         let dt = Mc.Explore.wall () -. t0 in
-        (dt, Gc.minor_words () -. w0)
+        let bytes = (Gc.minor_words () -. w0) *. 8. /. float_of_int n in
+        let minors =
+          (Gc.quick_stat ()).Gc.minor_collections - s0.Gc.minor_collections
+        in
+        (dt, (bytes, minors))
       in
-      let best5 sink =
-        let best = ref (one_pass sink) in
-        for _ = 1 to 4 do
-          let (dt, _) as r = one_pass sink in
-          if dt < fst !best then best := r
-        done;
-        !best
-      in
-      let dt_off, words_off = best5 None in
+      let (bytes_off, minors_off), dt_off, spread_off = best_of (one_pass None) in
       let recorder = Obs.Recorder.create () in
       let sink = Obs.Sink.create () in
       Obs.Sink.set_recorder sink (Some recorder);
       Obs.Sink.set_steps sink true;
-      let dt_on, words_on = best5 (Some sink) in
+      let (bytes_on, _), dt_on, spread_on = best_of (one_pass (Some sink)) in
       let per_sec_off = float_of_int n /. dt_off in
       let per_sec_on = float_of_int n /. dt_on in
-      let bytes_off = words_off *. 8. /. float_of_int n in
-      let bytes_on = words_on *. 8. /. float_of_int n in
       let ratio = per_sec_on /. per_sec_off in
-      let vs_pr3 = per_sec_off /. baseline_pr3_engine_events_per_sec in
-      let vs_pr8 = per_sec_off /. baseline_pr8_obs_disabled_events_per_sec in
+      Format.fprintf ppf "(%d timer events per pass, best of %d passes)@." n
+        passes;
       Format.fprintf ppf
-        "stream off: %.2e events/s, %.1f bytes/event (%.2fx vs PR-3's %.2e, \
-         %.2fx vs PR-8's %.2e; best of 5)@."
-        per_sec_off bytes_off vs_pr3 baseline_pr3_engine_events_per_sec vs_pr8
-        baseline_pr8_obs_disabled_events_per_sec;
+        "stream off: %.2e events/s (spread %.1f%%), %.1f bytes/event, %d \
+         minor collection(s)@."
+        per_sec_off (100. *. spread_off) bytes_off minors_off;
       Format.fprintf ppf
-        "stream on:  %.2e events/s, %.1f bytes/event — %.2fx of stream off@."
-        per_sec_on bytes_on ratio;
+        "stream on:  %.2e events/s (spread %.1f%%), %.1f bytes/event — %.2fx \
+         of stream off@."
+        per_sec_on (100. *. spread_on) bytes_on ratio;
       Format.fprintf ppf
         "ring after the runs: %d record(s) held of %d emitted (%d \
          overwritten by wrap)@."
@@ -504,107 +358,83 @@ let bench_obs () =
               pass bytes)
         [ ("stream off", bytes_off); ("stream on", bytes_on) ];
       let off_tolerance = if scale >= 1. then 0.95 else 0.80 in
-      if vs_pr3 < off_tolerance then
-        warn
-          "stream-off engine throughput is %.2e events/s, more than %.0f%% \
-           below the PR-3 baseline %.2e"
-          per_sec_off
-          (100. *. (1. -. off_tolerance))
-          baseline_pr3_engine_events_per_sec;
+      (match
+         Option.bind (List.assoc_opt "PR3" points)
+           (Trajectory.value Trajectory.engine_events_per_sec)
+       with
+      | None ->
+          warn
+            "no engine.events_per_sec in a BENCH_PR3.json under the source \
+             root; the stream-off floor cannot be checked"
+      | Some floor ->
+          if per_sec_off /. floor < off_tolerance then
+            warn
+              "stream-off engine throughput is %.2e events/s, more than \
+               %.0f%% below PR-3's %.2e"
+              per_sec_off
+              (100. *. (1. -. off_tolerance))
+              floor);
       let on_tolerance = if scale >= 1. then 0.95 else 0.90 in
       if ratio < on_tolerance then
         warn "stream-on throughput is %.2fx of stream off (must be >= %.2f)"
           ratio on_tolerance;
+      json_add "engine"
+        (Printf.sprintf
+           "{\"events\": %d, \"events_per_sec\": %.0f, \
+            \"events_per_sec_spread\": %.3f, \"bytes_per_event\": %.2f, \
+            \"minor_collections\": %d}"
+           n per_sec_off spread_off bytes_off minors_off);
       json_add "obs_overhead"
         (Printf.sprintf
            "{\"events\": %d, \"off_events_per_sec\": %.0f, \
-            \"off_bytes_per_event\": %.2f, \"off_vs_pr3\": %.3f, \
-            \"off_vs_pr8\": %.3f, \"on_events_per_sec\": %.0f, \
+            \"off_bytes_per_event\": %.2f, \"on_events_per_sec\": %.0f, \
             \"on_bytes_per_event\": %.2f, \"on_over_off\": %.3f, \
             \"records_emitted\": %d, \"records_held\": %d}"
-           n per_sec_off bytes_off vs_pr3 vs_pr8 per_sec_on bytes_on ratio
+           n per_sec_off bytes_off per_sec_on bytes_on ratio
            (Obs.Recorder.total recorder)
            (Obs.Recorder.length recorder)))
 
 (* Multicore exploration scaling: the same random-walk exploration
-   ([ctsim explore --strategy random]) at 1/2/4/8 worker domains.
-   [baseline_pr1_schedules_per_sec] is the PR-1 (pre-optimization,
-   serial-only) number measured on this machine for the identical
-   workload, so the single-domain row doubles as the hot-path speedup
-   measurement. *)
-let baseline_pr1_schedules_per_sec = 3441.3
-
+   ([ctsim explore --strategy random]) at 1/2/4/8 worker domains. *)
 let bench_mc_scaling () =
   section "MC3: multicore schedule exploration scaling (Mc.Pool)";
   let budget = scaled 2_000 in
   let cfg = { Mc.Harness.default with Mc.Harness.rounds = 12 } in
   Format.fprintf ppf
     "(%d schedules per run, 12 rounds, random walk; available cores: %d; \
-     each row best of 5 runs)@.@."
+     each row best of %d runs)@.@."
     budget
-    (Domain.recommended_domain_count ());
-  Format.fprintf ppf "%-8s %-12s %-10s %-10s %s@." "jobs" "schedules/s"
-    "wall (s)" "cpu (s)" "speedup vs 1 domain";
+    (Domain.recommended_domain_count ())
+    passes;
+  Format.fprintf ppf "%-8s %-12s %-8s %-10s %-10s %s@." "jobs" "schedules/s"
+    "spread" "wall (s)" "cpu (s)" "speedup vs 1 domain";
   (* discarded warmup: page in the code and let the first run's
      one-time promotions happen outside the measured rows *)
   ignore (Mc.Pool.explore ~budget:(scaled 200) ~jobs:1 cfg);
-  (* Each row is the best of five runs: background load on this box
-     perturbs single runs by 15%+, and the fastest run estimates what
-     the machine can actually sustain.  The exploration result itself is
-     deterministic — identical across the five runs — so only the
-     timing varies. *)
+  (* The exploration result is deterministic — identical across a row's
+     runs — so only the timing varies. *)
   let row jobs =
-    let best = ref None in
-    for _ = 1 to 5 do
-      (* same heap state for every run (and as a standalone run) *)
-      Gc.compact ();
-      let r = Mc.Pool.explore ~budget ~jobs cfg in
-      match !best with
-      | Some (b : Mc.Explore.report) when b.elapsed_s <= r.elapsed_s -> ()
-      | _ -> best := Some r
-    done;
-    let r = Option.get !best in
-    (jobs, Mc.Explore.schedules_per_sec r, r.Mc.Explore.elapsed_s,
+    let r, _, spread =
+      best_of (fun () ->
+          (* same heap state for every run (and as a standalone run) *)
+          Gc.compact ();
+          let r = Mc.Pool.explore ~budget ~jobs cfg in
+          (r.Mc.Explore.elapsed_s, r))
+    in
+    (jobs, Mc.Explore.schedules_per_sec r, spread, r.Mc.Explore.elapsed_s,
      r.Mc.Explore.cpu_s)
   in
   let rows = List.map row [ 1; 2; 4; 8 ] in
-  let base = match rows with (_, s, _, _) :: _ -> s | [] -> nan in
+  let base = match rows with (_, s, _, _, _) :: _ -> s | [] -> nan in
   List.iter
-    (fun (jobs, sps, wall, cpu) ->
-      Format.fprintf ppf "%-8d %-12.1f %-10.2f %-10.2f %.2fx@." jobs sps wall
-        cpu (sps /. base))
+    (fun (jobs, sps, spread, wall, cpu) ->
+      Format.fprintf ppf "%-8d %-12.1f %-8s %-10.2f %-10.2f %.2fx@." jobs sps
+        (Printf.sprintf "%.1f%%" (100. *. spread))
+        wall cpu (sps /. base))
     rows;
-  Format.fprintf ppf
-    "single-domain vs PR-1 baseline (%.1f schedules/s): %.2fx@."
-    baseline_pr1_schedules_per_sec
-    (base /. baseline_pr1_schedules_per_sec);
-  Format.fprintf ppf
-    "single-domain vs PR-2 baseline (%.1f schedules/s): %.2fx@."
-    baseline_pr2_jobs1_schedules_per_sec
-    (base /. baseline_pr2_jobs1_schedules_per_sec);
-  Format.fprintf ppf
-    "single-domain vs PR-3 baseline (%.1f schedules/s): %.2fx@."
-    baseline_pr3_jobs1_schedules_per_sec
-    (base /. baseline_pr3_jobs1_schedules_per_sec);
-  Format.fprintf ppf
-    "single-domain vs PR-4 baseline (%.1f schedules/s): %.2fx@."
-    baseline_pr4_jobs1_schedules_per_sec
-    (base /. baseline_pr4_jobs1_schedules_per_sec);
-  Format.fprintf ppf
-    "single-domain vs PR-5 baseline (%.1f schedules/s): %.2fx@."
-    baseline_pr5_jobs1_schedules_per_sec
-    (base /. baseline_pr5_jobs1_schedules_per_sec);
-  Format.fprintf ppf
-    "single-domain vs PR-7 baseline (%.1f schedules/s): %.2fx@."
-    baseline_pr7_jobs1_schedules_per_sec
-    (base /. baseline_pr7_jobs1_schedules_per_sec);
-  Format.fprintf ppf
-    "single-domain vs PR-8 baseline (%.1f schedules/s): %.2fx@."
-    baseline_pr8_jobs1_schedules_per_sec
-    (base /. baseline_pr8_jobs1_schedules_per_sec);
   let speedup4 =
-    match List.find_opt (fun (j, _, _, _) -> j = 4) rows with
-    | Some (_, s, _, _) -> s /. base
+    match List.find_opt (fun (j, _, _, _, _) -> j = 4) rows with
+    | Some (_, s, _, _, _) -> s /. base
     | None -> nan
   in
   let cores = Domain.recommended_domain_count () in
@@ -625,51 +455,21 @@ let bench_mc_scaling () =
       speedup4 cores;
   json_add "explore_scaling"
     (Printf.sprintf
-       "{\"strategy\": \"random\", \"rounds\": 12, \"budget\": %d, \
-        \"baseline_pr1_schedules_per_sec\": %.1f, \
-        \"baseline_pr2_schedules_per_sec\": %.1f, \
-        \"baseline_pr3_schedules_per_sec\": %.1f, \
-        \"baseline_pr4_schedules_per_sec\": %.1f, \
-        \"baseline_pr5_schedules_per_sec\": %.1f, \
-        \"baseline_pr7_schedules_per_sec\": %.1f, \
-        \"baseline_pr8_schedules_per_sec\": %.1f, \"jobs\": [%s], \
-        \"speedup_1_over_baseline\": %.2f, \"speedup_1_over_pr2\": %.2f, \
-        \"speedup_1_over_pr3\": %.2f, \"speedup_1_over_pr4\": %.2f, \
-        \"speedup_1_over_pr5\": %.2f, \"speedup_1_over_pr7\": %.2f, \
-        \"speedup_1_over_pr8\": %.2f, \"speedup_4_over_1\": %.2f, \
-        \"cores_available\": %d}"
-       budget baseline_pr1_schedules_per_sec
-       baseline_pr2_jobs1_schedules_per_sec
-       baseline_pr3_jobs1_schedules_per_sec
-       baseline_pr4_jobs1_schedules_per_sec
-       baseline_pr5_jobs1_schedules_per_sec
-       baseline_pr7_jobs1_schedules_per_sec
-       baseline_pr8_jobs1_schedules_per_sec
+       "{\"strategy\": \"random\", \"rounds\": 12, \"budget\": %d, \"jobs\": \
+        [%s], \"speedup_4_over_1\": %.2f, \"cores_available\": %d}"
+       budget
        (String.concat ", "
           (List.map
-             (fun (jobs, sps, wall, cpu) ->
+             (fun (jobs, sps, spread, wall, cpu) ->
                Printf.sprintf
-                 "{\"jobs\": %d, \"schedules_per_sec\": %.1f, \"wall_s\": \
-                  %.3f, \"cpu_s\": %.3f}"
-                 jobs sps wall cpu)
+                 "{\"jobs\": %d, \"schedules_per_sec\": %.1f, \
+                  \"schedules_per_sec_spread\": %.3f, \"wall_s\": %.3f, \
+                  \"cpu_s\": %.3f}"
+                 jobs sps spread wall cpu)
              rows))
-       (base /. baseline_pr1_schedules_per_sec)
-       (base /. baseline_pr2_jobs1_schedules_per_sec)
-       (base /. baseline_pr3_jobs1_schedules_per_sec)
-       (base /. baseline_pr4_jobs1_schedules_per_sec)
-       (base /. baseline_pr5_jobs1_schedules_per_sec)
-       (base /. baseline_pr7_jobs1_schedules_per_sec)
-       (base /. baseline_pr8_jobs1_schedules_per_sec)
        speedup4 cores)
 
 (* ------------------------------------------------------------------ *)
-(* LINT1: full-tree ctslint pass (PR 5).  The analyzer runs on every CI
-   build, so its own cost is part of the build budget; this section
-   times the exact work `dune build @lint` does — parse + walk every
-   .ml under lib/ bin/ bench/ test/ examples/ — and records files/s.
-   Runs from the source tree (located by walking up to dune-project);
-   skipped when the sources are not around the executable, e.g. in an
-   installed-binary context. *)
 
 (* HIER1: the hierarchical multi-ring service scaled across cluster
    sizes.  Each point builds a shards x shard_size hierarchy with every
@@ -679,11 +479,14 @@ let bench_mc_scaling () =
    simulated seconds, and the converged cross-shard skew.  A point whose
    skew ends outside the bound, or that clamps a global-clock
    regression, emits a "PERF WARNING (hier)" marker that CI turns into a
-   hard failure. *)
-(* Measurements SCALE1 reuses: (replicas, rounds_per_wall_sec,
-   formation_wall_s) per HIER1 point. *)
-let hier_measured : (int * float * float) list ref = ref []
+   hard failure.
 
+   The 256-replica point also guards PR 7's superlinear-cost
+   elimination: a "PERF WARNING (scale)" marker, also a hard CI failure,
+   when its formation creeps over budget.  PR 6 spent 2.6 s there and
+   238 s at 1024; event-driven formation measures well under 0.2 s at
+   256, so 1 s of headroom still catches any return of the superlinear
+   term while tolerating a loaded CI box. *)
 let bench_hier () =
   section "HIER1: hierarchical multi-ring scaling (lib/hier)";
   let module CH = Scenario.Cluster_hier in
@@ -704,14 +507,19 @@ let bench_hier () =
     all_sizes;
   let window = Span.of_ms 100 in
   let bound_us = 5_000 in
+  let form_budget_s = 1.0 in
   Format.fprintf ppf
-    "(steady state = best of 5 consecutive %d ms simulated windows — \
+    "(steady state = best of %d consecutive %d ms simulated windows — \
      background load on this box perturbs single windows by 50%%+ and \
      every window agrees the same rounds, so the fastest window is the \
-     sustainable rate; 5 ms skew bound)@.@."
-    (Span.to_us window / 1000);
-  Format.fprintf ppf "%-10s %-8s %-10s %-12s %-12s %-12s %-10s %-8s %s@."
-    "replicas" "shards" "rounds" "rounds/s(w)" "rounds/s(sim)" "events/s(w)"
+     sustainable rate; 5 ms skew bound; %.1f s 256-replica formation \
+     budget)@.@."
+    passes
+    (Span.to_us window / 1000)
+    form_budget_s;
+  Format.fprintf ppf
+    "%-10s %-8s %-10s %-12s %-8s %-12s %-12s %-10s %-8s %s@." "replicas"
+    "shards" "rounds" "rounds/s(w)" "spread" "rounds/s(sim)" "events/s(w)"
     "skew(us)" "q-hwm" "form(s)";
   let rows =
     List.map
@@ -726,9 +534,7 @@ let bench_hier () =
           }
         in
         let t = CH.create ~seed:11L ~clock_config ~shards ~shard_size () in
-        let w0 = Mc.Explore.wall () in
-        CH.start_all t;
-        let form_s = Mc.Explore.wall () -. w0 in
+        let form_s, () = timed (fun () -> CH.start_all t) in
         CH.start_readers t;
         let bridge_round t =
           Array.fold_left
@@ -736,136 +542,72 @@ let bench_hier () =
               max acc (Hier.Global_clock.round (Hier.Gateway.global r.gateway)))
             0 t.CH.replicas
         in
-        (* best of 5 consecutive windows; the sim keeps advancing, so
-           each window measures the same periodic steady state *)
-        let best_s = ref infinity and rounds = ref 0 and events = ref 0 in
-        for _ = 1 to 5 do
-          let rb = bridge_round t in
-          let eb = Dsim.Engine.steps t.CH.eng in
-          let w1 = Mc.Explore.wall () in
-          CH.run_for t window;
-          let dt = Mc.Explore.wall () -. w1 in
-          if dt < !best_s then begin
-            best_s := dt;
-            rounds := bridge_round t - rb;
-            events := Dsim.Engine.steps t.CH.eng - eb
-          end
-        done;
-        let steady_s = !best_s and rounds = !rounds in
+        (* consecutive windows; the sim keeps advancing, so each window
+           measures the same periodic steady state *)
+        let (rounds, events), steady_s, spread =
+          best_of (fun () ->
+              let rb = bridge_round t in
+              let eb = Dsim.Engine.steps t.CH.eng in
+              let dt, () = timed (fun () -> CH.run_for t window) in
+              (dt, (bridge_round t - rb, Dsim.Engine.steps t.CH.eng - eb)))
+        in
+        let replicas = shards * shard_size in
         let skew_us = Span.to_us (CH.cross_shard_skew t) in
         let regr = CH.regressions t in
         let hwm = CH.queue_hwm t in
         let per_wall = float_of_int rounds /. steady_s in
-        let events_per_wall = float_of_int !events /. steady_s in
+        let events_per_wall = float_of_int events /. steady_s in
         let per_sim =
           float_of_int rounds
           /. (float_of_int (Span.to_us window) /. 1e6)
         in
         Format.fprintf ppf
-          "%-10d %-8d %-10d %-12.1f %-12.1f %-12.3e %-10d %-8d %.2f@."
-          (shards * shard_size) shards rounds per_wall per_sim
-          events_per_wall skew_us hwm form_s;
+          "%-10d %-8d %-10d %-12.1f %-8s %-12.1f %-12.3e %-10d %-8d %.2f@."
+          replicas shards rounds per_wall
+          (Printf.sprintf "%.1f%%" (100. *. spread))
+          per_sim events_per_wall skew_us hwm form_s;
         if skew_us >= bound_us then
           Format.fprintf ppf
             "PERF WARNING (hier): %d-replica cross-shard skew %d us ended \
              outside the %d us bound@."
-            (shards * shard_size) skew_us bound_us;
+            replicas skew_us bound_us;
         if regr > 0 then
           Format.fprintf ppf
             "PERF WARNING (hier): %d-replica run clamped %d global-clock \
              regression(s)@."
-            (shards * shard_size) regr;
-        hier_measured :=
-          (shards * shard_size, per_wall, form_s) :: !hier_measured;
+            replicas regr;
+        if replicas = 256 && form_s > form_budget_s then
+          Format.fprintf ppf
+            "PERF WARNING (scale): 256-replica formation took %.2f s, over \
+             the %.1f s budget (the superlinear term is back)@."
+            form_s form_budget_s;
         Printf.sprintf
           "{\"replicas\": %d, \"shards\": %d, \"shard_size\": %d, \
            \"bridge_rounds\": %d, \"rounds_per_wall_sec\": %.1f, \
-           \"rounds_per_sim_sec\": %.1f, \"events_per_wall_sec\": %.0f, \
-           \"skew_us\": %d, \"regressions\": %d, \"queue_hwm\": %d, \
-           \"formation_wall_s\": %.3f}"
-          (shards * shard_size) shards shard_size rounds per_wall per_sim
+           \"rounds_per_wall_sec_spread\": %.3f, \"rounds_per_sim_sec\": \
+           %.1f, \"events_per_wall_sec\": %.0f, \"skew_us\": %d, \
+           \"regressions\": %d, \"queue_hwm\": %d, \"formation_wall_s\": \
+           %.3f}"
+          replicas shards shard_size rounds per_wall spread per_sim
           events_per_wall skew_us regr hwm form_s)
       sizes
   in
   json_add "hier"
-    (Printf.sprintf "{\"window_ms\": %d, \"skew_bound_us\": %d, \"sizes\": [%s]}"
+    (Printf.sprintf
+       "{\"window_ms\": %d, \"skew_bound_us\": %d, \"formation_budget_s\": \
+        %.1f, \"sizes\": [%s]}"
        (Span.to_us window / 1000)
-       bound_us (String.concat ", " rows))
+       bound_us form_budget_s (String.concat ", " rows))
 
-(* SCALE1: PR 7's superlinear-cost guardrails.  Three parts:
-
-   1. Deltas: every HIER1 point measured this run, against the PR-6
-      baselines — the before/after of the scale-out work.
-   2. Budget: a hard "PERF WARNING (scale)" marker (CI greps for it and
-      fails) when 256-replica formation creeps over budget.  PR 6 spent
-      2.63 s here and 238 s at 1024; post-PR-7 formation is event-driven
-      and measures well under 100 ms at 256, so 1 s of headroom still
-      catches any return of the superlinear term while tolerating a
-      loaded CI box.
-   3. Attribution: re-run the largest HIER1 point with an
-      [Obs.Attrib] recorder attached and report where the wall
-      nanoseconds actually go, per (subsystem, probe) self time — the
-      measurement that located the PR-7 hot spots (GCS delivery
-      routing, the totem join storm, watchdog chase, bridge offer
-      fan-out) in the first place. *)
+(* SCALE1: re-run the largest HIER1 point with an [Obs.Attrib] recorder
+   attached and report where the wall nanoseconds actually go, per
+   (subsystem, probe) self time — the measurement that located the PR-7
+   hot spots (GCS delivery routing, the totem join storm, watchdog
+   chase, bridge offer fan-out) in the first place. *)
 let bench_scale () =
-  section "SCALE1: superlinear-cost guardrails (PR 7)";
+  section "SCALE1: wall-time attribution at the largest HIER1 point";
   let module CH = Scenario.Cluster_hier in
   let module Span = Dsim.Time.Span in
-  let measured = List.rev !hier_measured in
-  (* 1. deltas vs PR-6 *)
-  Format.fprintf ppf "%-10s %-14s %-14s %-9s %-12s %-12s %s@." "replicas"
-    "PR6 r/s(w)" "now r/s(w)" "speedup" "PR6 form(s)" "now form(s)"
-    "speedup";
-  let deltas =
-    List.filter_map
-      (fun (replicas, pr6_rw, pr6_form) ->
-        match List.find_opt (fun (r, _, _) -> r = replicas) measured with
-        | None -> None
-        | Some (_, rw, form) ->
-            let rw_x = rw /. pr6_rw in
-            let form_x = if form > 0. then pr6_form /. form else nan in
-            Format.fprintf ppf
-              "%-10d %-14.1f %-14.1f %-9.2f %-12.3f %-12.3f %.1f@." replicas
-              pr6_rw rw rw_x pr6_form form form_x;
-            Some
-              (Printf.sprintf
-                 "{\"replicas\": %d, \"pr6_rounds_per_wall_sec\": %.1f, \
-                  \"rounds_per_wall_sec\": %.1f, \"steady_speedup\": %.2f, \
-                  \"pr6_formation_wall_s\": %.3f, \"formation_wall_s\": \
-                  %.3f}"
-                 replicas pr6_rw rw rw_x pr6_form form))
-      baseline_pr6_hier
-  in
-  (* 2. the 256-replica formation budget CI greps for *)
-  let form_budget_s = 1.0 in
-  let budget_json =
-    match List.find_opt (fun (r, _, _) -> r = 256) measured with
-    | None ->
-        Format.fprintf ppf
-          "@.(256-replica point not measured at scale %g — formation \
-           budget not checked; run at scale >= 0.1)@."
-          scale;
-        Printf.sprintf
-          "\"formation_budget_s\": %.1f, \"formation_wall_s_256\": null"
-          form_budget_s
-    | Some (_, _, form) ->
-        if form > form_budget_s then
-          Format.fprintf ppf
-            "@.PERF WARNING (scale): 256-replica formation took %.2f s, \
-             over the %.1f s budget (PR-6 burned 2.63 s here; the \
-             superlinear term is back)@."
-            form form_budget_s
-        else
-          Format.fprintf ppf
-            "@.256-replica formation %.3f s — within the %.1f s budget \
-             (PR-6: 2.63 s)@."
-            form form_budget_s;
-        Printf.sprintf
-          "\"formation_budget_s\": %.1f, \"formation_wall_s_256\": %.3f"
-          form_budget_s form
-  in
-  (* 3. wall-time attribution of the largest point measured *)
   let shards, shard_size =
     if scale >= 1. then (32, 32) else if scale >= 0.1 then (16, 16) else (8, 8)
   in
@@ -880,78 +622,67 @@ let bench_scale () =
   let t = CH.create ~seed:11L ~clock_config ~shards ~shard_size () in
   let recorder = Obs.Attrib.create () in
   Obs.Sink.set_attrib (Dsim.Engine.obs t.CH.eng) (Some recorder);
-  let w0 = Mc.Explore.wall () in
-  CH.start_all t;
-  CH.start_readers t;
-  CH.run_for t (Span.of_ms 100);
-  let wall_s = Mc.Explore.wall () -. w0 in
+  let wall_s, () =
+    timed (fun () ->
+        CH.start_all t;
+        CH.start_readers t;
+        CH.run_for t (Span.of_ms 100))
+  in
   Obs.Sink.set_attrib (Dsim.Engine.obs t.CH.eng) None;
   let attributed_s = Obs.Attrib.total_ns recorder /. 1e9 in
   Format.fprintf ppf
-    "@.attribution: %d replicas, formation + 100 ms steady, %.2f s wall, \
+    "attribution: %d replicas, formation + 100 ms steady, %.2f s wall, \
      %.2f s attributed (%.0f%%); self time per (subsystem, probe):@.@."
     (shards * shard_size) wall_s attributed_s
     (100. *. attributed_s /. wall_s);
   Format.fprintf ppf "%a@." Obs.Attrib.pp recorder;
-  (* "scale_deltas", not "scale": the top-level emit_json header already
-     owns the "scale" key (the CTS_BENCH_SCALE factor), and PR-7 shipped
-     this section under the same name — a duplicate key that made the
-     trajectory file ambiguous to strict JSON readers (python's
-     json.load silently kept whichever came last). *)
+  (* The key every point since PR 7 files this section under (the
+     top-level "scale" is the CTS_BENCH_SCALE factor). *)
   json_add "scale_deltas"
     (Printf.sprintf
-       "{\"deltas\": [%s], %s, \"attribution_replicas\": %d, \
-        \"attribution_wall_s\": %.3f, \"attribution\": %s}"
-       (String.concat ", " deltas)
-       budget_json (shards * shard_size) wall_s
+       "{\"attribution_replicas\": %d, \"attribution_wall_s\": %.3f, \
+        \"attribution\": %s}"
+       (shards * shard_size) wall_s
        (Obs.Attrib.to_json recorder))
 
+(* LINT1: full-tree ctslint pass (PR 5).  The analyzer runs on every CI
+   build, so its own cost is part of the build budget; this section
+   times the exact work `dune build @lint` does — parse + walk every
+   .ml under lib/ bin/ bench/ test/ examples/ — and records files/s.
+   Skipped when the sources are not around the executable, e.g. in an
+   installed-binary context. *)
 let bench_lint () =
   section "LINT1: ctslint full-tree static analysis";
-  let rec find_root dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if String.equal parent dir then None else find_root parent
-  in
-  match find_root (Sys.getcwd ()) with
+  match root with
   | None ->
       Format.fprintf ppf "source tree not found from %s; section skipped@."
         (Sys.getcwd ())
   | Some root ->
       let dirs =
-        List.filter Sys.file_exists
-          (List.map
-             (Filename.concat root)
-             [ "lib"; "bin"; "bench"; "test"; "examples" ])
+        List.filter Sys.file_exists (List.map (Filename.concat root) tree)
       in
       (* warm pass: page in the analyzer and the sources *)
       ignore (Lint.Driver.lint_paths dirs : Lint.Driver.report);
-      let best = ref infinity in
-      let last = ref (Lint.Driver.lint_paths dirs) in
-      for _ = 1 to 4 do
-        let t0 = Mc.Explore.wall () in
-        last := Lint.Driver.lint_paths dirs;
-        let dt = Mc.Explore.wall () -. t0 in
-        if dt < !best then best := dt
-      done;
-      let r = !last in
-      let files_per_sec = float_of_int r.Lint.Driver.files /. !best in
+      let r, dt, spread =
+        best_of (fun () -> timed (fun () -> Lint.Driver.lint_paths dirs))
+      in
+      let files_per_sec = float_of_int r.Lint.Driver.files /. dt in
       Format.fprintf ppf
         "%d file(s), %d finding(s), %d suppression(s) in %.1f ms — %.0f \
-         files/s (best of 4)@."
+         files/s (best of %d, spread %.1f%%)@."
         r.Lint.Driver.files
         (List.length r.Lint.Driver.findings)
         (List.length r.Lint.Driver.suppressions)
-        (!best *. 1e3) files_per_sec;
+        (dt *. 1e3) files_per_sec passes (100. *. spread);
       json_add "lint"
         (Printf.sprintf
            "{\"files\": %d, \"findings\": %d, \"suppressions\": %d, \
-            \"wall_ms\": %.1f, \"files_per_sec\": %.0f}"
+            \"wall_ms\": %.1f, \"files_per_sec\": %.0f, \
+            \"files_per_sec_spread\": %.3f}"
            r.Lint.Driver.files
            (List.length r.Lint.Driver.findings)
            (List.length r.Lint.Driver.suppressions)
-           (!best *. 1e3) files_per_sec)
+           (dt *. 1e3) files_per_sec spread)
 
 (* LINT2: the typed pass (PR 10) — load every .cmt the bin-annot build
    produced, extract per-function facts, and run the three typed
@@ -960,63 +691,43 @@ let bench_lint () =
    different: unmarshalling typedtrees dominates, not parsing. *)
 let bench_lint_typed () =
   section "LINT2: ctslint typed pass (.cmt certification)";
-  let rec find_root dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if String.equal parent dir then None else find_root parent
-  in
-  match
-    Option.bind (find_root (Sys.getcwd ())) Lint.Cmt_loader.find_build_dir
-  with
+  match Option.bind root Lint.Cmt_loader.find_build_dir with
   | None ->
       Format.fprintf ppf
         "bin-annot build not found from %s; section skipped@." (Sys.getcwd ())
   | Some build_dir ->
       let run () =
         let units, _errors = Lint.Cmt_loader.load_build_dir build_dir in
-        let units =
-          Lint.Cmt_loader.under_paths
-            [ "lib"; "bin"; "bench"; "test"; "examples" ]
-            units
-        in
+        let units = Lint.Cmt_loader.under_paths tree units in
         Lint.Typed_check.analyze (List.map Lint.Typed_facts.walk_unit units)
       in
       ignore (run () : Lint.Typed_check.result) (* warm: page in the cmts *);
-      let best = ref infinity in
-      let last = ref (run ()) in
-      for _ = 1 to 4 do
-        let t0 = Mc.Explore.wall () in
-        last := run ();
-        let dt = Mc.Explore.wall () -. t0 in
-        if dt < !best then best := dt
-      done;
-      let r = !last in
+      let r, dt, spread = best_of (fun () -> timed run) in
       let roots = List.length r.Lint.Typed_check.r_roots in
       let certified_roots =
         List.length (List.filter snd r.Lint.Typed_check.r_roots)
       in
-      let units_per_sec =
-        float_of_int r.Lint.Typed_check.r_units /. !best
-      in
+      let units_per_sec = float_of_int r.Lint.Typed_check.r_units /. dt in
       Format.fprintf ppf
         "%d unit(s), %d function(s), %d/%d root(s) certified, %d certified \
-         total, %d finding(s) in %.1f ms — %.0f units/s (best of 4)@."
+         total, %d finding(s) in %.1f ms — %.0f units/s (best of %d, spread \
+         %.1f%%)@."
         r.Lint.Typed_check.r_units r.Lint.Typed_check.r_fns certified_roots
         roots
         (List.length r.Lint.Typed_check.r_certified)
         (List.length r.Lint.Typed_check.r_findings)
-        (!best *. 1e3) units_per_sec;
+        (dt *. 1e3) units_per_sec passes (100. *. spread);
       json_add "lint_typed"
         (Printf.sprintf
            "{\"units\": %d, \"functions\": %d, \"hot_roots\": %d, \
             \"hot_roots_certified\": %d, \"certified\": %d, \"findings\": \
-            %d, \"wall_ms\": %.1f, \"units_per_sec\": %.0f}"
+            %d, \"wall_ms\": %.1f, \"units_per_sec\": %.0f, \
+            \"units_per_sec_spread\": %.3f}"
            r.Lint.Typed_check.r_units r.Lint.Typed_check.r_fns roots
            certified_roots
            (List.length r.Lint.Typed_check.r_certified)
            (List.length r.Lint.Typed_check.r_findings)
-           (!best *. 1e3) units_per_sec);
+           (dt *. 1e3) units_per_sec spread);
       (* deterministic invariant, not a timing: a finding or an
          uncertified root means the hot path lost its zero-alloc
          certificate, and CI's grep tier fails the job on this line *)
@@ -1138,13 +849,14 @@ let () =
   bench_causal ();
   bench_delivery_mode ();
   bench_mc ();
-  bench_engine_events ();
-  bench_obs ();
+  bench_engine ();
   bench_mc_scaling ();
   bench_hier ();
   bench_scale ();
   bench_lint ();
   bench_lint_typed ();
   run_micro ();
-  emit_json ();
+  let run = emit_json () in
+  section "TRAJECTORY: headline metrics of every checked-in point and this run";
+  Trajectory.report ppf ~run points;
   Format.fprintf ppf "@.done.@."

@@ -1,8 +1,7 @@
 (* Fixed-key counters live in a plain int array indexed by the key's
    constructor number, so [incr] is one load, one add, one store.  The
    counters and histograms are filled by folding the record stream
-   ([of_recorder]); everything dynamic (gauges, bench sections) is
-   find-or-create by name. *)
+   ([of_recorder]); the gauges are find-or-create by name. *)
 
 type key =
   | Engine_events
@@ -99,18 +98,10 @@ let make_hist = function
   (* End-to-end invocation latency sits around one token rotation. *)
   | Rpc_latency_us -> Stats.Histogram.create ~bin_width:25. ()
 
-type section = {
-  s_name : string;
-  mutable s_events : int;
-  mutable s_ns : float;
-  mutable s_minor_words : float;
-}
-
 type t = {
   counters : int array;
   hists : Stats.Histogram.t array;
   mutable gauges : (string * float ref) list;
-  mutable sections : section list;
 }
 
 let create () =
@@ -118,7 +109,6 @@ let create () =
     counters = Array.make key_count 0;
     hists = Array.of_list (List.map make_hist all_hkeys);
     gauges = [];
-    sections = [];
   }
 
 let incr t k =
@@ -141,29 +131,10 @@ let gauge t name =
       t.gauges <- (name, r) :: t.gauges;
       r
 
-let section t name =
-  match List.find_opt (fun s -> String.equal s.s_name name) t.sections with
-  | Some s -> s
-  | None ->
-      let s = { s_name = name; s_events = 0; s_ns = 0.; s_minor_words = 0. } in
-      t.sections <- s :: t.sections;
-      s
-
-let section_record s ~events ~ns ~minor_words =
-  s.s_events <- s.s_events + events;
-  s.s_ns <- s.s_ns +. ns;
-  s.s_minor_words <- s.s_minor_words +. minor_words
-
 let reset t =
   Array.fill t.counters 0 key_count 0;
   List.iteri (fun i hk -> t.hists.(i) <- make_hist hk) all_hkeys;
-  List.iter (fun (_, r) -> r := 0.) t.gauges;
-  List.iter
-    (fun s ->
-      s.s_events <- 0;
-      s.s_ns <- 0.;
-      s.s_minor_words <- 0.)
-    t.sections
+  List.iter (fun (_, r) -> r := 0.) t.gauges
 
 (* ------------------------------------------------------------------ *)
 (* The stream fold                                                     *)
@@ -248,16 +219,5 @@ let to_json t =
       Buffer.add_string b (Printf.sprintf "\"%s\": " (hkey_name hk));
       hist_json b t.hists.(hkey_index hk))
     all_hkeys;
-  Buffer.add_string b "},\n  \"sections\": {";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ", ";
-      let per_event f = if s.s_events = 0 then 0. else f /. float s.s_events in
-      Buffer.add_string b (Printf.sprintf "\"%s\": {\"events\": %d, \"ns_per_event\": " s.s_name s.s_events);
-      buf_float b (per_event s.s_ns);
-      Buffer.add_string b ", \"bytes_per_event\": ";
-      buf_float b (per_event (s.s_minor_words *. 8.));
-      Buffer.add_char b '}')
-    (List.rev t.sections);
   Buffer.add_string b "}\n}\n";
   Buffer.contents b

@@ -1,6 +1,6 @@
-(** Metrics registry: counters, named gauges, latency / adjustment
-    histograms (reusing {!Stats.Histogram}) and bench sections, with a
-    snapshot-to-JSON exporter.
+(** Metrics registry: counters, named gauges and latency / adjustment
+    histograms (reusing {!Stats.Histogram}), with a snapshot-to-JSON
+    exporter.
 
     The counters and the two histograms are a fold over the record
     stream ({!of_recorder}); no probe feeds the registry directly. *)
@@ -58,18 +58,6 @@ val hist : t -> hkey -> Stats.Histogram.t
 val gauge : t -> string -> float ref
 (** Find-or-create a named gauge; set it with [:=].  Cold path only. *)
 
-(** Bench section: accumulated wall time and minor-heap allocation
-    attributed to a named hot region, reported per event. *)
-type section = {
-  s_name : string;
-  mutable s_events : int;
-  mutable s_ns : float;
-  mutable s_minor_words : float;
-}
-
-val section : t -> string -> section
-val section_record : section -> events:int -> ns:float -> minor_words:float -> unit
-
 val reset : t -> unit
 
 val key_name : key -> string
@@ -77,5 +65,5 @@ val hkey_name : hkey -> string
 val all_keys : key list
 
 val to_json : t -> string
-(** Whole-registry snapshot as a JSON object with [counters], [gauges],
-    [histograms] and [sections] members. *)
+(** Whole-registry snapshot as a JSON object with [counters], [gauges]
+    and [histograms] members. *)

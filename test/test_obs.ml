@@ -37,7 +37,7 @@ let test_metrics_counters () =
   Obs.Metrics.reset m;
   check int "reset" 0 (Obs.Metrics.get m Obs.Metrics.Ccs_rounds)
 
-let test_metrics_gauges_hists_sections () =
+let test_metrics_gauges_hists () =
   let m = Obs.Metrics.create () in
   let g = Obs.Metrics.gauge m "queue_depth" in
   g := 42.;
@@ -50,14 +50,6 @@ let test_metrics_gauges_hists_sections () =
   Obs.Metrics.observe m Obs.Metrics.Rpc_latency_us 130.;
   check int "hist count" 2
     (Stats.Histogram.count (Obs.Metrics.hist m Obs.Metrics.Rpc_latency_us));
-  let s = Obs.Metrics.section m "engine-step" in
-  Obs.Metrics.section_record s ~events:1000 ~ns:5e6 ~minor_words:0.;
-  check bool "section find-or-create" true
-    ((Obs.Metrics.section m "engine-step" == s)
-    [@ctslint.allow
-      "phys-equality" "the test asserts find-or-create returns the same \
-                       record, so identity is exactly what is under test"]);
-  check int "section events" 1000 s.Obs.Metrics.s_events;
   let json = Obs.Metrics.to_json m in
   let contains needle =
     let ln = String.length needle and lj = String.length json in
@@ -66,8 +58,7 @@ let test_metrics_gauges_hists_sections () =
   in
   check bool "json counters" true (contains "\"counters\"");
   check bool "json gauge" true (contains "\"queue_depth\": 42");
-  check bool "json hist" true (contains "\"rpc_latency_us\"");
-  check bool "json section" true (contains "\"engine-step\"")
+  check bool "json hist" true (contains "\"rpc_latency_us\"")
 
 (* ------------------------------------------------------------------ *)
 (* Trace buffer + Chrome exporter + validator                          *)
@@ -484,8 +475,8 @@ let suites =
     ( "obs",
       [
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
-        Alcotest.test_case "metrics gauges/hists/sections" `Quick
-          test_metrics_gauges_hists_sections;
+        Alcotest.test_case "metrics gauges/hists" `Quick
+          test_metrics_gauges_hists;
         Alcotest.test_case "trace capacity + clear" `Quick
           test_trace_capacity_and_clear;
         Alcotest.test_case "chrome export round-trip" `Quick
