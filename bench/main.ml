@@ -13,10 +13,9 @@
    the record stream off or on, MC3 (explore-scaling) when 4 explorer
    domains lose to 1 on a host with 4 cores, HIER1 (hier, scale) when
    the hierarchical service misses its skew bound or 256-replica
-   formation its budget, and LINT2 (lint-typed) when the hot path loses
-   its zero-alloc certificate.  SCALE1 attributes the largest HIER1
-   point's wall time to (subsystem, probe) sites; LINT1 times the
-   full-tree ctslint pass.
+   formation its budget, and LINT2 (lint) when ctslint reports a finding
+   or the hot path loses its zero-alloc certificate.  SCALE1 attributes
+   the largest HIER1 point's wall time to (subsystem, probe) sites.
 
    Run with: dune exec bench/main.exe
    Scale the workloads down for a quick pass with CTS_BENCH_SCALE=0.01. *)
@@ -39,7 +38,7 @@ let scaled n = max 20 (int_of_float (float_of_int n *. scale))
 let ppf = Format.std_formatter
 let section name = Format.fprintf ppf "@.==== %s ====@.@." name
 
-(* The source tree (for the lint sections and the checked-in trajectory
+(* The source tree (for the lint section and the checked-in trajectory
    points); None when the bench runs away from its sources. *)
 let root = Trajectory.find_root (Sys.getcwd ())
 let tree = [ "lib"; "bin"; "bench"; "test"; "examples" ]
@@ -645,97 +644,61 @@ let bench_scale () =
        (shards * shard_size) wall_s
        (Obs.Attrib.to_json recorder))
 
-(* LINT1: full-tree ctslint pass (PR 5).  The analyzer runs on every CI
-   build, so its own cost is part of the build budget; this section
-   times the exact work `dune build @lint` does — parse + walk every
-   .ml under lib/ bin/ bench/ test/ examples/ — and records files/s.
-   Skipped when the sources are not around the executable, e.g. in an
-   installed-binary context. *)
+(* LINT2: the full-tree ctslint pass — sweep every .ml under lib/ bin/
+   bench/ test/ examples/, load its .cmt typedtree, walk it once, and
+   judge every rule (determinism, attribute hygiene, hot-path
+   certification, domain safety).  Unmarshalling typedtrees dominates.
+   Every swept file needs a typedtree, so run `dune build @check` first;
+   a file without one is a missing-cmt finding. *)
 let bench_lint () =
-  section "LINT1: ctslint full-tree static analysis";
-  match root with
-  | None ->
-      Format.fprintf ppf "source tree not found from %s; section skipped@."
-        (Sys.getcwd ())
-  | Some root ->
-      let dirs =
-        List.filter Sys.file_exists (List.map (Filename.concat root) tree)
-      in
-      (* warm pass: page in the analyzer and the sources *)
-      ignore (Lint.Driver.lint_paths dirs : Lint.Driver.report);
-      let r, dt, spread =
-        best_of (fun () -> timed (fun () -> Lint.Driver.lint_paths dirs))
-      in
-      let files_per_sec = float_of_int r.Lint.Driver.files /. dt in
-      Format.fprintf ppf
-        "%d file(s), %d finding(s), %d suppression(s) in %.1f ms — %.0f \
-         files/s (best of %d, spread %.1f%%)@."
-        r.Lint.Driver.files
-        (List.length r.Lint.Driver.findings)
-        (List.length r.Lint.Driver.suppressions)
-        (dt *. 1e3) files_per_sec passes (100. *. spread);
-      json_add "lint"
-        (Printf.sprintf
-           "{\"files\": %d, \"findings\": %d, \"suppressions\": %d, \
-            \"wall_ms\": %.1f, \"files_per_sec\": %.0f, \
-            \"files_per_sec_spread\": %.3f}"
-           r.Lint.Driver.files
-           (List.length r.Lint.Driver.findings)
-           (List.length r.Lint.Driver.suppressions)
-           (dt *. 1e3) files_per_sec spread)
-
-(* LINT2: the typed pass (PR 10) — load every .cmt the bin-annot build
-   produced, extract per-function facts, and run the three typed
-   analyses (hot-path certification, domain-safety reachability, runtime
-   boundary).  Timed separately from LINT1 because the cost profile is
-   different: unmarshalling typedtrees dominates, not parsing. *)
-let bench_lint_typed () =
-  section "LINT2: ctslint typed pass (.cmt certification)";
-  match Option.bind root Lint.Cmt_loader.find_build_dir with
-  | None ->
+  section "LINT2: ctslint full-tree pass (.cmt typedtrees)";
+  match (root, Option.bind root Lint.Cmt_loader.find_build_dir) with
+  | None, _ | _, None ->
       Format.fprintf ppf
         "bin-annot build not found from %s; section skipped@." (Sys.getcwd ())
-  | Some build_dir ->
-      let run () =
-        let units, _errors = Lint.Cmt_loader.load_build_dir build_dir in
-        let units = Lint.Cmt_loader.under_paths tree units in
-        Lint.Typed_check.analyze (List.map Lint.Typed_facts.walk_unit units)
-      in
+  | Some root, Some build_dir ->
+      let dirs = List.map (Filename.concat root) tree in
+      let run () = Lint.Typed_check.run ~build_dir dirs in
       ignore (run () : Lint.Typed_check.result) (* warm: page in the cmts *);
       let r, dt, spread = best_of (fun () -> timed run) in
+      let findings = r.Lint.Typed_check.r_findings in
       let roots = List.length r.Lint.Typed_check.r_roots in
       let certified_roots =
         List.length (List.filter snd r.Lint.Typed_check.r_roots)
       in
       let units_per_sec = float_of_int r.Lint.Typed_check.r_units /. dt in
       Format.fprintf ppf
-        "%d unit(s), %d function(s), %d/%d root(s) certified, %d certified \
-         total, %d finding(s) in %.1f ms — %.0f units/s (best of %d, spread \
-         %.1f%%)@."
-        r.Lint.Typed_check.r_units r.Lint.Typed_check.r_fns certified_roots
-        roots
+        "%d unit(s) for %d file(s), %d function(s), %d/%d root(s) \
+         certified, %d certified total, %d finding(s), %d suppression(s) in \
+         %.1f ms — %.0f units/s (best of %d, spread %.1f%%)@."
+        r.Lint.Typed_check.r_units r.Lint.Typed_check.r_files
+        r.Lint.Typed_check.r_fns certified_roots roots
         (List.length r.Lint.Typed_check.r_certified)
-        (List.length r.Lint.Typed_check.r_findings)
+        (List.length findings)
+        (List.length r.Lint.Typed_check.r_supps)
         (dt *. 1e3) units_per_sec passes (100. *. spread);
       json_add "lint_typed"
         (Printf.sprintf
-           "{\"units\": %d, \"functions\": %d, \"hot_roots\": %d, \
-            \"hot_roots_certified\": %d, \"certified\": %d, \"findings\": \
-            %d, \"wall_ms\": %.1f, \"units_per_sec\": %.0f, \
-            \"units_per_sec_spread\": %.3f}"
-           r.Lint.Typed_check.r_units r.Lint.Typed_check.r_fns roots
-           certified_roots
+           "{\"files\": %d, \"units\": %d, \"functions\": %d, \
+            \"hot_roots\": %d, \"hot_roots_certified\": %d, \"certified\": \
+            %d, \"findings\": %d, \"suppressions\": %d, \"wall_ms\": %.1f, \
+            \"units_per_sec\": %.0f, \"units_per_sec_spread\": %.3f}"
+           r.Lint.Typed_check.r_files r.Lint.Typed_check.r_units
+           r.Lint.Typed_check.r_fns roots certified_roots
            (List.length r.Lint.Typed_check.r_certified)
-           (List.length r.Lint.Typed_check.r_findings)
+           (List.length findings)
+           (List.length r.Lint.Typed_check.r_supps)
            (dt *. 1e3) units_per_sec spread);
       (* deterministic invariant, not a timing: a finding or an
-         uncertified root means the hot path lost its zero-alloc
-         certificate, and CI's grep tier fails the job on this line *)
-      if r.Lint.Typed_check.r_findings <> [] || certified_roots < roots then
+         uncertified root breaks the lint gate, and CI's grep tier fails
+         the job on this line *)
+      if findings <> [] || certified_roots < roots then
         Format.fprintf ppf
-          "PERF WARNING (lint-typed): %d finding(s), %d/%d hot root(s) \
-           certified — the zero-alloc certificate does not hold@."
-          (List.length r.Lint.Typed_check.r_findings)
+          "PERF WARNING (lint): %d finding(s)%s, %d/%d hot root(s) certified@."
+          (List.length findings)
+          (match findings with
+          | f :: _ -> ", first: " ^ Lint.Finding.to_string f
+          | [] -> "")
           certified_roots roots
 
 (* ------------------------------------------------------------------ *)
@@ -854,7 +817,6 @@ let () =
   bench_hier ();
   bench_scale ();
   bench_lint ();
-  bench_lint_typed ();
   run_micro ();
   let run = emit_json () in
   section "TRAJECTORY: headline metrics of every checked-in point and this run";

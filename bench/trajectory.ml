@@ -78,7 +78,6 @@ let headlines =
     (hier 256. "formation_wall_s", Lower);
     (hier 1024. "rounds_per_wall_sec", Higher);
     (hier 1024. "formation_wall_s", Lower);
-    ([ Key "lint"; Key "files_per_sec" ], Higher);
     ([ Key "lint_typed"; Key "units_per_sec" ], Higher);
     ([ Key "fig5"; Key "with_cts"; Key "mean_us" ], Lower);
   ]

@@ -1,21 +1,18 @@
 (* ctslint — determinism & replica-safety static analyzer for the CTS
-   stack.  Two passes:
+   stack.  One pass over the .cmt typedtrees of a build: every .ml under
+   the given paths (default: lib bin bench test examples) is walked once
+   for the determinism rules, attribute hygiene, zero-alloc hot-path
+   certification and domain safety of pool-reachable state.  A swept
+   .ml without a typedtree is itself a finding, so run it after
+   `dune build @check` — or just `dune build @lint`, which does both.
 
-   - syntactic: parses every .ml under the given paths (default: lib bin
-     bench test examples) and enforces the parsetree rules;
-   - typed (--typed): loads the .cmt typedtrees dune's bin-annot build
-     already produced and certifies the zero-alloc hot path, domain
-     safety of pool-reachable state, and the runtime boundary.
+   See lib/lint/rules.ml and DESIGN.md §11.
 
-   See lib/lint/rules.ml and DESIGN.md §11/§16.
-
-     ctslint                      syntactic pass, exit 1 on any finding
-     ctslint --typed              both passes (needs a `dune build` first)
-     ctslint --typed --hotpath-report   print the certification inventory
+     ctslint                      lint the tree, exit 1 on any finding
+     ctslint --hotpath-report     also print the certification inventory
      ctslint lib/gcs              lint one subtree
-     ctslint --list-rules         what is enforced, and by which pass
-     ctslint --list-suppressions  every annotation, its reason, and which
-                                  pass consumed it
+     ctslint --list-rules         what is enforced
+     ctslint --list-suppressions  every annotation and its reason
      ctslint --no-suppressions    audit mode: report even annotated sites *)
 
 let default_paths = [ "lib"; "bin"; "bench"; "test"; "examples" ]
@@ -25,7 +22,6 @@ let () =
   let list_supps = ref false in
   let no_supps = ref false in
   let quiet = ref false in
-  let typed = ref false in
   let hotpath_report = ref false in
   let build_dir = ref "" in
   let paths = ref [] in
@@ -34,18 +30,13 @@ let () =
       ("--list-rules", Arg.Set list_rules, " print the rule set and exit");
       ( "--list-suppressions",
         Arg.Set list_supps,
-        " print every annotation (file:line, rule, reason, consuming pass) \
-         and exit" );
+        " print every annotation (file:line, rule, reason) and exit" );
       ( "--no-suppressions",
         Arg.Set no_supps,
         " audit mode: report findings even where suppressed" );
-      ( "--typed",
-        Arg.Set typed,
-        " also run the typed pass over the .cmt build (hotpath-alloc, \
-         domain-unsafe, runtime-boundary)" );
       ( "--hotpath-report",
         Arg.Set hotpath_report,
-        " with --typed: print the hot-path certification inventory" );
+        " print the hot-path certification inventory" );
       ( "--build-dir",
         Arg.Set_string build_dir,
         "DIR where to find the bin-annot build (default: ./_build/default, \
@@ -59,9 +50,7 @@ let () =
   if !list_rules then begin
     List.iter
       (fun (r : Lint.Rules.t) ->
-        Printf.printf "%-16s [%s] %s%s\n" r.Lint.Rules.name
-          (Lint.Rules.pass_name r.Lint.Rules.pass)
-          r.Lint.Rules.summary
+        Printf.printf "%-16s %s%s\n" r.Lint.Rules.name r.Lint.Rules.summary
           (match r.Lint.Rules.allowed_in with
           | [] -> ""
           | l -> Printf.sprintf " (exempt: %s)" (String.concat ", " l)))
@@ -73,73 +62,40 @@ let () =
     | [] -> List.filter Sys.file_exists default_paths
     | ps -> ps
   in
-  let respect_suppressions = not !no_supps in
-  let report = Lint.Driver.lint_paths ~respect_suppressions paths in
-  (* typed pass: walk the cmt build, restricted to the same paths *)
-  let typed_result, cmt_errors =
-    if not !typed then (None, [])
-    else
-      let bd =
-        if !build_dir <> "" then Some !build_dir
-        else Lint.Cmt_loader.find_build_dir (Sys.getcwd ())
-      in
-      match bd with
-      | None ->
-          prerr_endline
-            "ctslint: --typed needs a bin-annot build; run `dune build` \
-             first (or pass --build-dir)";
-          exit 2
-      | Some bd ->
-          let units, errors = Lint.Cmt_loader.load_build_dir bd in
-          let units = Lint.Cmt_loader.under_paths paths units in
-          if units = [] then begin
-            prerr_endline
-              (Printf.sprintf
-                 "ctslint: no .cmt units under %s for the given paths; run \
-                  `dune build` first"
-                 bd);
-            exit 2
-          end;
-          let facts = List.map Lint.Typed_facts.walk_unit units in
-          ( Some (Lint.Typed_check.analyze ~respect_suppressions facts),
-            errors )
+  let build_dir =
+    match
+      if !build_dir <> "" then Some !build_dir
+      else Lint.Cmt_loader.find_build_dir (Sys.getcwd ())
+    with
+    | Some bd -> bd
+    | None ->
+        prerr_endline
+          "ctslint: no bin-annot build found; run `dune build @check` first \
+           (or pass --build-dir)";
+        exit 2
   in
-  let typed_findings, typed_supps =
-    match typed_result with
-    | None -> ([], [])
-    | Some r ->
-        (r.Lint.Typed_check.r_findings, r.Lint.Typed_check.r_supps)
+  let r =
+    Lint.Typed_check.run ~respect_suppressions:(not !no_supps) ~build_dir
+      paths
   in
-  let suppressions =
-    Lint.Suppress.merge_into ~into:report.Lint.Driver.suppressions
-      typed_supps
-  in
+  let suppressions = r.Lint.Typed_check.r_supps in
   if !list_supps then begin
     List.iter (fun s -> print_endline (Lint.Suppress.to_string s)) suppressions;
     Printf.printf "%d suppression(s) across %d file(s)\n"
-      (List.length suppressions) report.Lint.Driver.files;
+      (List.length suppressions) r.Lint.Typed_check.r_files;
     exit 0
   end;
-  let findings =
-    List.sort Lint.Finding.compare
-      (report.Lint.Driver.findings @ typed_findings @ cmt_errors)
-  in
+  let findings = r.Lint.Typed_check.r_findings in
   List.iter (fun f -> print_endline (Lint.Finding.to_string f)) findings;
-  (match (typed_result, !hotpath_report) with
-  | Some r, true -> print_string (Lint.Typed_check.hotpath_report r)
-  | _ -> ());
+  if !hotpath_report then print_string (Lint.Typed_check.hotpath_report r);
   let n = List.length findings in
-  if not !quiet then begin
-    (match typed_result with
-    | Some r ->
-        Printf.printf
-          "ctslint: typed pass over %d unit(s), %d function(s), %d hot \
-           root(s), %d certified\n"
-          r.Lint.Typed_check.r_units r.Lint.Typed_check.r_fns
-          (List.length r.Lint.Typed_check.r_roots)
-          (List.length r.Lint.Typed_check.r_certified)
-    | None -> ());
-    Printf.printf "ctslint: %d file(s), %d finding(s), %d suppression(s)\n"
-      report.Lint.Driver.files n (List.length suppressions)
-  end;
+  if not !quiet then
+    Printf.printf
+      "ctslint: %d unit(s) for %d swept file(s), %d function(s), %d/%d hot \
+       root(s) certified, %d finding(s), %d suppression(s)\n"
+      r.Lint.Typed_check.r_units r.Lint.Typed_check.r_files
+      r.Lint.Typed_check.r_fns
+      (List.length (List.filter snd r.Lint.Typed_check.r_roots))
+      (List.length r.Lint.Typed_check.r_roots)
+      n (List.length suppressions);
   exit (if n = 0 then 0 else 1)

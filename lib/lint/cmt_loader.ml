@@ -1,17 +1,19 @@
-(* Discover and load the typedtrees the typed pass runs on.
+(* Find the sources to lint and the typedtrees the lint runs on.
 
-   Dune's default build already passes [-bin-annot], so every compiled
-   module leaves a .cmt under [_build/default/**/.*.objs/byte/].  We walk
-   that tree, read each .cmt with [Cmt_format.read_cmt], and keep the
-   implementation typedtrees together with the *source* path the
-   compiler recorded ([cmt_sourcefile] is relative to the build context
-   root, e.g. "lib/dsim/event_queue.ml") — which is exactly the path
-   vocabulary the syntactic pass and the suppression inventory use.
+   The sweep collects every .ml under the given paths; each must have a
+   typedtree.  Dune passes [-bin-annot], so every compiled module leaves
+   a .cmt under [_build/default/**/.*objs/byte/] — under [@check] that
+   includes each executable's main module, which [@default] does not
+   write.  We walk that tree, read each .cmt with [Cmt_format.read_cmt],
+   and keep the implementation typedtrees together with the *source*
+   path the compiler recorded ([cmt_sourcefile] is relative to the build
+   context root, e.g. "lib/dsim/event_queue.ml").
 
-   Generated wrapper modules (dune's "dsim.ml-gen" alias files) carry no
-   user code and are skipped.  A .cmt written by a different compiler
-   version fails to unmarshal; that is reported as a [cmt-error] finding
-   rather than crashing the lint. *)
+   A swept .ml with no loaded typedtree is a [missing-cmt] finding, so a
+   file cannot silently escape the lint.  Generated wrapper modules
+   (dune's "dsim.ml-gen" alias files) carry no user code and are
+   skipped.  A .cmt written by a different compiler version fails to
+   unmarshal; that is a [cmt-error] finding rather than a crash. *)
 
 type unit_info = {
   ui_file : string;  (* source path, build-context-relative *)
@@ -19,11 +21,9 @@ type unit_info = {
   ui_str : Typedtree.structure;
 }
 
-let normalize_modname = Rules.normalize_path
-
 (* The build context root: [_build/default] under [root] when we run
    from a checkout, or [root] itself when we already run *inside* the
-   context (the @lint-typed dune action does). *)
+   context (the @lint dune action does). *)
 let find_build_dir root =
   let candidate = Filename.concat (Filename.concat root "_build") "default" in
   if Sys.file_exists candidate && Sys.is_directory candidate then
@@ -35,18 +35,26 @@ let find_build_dir root =
   then Some root
   else None
 
-let rec collect_cmt acc path =
+(* Directory entries are sorted so the report order is stable across
+   filesystems; [skip] names entries not to descend into. *)
+let rec collect ~suffix ~skip acc path =
   if Sys.file_exists path && Sys.is_directory path then
     Array.to_list (Sys.readdir path)
     |> List.sort String.compare
     |> List.fold_left
          (fun acc name ->
-           if String.length name = 0 then acc
-           else if name = "_build" then acc
-           else collect_cmt acc (Filename.concat path name))
+           if name = "" || name = "_build" || skip name then acc
+           else collect ~suffix ~skip acc (Filename.concat path name))
          acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
+  else if Filename.check_suffix path suffix then path :: acc
   else acc
+
+(* Every .ml under [paths], skipping hidden entries and [_build]. *)
+let collect_ml paths =
+  List.rev
+    (List.fold_left
+       (collect ~suffix:".ml" ~skip:(fun n -> n.[0] = '.'))
+       [] paths)
 
 let load_cmt path =
   match Cmt_format.read_cmt path with
@@ -58,7 +66,7 @@ let load_cmt path =
             (Some
                {
                  ui_file = src;
-                 ui_modname = normalize_modname cmt.Cmt_format.cmt_modname;
+                 ui_modname = Rules.normalize_path cmt.Cmt_format.cmt_modname;
                  ui_str = str;
                })
       | _ -> Ok None (* interface-only, packed, or generated wrapper *))
@@ -71,51 +79,65 @@ let load_cmt path =
           rule = "cmt-error";
           message =
             "cannot read .cmt (compiler version mismatch? rebuild with \
-             `dune build`)";
+             `dune build @check`)";
         }
 
-(* Load every implementation .cmt under [build_dir].  Units are sorted
-   and de-duplicated by source file (a module compiled into several
-   executables leaves several identical cmts) so the analysis and its
-   report order are stable. *)
-let load_build_dir build_dir =
-  let cmts = List.rev (collect_cmt [] build_dir) in
-  let seen = Hashtbl.create 128 in
-  let units, errors =
+type sweep = {
+  files : string list;  (* every swept .ml, in path order *)
+  units : unit_info list;  (* their typedtrees, in the same order *)
+  errors : Finding.t list;  (* cmt-error and missing-cmt findings *)
+}
+
+(* A swept path names the unit whose recorded source is its longest
+   suffix at a '/' boundary: "lib/x.ml", "./lib/x.ml" and
+   "/abs/checkout/lib/x.ml" all name "lib/x.ml". *)
+let sweep ~build_dir paths =
+  let by_src = Hashtbl.create 128 in
+  let errors =
     List.fold_left
-      (fun (us, es) path ->
+      (fun errs path ->
         match load_cmt path with
         | Ok (Some u) ->
-            if Hashtbl.mem seen u.ui_file then (us, es)
-            else begin
-              Hashtbl.add seen u.ui_file ();
-              (u :: us, es)
-            end
-        | Ok None -> (us, es)
-        | Error e -> (us, e :: es))
-      ([], []) cmts
+            (* a module compiled into several executables leaves several
+               identical cmts *)
+            if not (Hashtbl.mem by_src u.ui_file) then
+              Hashtbl.add by_src u.ui_file u;
+            errs
+        | Ok None -> errs
+        | Error e -> e :: errs)
+      []
+      (List.rev (collect ~suffix:".cmt" ~skip:(fun _ -> false) [] build_dir))
   in
-  ( List.sort (fun a b -> String.compare a.ui_file b.ui_file) units,
-    List.rev errors )
-
-(* Restrict to units whose source lives under one of [paths] (normalized
-   to build-context-relative, "lib/dsim" style). *)
-let under_paths paths units =
-  let norm p =
-    let p =
-      if Filename.is_relative p then p
-      else Filename.basename p (* best effort for absolute args *)
-    in
-    if Filename.check_suffix p "/" then Filename.chop_suffix p "/" else p
+  let rec unit_of f =
+    match Hashtbl.find_opt by_src f with
+    | Some u -> Some u
+    | None -> (
+        match String.index_opt f '/' with
+        | Some i -> unit_of (String.sub f (i + 1) (String.length f - i - 1))
+        | None -> None)
   in
-  let paths = List.map norm paths in
-  List.filter
-    (fun u ->
-      List.exists
-        (fun p ->
-          let lp = String.length p in
-          String.length u.ui_file > lp
-          && String.sub u.ui_file 0 lp = p
-          && (u.ui_file.[lp] = '/' || p = ""))
-        paths)
-    units
+  let files = collect_ml paths in
+  let units, missing =
+    List.fold_left
+      (fun (us, ms) f ->
+        match unit_of f with
+        | Some u -> (u :: us, ms)
+        | None ->
+            ( us,
+              {
+                Finding.file = f;
+                line = 1;
+                col = 0;
+                rule = "missing-cmt";
+                message =
+                  "no typedtree for this file, so no rule ran on it: add it \
+                   to a dune stanza, or rebuild with `dune build @check`";
+              }
+              :: ms ))
+      ([], []) files
+  in
+  {
+    files;
+    units = List.rev units;
+    errors = List.rev_append errors (List.rev missing);
+  }

@@ -7,21 +7,16 @@
    exploration, the multicore pool's identical-at-any-N merge and the
    obs trace monotonicity checker all assume a run is a pure function of
    its seed and schedule.  Each rule below names one way that assumption
-   silently breaks. *)
-
-(* Which analysis pass enforces a rule.  Syntactic rules run on the
-   parsetree of every .ml; typed rules need the typedtree (.cmt files
-   from the bin-annot build) — see Typed_facts / Typed_check. *)
-type pass = Syntactic | Typed
+   silently breaks.  One walk over each module's typedtree (Typed_facts)
+   finds the sites, and Typed_check judges them. *)
 
 type t = {
   name : string;
   summary : string;
-  pass : pass;
   allowed_in : string list;
-      (* path fragments ("lib/clock/", "lib/mc/pool.ml"): files matching
-         any fragment are exempt — the hard whitelist, as opposed to the
-         per-site [@ctslint.allow] escape hatch *)
+      (* path fragments ("lib/mc/pool.ml"): files matching any fragment
+         are exempt — the hard whitelist, as opposed to the per-site
+         [@ctslint.allow] escape hatch *)
 }
 
 let all =
@@ -29,37 +24,33 @@ let all =
     {
       name = "wall-clock";
       summary =
-        "real-time reads (Unix.gettimeofday/time/sleep, Sys.time, \
-         monotonic-clock) outside lib/clock";
-      pass = Syntactic;
-      allowed_in = [ "lib/clock/" ];
+        "real-time reads and host runtime calls (Unix.*, Thread.*, \
+         Sys.time, monotonic-clock, console input, and the project's \
+         clock wrappers)";
+      allowed_in = [];
     };
     {
       name = "hash-order";
       summary =
         "Hashtbl.iter/fold whose callback order escapes (handlers, sends, \
          list construction) — hash-bucket order is not deterministic";
-      pass = Syntactic;
       allowed_in = [];
     };
     {
       name = "unseeded-random";
-      summary = "ambient Random outside lib/dsim's seeded Rng breaks replay";
-      pass = Syntactic;
-      allowed_in = [ "lib/dsim/rng.ml" ];
+      summary = "ambient Random breaks replay; draw from lib/dsim's seeded Rng";
+      allowed_in = [];
     };
     {
       name = "phys-equality";
       summary =
         "physical equality (==/!=) is representation-dependent; sanctioned \
          sentinel checks must be annotated";
-      pass = Syntactic;
       allowed_in = [];
     };
     {
       name = "exn-swallow";
       summary = "`with _ ->` discards the exception it caught";
-      pass = Syntactic;
       allowed_in = [];
     };
     {
@@ -67,7 +58,6 @@ let all =
       summary =
         "Domain.spawn/self/join outside Mc.Pool bypasses the deterministic \
          merge";
-      pass = Syntactic;
       allowed_in = [ "lib/mc/pool.ml" ];
     };
     {
@@ -77,7 +67,6 @@ let all =
          graph) allocates: closures, tuples/records/variants, partial \
          application, boxed float/int64 escapes, or calls out of the \
          certified set";
-      pass = Typed;
       allowed_in = [];
     };
     {
@@ -86,30 +75,20 @@ let all =
         "module-level mutable state reachable from Mc.Pool worker code \
          that is neither domain-local (DLS), lock-protected, nor \
          annotated [@ctslint.domain_owned]";
-      pass = Typed;
       allowed_in = [];
-    };
-    {
-      name = "runtime-boundary";
-      summary =
-        "Unix.*/Sys.time/blocking console I/O outside the declared \
-         runtime layer (lib/rt_real); real wall-clock and host I/O must \
-         stay behind the runtime interface";
-      pass = Typed;
-      allowed_in = [ "lib/rt_real/" ];
     };
     {
       name = "bad-suppression";
       summary =
         "[@ctslint.allow]/[@ctslint.domain_owned] with a missing reason, \
          malformed payload, or unknown rule name";
-      pass = Syntactic;
       allowed_in = [];
     };
     {
       name = "unused-allow";
-      summary = "[@ctslint.allow] that suppresses nothing";
-      pass = Syntactic;
+      summary =
+        "[@ctslint.allow] that suppresses nothing, or \
+         [@ctslint.domain_owned] state no pool worker reaches";
       allowed_in = [];
     };
   ]
@@ -117,15 +96,8 @@ let all =
 let known name = List.exists (fun r -> String.equal r.name name) all
 let find name = List.find (fun r -> String.equal r.name name) all
 
-let pass_of name =
-  match List.find_opt (fun r -> String.equal r.name name) all with
-  | Some r -> r.pass
-  | None -> Syntactic
-
-let pass_name = function Syntactic -> "syntactic" | Typed -> "typed"
-
-(* Path fragments use '/' regardless of platform; [file] is the path the
-   driver was given (absolute or root-relative). *)
+(* Path fragments use '/' regardless of platform; [file] is the source
+   path the compiler recorded (build-context-relative). *)
 let contains_substring ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -138,9 +110,9 @@ let exempt rule ~file =
 (* Identifier classification                                           *)
 
 (* [matches_suffix ~path pat] — does the dotted path end with the dotted
-   pattern?  ["Mc"; "Explore"; "wall"] matches "Explore.wall"; matching
-   on the suffix keeps aliases like [module E = Explore] honest as long
-   as the final components are spelled out. *)
+   pattern?  ["Mc"; "Explore"; "wall"] matches "Explore.wall".  Paths
+   arrive with module aliases already resolved (Typed_facts), so
+   [module H = Hashtbl] cannot hide an [H.iter]. *)
 let matches_suffix ~path pat =
   let pat = String.split_on_char '.' pat in
   let np = List.length path and nq = List.length pat in
@@ -149,19 +121,24 @@ let matches_suffix ~path pat =
   let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
   List.equal String.equal (drop (np - nq) path) pat
 
+(* Real time and the host runtime: every member of these modules, plus
+   the idents below.  Calling a project wrapper around the monotonic
+   clock is a real-time read too, and must be just as visible. *)
+let runtime_modules = [ "Unix"; "UnixLabels"; "Thread" ]
+
 let wall_clock_idents =
   [
-    "Unix.gettimeofday";
-    "Unix.time";
-    "Unix.sleep";
-    "Unix.sleepf";
     "Sys.time";
     "Monotonic_clock.now";
-    (* project wrappers around the monotonic clock: calling them is a
-       real-time read too, and must be just as visible *)
     "Explore.wall";
     "Explore.cpu";
     "Attrib.now_ns";
+    "input_line";
+    "read_line";
+    "read_int";
+    "read_int_opt";
+    "read_float";
+    "read_float_opt";
   ]
 
 let domain_idents = [ "Domain.spawn"; "Domain.self"; "Domain.join" ]
@@ -179,6 +156,8 @@ let classify path =
   match path with
   | [ ("==" | "!=") ] -> Phys_eq (List.hd path)
   | "Random" :: _ :: _ -> Random_use (String.concat "." path)
+  | m :: _ :: _ when List.mem m runtime_modules ->
+      Wall_clock (String.concat "." path)
   | _ ->
       if matches_suffix ~path "Hashtbl.iter" then Hash_iter
       else if matches_suffix ~path "Hashtbl.fold" then Hash_fold
@@ -199,11 +178,10 @@ let is_sort_path path =
   List.exists (fun p -> matches_suffix ~path p) sort_idents
 
 (* ------------------------------------------------------------------ *)
-(* Typed-pass policy tables (hotpath-alloc / domain-unsafe /
-   runtime-boundary).  Paths here are the *normalized* dotted names the
-   typed pass produces: "Dsim__Event_queue" becomes "Dsim.Event_queue",
-   and a leading "Stdlib." is stripped, so "Stdlib.Array.make" and a
-   direct "Array.make" compare equal. *)
+(* Policy tables for hotpath-alloc and domain-unsafe.  Paths here are
+   the *normalized* dotted names the walk produces: "Dsim__Event_queue"
+   becomes "Dsim.Event_queue", and a leading "Stdlib." is stripped, so
+   "Stdlib.Array.make" and a direct "Array.make" compare equal. *)
 
 let normalize_path name =
   let b = Buffer.create (String.length name) in
@@ -266,35 +244,6 @@ let prim_allocates name =
 let cold_error_paths = [ "invalid_arg"; "failwith"; "raise"; "raise_notrace" ]
 
 let is_cold_error path = List.mem (normalize_path path) cold_error_paths
-
-(* --- runtime-boundary --------------------------------------------- *)
-
-(* Whole-module fences (any member is a runtime call) and exact idents.
-   [Monotonic_clock.now] is bechamel's raw wall clock — the project
-   wrappers over it (Mc.Explore.wall, Obs.Attrib.now_ns) are annotated
-   at definition, so calling the *wrapper* is visible there, once. *)
-let runtime_module_prefixes = [ "Unix."; "Thread."; "UnixLabels." ]
-
-let runtime_idents =
-  [
-    "Sys.time";
-    "Monotonic_clock.now";
-    "input_line";
-    "read_line";
-    "read_int";
-    "read_int_opt";
-    "read_float";
-    "read_float_opt";
-  ]
-
-let is_runtime_path name =
-  let n = normalize_path name in
-  List.mem n runtime_idents
-  || List.exists
-       (fun pre ->
-         String.length n > String.length pre
-         && String.sub n 0 (String.length pre) = pre)
-       runtime_module_prefixes
 
 (* --- domain-unsafe ------------------------------------------------- *)
 

@@ -6,7 +6,8 @@
      (c != t.nil_cell) [@ctslint.allow "phys-equality" "pool sentinel"]
 
    scoped to the annotated expression (or [let] binding, via
-   [@@ctslint.allow ...]); or for a whole file:
+   [@@ctslint.allow ...]); or for a whole file, wherever in the file it
+   appears:
 
      [@@@ctslint.allow "wall-clock" "benchmarks time real elapsed time"]
 
@@ -16,20 +17,14 @@
    printed by [ctslint --list-suppressions] is exactly the set of live,
    justified exceptions to the determinism contract.
 
-   Rules are enforced by one of two passes (syntactic parsetree walk vs
-   typed .cmt analysis), and a suppression records *which pass consumed
-   it*: when a rule moves between passes, the unused-allow judgment
-   follows it instead of going stale.  An allow for a typed rule is only
-   judged unused when the typed pass actually ran over its file.
-
    Two sibling annotations ride the same machinery:
 
      let stats = ref [] [@@ctslint.domain_owned "reason"]
 
    declares module-level mutable state as intentionally shared (checked
-   by the typed domain-unsafe rule), and [@@ctslint.hotpath] (no
-   payload) marks a function whose transitive call graph must be
-   allocation-free. *)
+   by the domain-unsafe rule, and judged unused like an allow when no
+   pool worker reaches it), and [@@ctslint.hotpath] (no payload) marks a
+   function whose transitive call graph must be allocation-free. *)
 
 type scope = File | Scoped
 type kind = Allow | Domain_owned
@@ -41,107 +36,85 @@ type t = {
   s_reason : string;
   s_scope : scope;
   s_kind : kind;
-  mutable s_used_syn : bool;  (* consumed by the syntactic pass *)
-  mutable s_used_typed : bool;  (* consumed by the typed pass *)
+  mutable s_used : bool;
 }
 
-let used t = t.s_used_syn || t.s_used_typed
-
-(* Which pass(es) consumed this suppression, for the inventory. *)
-let pass_label t =
-  match (t.s_used_syn, t.s_used_typed) with
-  | true, true -> "both passes"
-  | true, false -> "syntactic"
-  | false, true -> "typed"
-  | false, false -> "unused"
-
+(* What one attribute means to the lint. *)
 type parsed =
-  | Not_allow  (* some other attribute; ignore *)
-  | Allow of { rule : string; reason : string option }
-  | Malformed of string
-
-let attr_name = "ctslint.allow"
-let hotpath_attr = "ctslint.hotpath"
-let domain_owned_attr = "ctslint.domain_owned"
+  | Other  (* not a ctslint annotation *)
+  | Hotpath
+  | Allow of { rule : string; reason : string }
+  | Owned of string  (* domain_owned, with its reason *)
+  | Bad of string  (* a bad-suppression, with the complaint *)
 
 let string_const (e : Parsetree.expression) =
   match e.Parsetree.pexp_desc with
   | Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _)) -> Some s
   | _ -> None
 
-(* Payload shapes accepted: ["rule" "reason"] (juxtaposition), a tuple
-   ["rule", "reason"], or a lone ["rule"] (which is then rejected for the
-   missing reason, with a pointed message). *)
+let malformed = Bad "expected two string literals: rule and reason"
+
+(* Allow payloads accepted: ["rule" "reason"] (juxtaposition) or a tuple
+   ["rule", "reason"]; a lone ["rule"] is rejected for the missing
+   reason, with a pointed message. *)
+let parse_allow e =
+  let pair a b =
+    match (string_const a, string_const b) with
+    | Some rule, Some reason -> `Pair (rule, reason)
+    | _ -> `Malformed
+  in
+  let shape =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_apply (f, [ (Asttypes.Nolabel, arg) ]) -> pair f arg
+    | Parsetree.Pexp_tuple [ a; b ] -> pair a b
+    | _ -> (
+        match string_const e with
+        | Some rule -> `Pair (rule, "")
+        | None -> `Malformed)
+  in
+  match shape with
+  | `Malformed -> malformed
+  | `Pair (rule, _) when not (Rules.known rule) ->
+      Bad (Printf.sprintf "unknown rule %S" rule)
+  | `Pair (rule, "") ->
+      Bad
+        (Printf.sprintf
+           "suppression of %S carries no reason; every exception to the \
+            determinism contract must say why"
+           rule)
+  | `Pair (rule, reason) -> Allow { rule; reason }
+
 let parse (attr : Parsetree.attribute) =
-  if not (String.equal attr.Parsetree.attr_name.Location.txt attr_name) then
-    Not_allow
-  else
+  let expr =
     match attr.Parsetree.attr_payload with
-    | Parsetree.PStr
-        [ { Parsetree.pstr_desc = Parsetree.Pstr_eval (e, _); _ } ] -> (
-        match e.Parsetree.pexp_desc with
-        | Parsetree.Pexp_apply (f, [ (Asttypes.Nolabel, arg) ]) -> (
-            match (string_const f, string_const arg) with
-            | Some rule, Some reason -> Allow { rule; reason = Some reason }
-            | _ -> Malformed "expected two string literals: rule and reason")
-        | Parsetree.Pexp_tuple [ a; b ] -> (
-            match (string_const a, string_const b) with
-            | Some rule, Some reason -> Allow { rule; reason = Some reason }
-            | _ -> Malformed "expected two string literals: rule and reason")
-        | _ -> (
-            match string_const e with
-            | Some rule -> Allow { rule; reason = None }
-            | None ->
-                Malformed "expected two string literals: rule and reason"))
-    | _ -> Malformed "expected two string literals: rule and reason"
-
-(* [@ctslint.hotpath] takes no payload. *)
-let is_hotpath (attr : Parsetree.attribute) =
-  String.equal attr.Parsetree.attr_name.Location.txt hotpath_attr
-
-type owned = Not_owned | Owned of string option (* reason *)
-
-(* [@ctslint.domain_owned "reason"] — a single string literal. *)
-let parse_domain_owned (attr : Parsetree.attribute) =
-  if
-    not
-      (String.equal attr.Parsetree.attr_name.Location.txt domain_owned_attr)
-  then Not_owned
-  else
-    match attr.Parsetree.attr_payload with
+    | Parsetree.PStr [] -> `Empty
     | Parsetree.PStr
         [ { Parsetree.pstr_desc = Parsetree.Pstr_eval (e, _); _ } ] ->
-        Owned (string_const e)
-    | _ -> Owned None
-
-let loc (attr : Parsetree.attribute) = attr.Parsetree.attr_loc
-
-(* Merge key: one source attribute can be seen by both passes (each walks
-   its own tree); the report unifies the two sightings. *)
-let key t = (t.s_file, t.s_line, t.s_rule)
-
-let merge_into ~(into : t list) (extra : t list) =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace tbl (key s) s) into;
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt tbl (key s) with
-      | Some s0 ->
-          s0.s_used_syn <- s0.s_used_syn || s.s_used_syn;
-          s0.s_used_typed <- s0.s_used_typed || s.s_used_typed
-      | None -> Hashtbl.replace tbl (key s) s)
-    extra;
-  Hashtbl.fold (fun _ s acc -> s :: acc) tbl []
-  |> List.sort (fun a b ->
-         let c = String.compare a.s_file b.s_file in
-         if c <> 0 then c
-         else
-           let c = Int.compare a.s_line b.s_line in
-           if c <> 0 then c else String.compare a.s_rule b.s_rule)
+        `Expr e
+    | _ -> `Other
+  in
+  let owned_reason =
+    match expr with `Expr e -> string_const e | `Empty | `Other -> None
+  in
+  match (attr.Parsetree.attr_name.Location.txt, expr) with
+  | "ctslint.hotpath", `Empty -> Hotpath
+  | "ctslint.hotpath", _ -> Bad "[@ctslint.hotpath] takes no payload"
+  | "ctslint.allow", `Expr e -> parse_allow e
+  | "ctslint.allow", _ -> malformed
+  | "ctslint.domain_owned", _ -> (
+      match owned_reason with
+      | Some reason when reason <> "" -> Owned reason
+      | _ ->
+          Bad
+            "[@ctslint.domain_owned] carries no reason; shared mutable \
+             state must say why it is safe across domains")
+  | name, _ when String.starts_with ~prefix:"ctslint." name ->
+      (* a typo must not pass silently for an annotation *)
+      Bad (Printf.sprintf "unknown ctslint annotation %S" name)
+  | _ -> Other
 
 let to_string t =
-  Printf.sprintf "%s:%d: %s %s — %s%s [%s]" t.s_file t.s_line
+  Printf.sprintf "%s:%d: %s %s — %s%s" t.s_file t.s_line
     (match t.s_kind with Allow -> "allow" | Domain_owned -> "domain_owned")
     t.s_rule t.s_reason
     (match t.s_scope with File -> " (file-wide)" | Scoped -> "")
-    (pass_label t)

@@ -1,16 +1,26 @@
-(* Extract per-function facts from one typedtree: allocation sites,
-   call/reference edges, module-level mutable definitions and their
-   uses, runtime-boundary touches, and the [@ctslint.*] annotations —
-   everything Typed_check needs to judge the three typed rule families
-   without walking the trees again.
+(* The one lint walk: extract everything the rules need from one
+   typedtree in a single pass.
 
-   The walk mirrors the syntactic driver's suppression discipline: an
-   active-allow stack follows the typedtree's attributes (they are the
-   same [Parsetree.attribute] values), and each fact snapshots the
-   innermost matching allow for its rule.  Whether that allow is *used*
-   is decided later, by the checker, when the fact actually becomes a
-   finding — so an allow on a cold path dies as unused-allow instead of
-   silently sanctioning nothing. *)
+   - Determinism sites: every identifier is classified on its resolved,
+     normalized path (Rules.classify), so a [Hashtbl.iter] reached
+     through [module H = Hashtbl] or an [open] is as visible as one
+     spelled out; [try ... with _ ->] is an exn-swallow site.  A
+     [Hashtbl.fold] in argument position of a sort (or piped into one)
+     is pure aggregation and stays clean.
+   - Attribute hygiene: every [@ctslint.*] attribute is parsed strictly
+     (Suppress.parse); a malformed one is a bad-suppression site.
+   - Per-function facts for the whole-program rules Typed_check judges:
+     allocation sites, call/reference edges, module-level mutable
+     definitions and their uses.
+
+   An active-allow stack follows the typedtree's attributes (they are
+   the same [Parsetree.attribute] values); a floating
+   [@@@ctslint.allow ...] is active for the whole file, wherever it
+   appears.  Each site and fact snapshots the innermost matching allow
+   for its rule.  Whether that allow is *used* is decided later, by the
+   checker, when the fact actually becomes a finding — so an allow on a
+   cold path dies as unused-allow instead of silently sanctioning
+   nothing. *)
 
 type callee =
   | Local of string  (* Ident.unique_name within this unit *)
@@ -24,16 +34,14 @@ type ref_fact = {
   r_supp_dom : Suppress.t option;  (* active domain-unsafe allow *)
 }
 
-type alloc = {
-  a_loc : Location.t;
-  a_what : string;
-  a_supp : Suppress.t option;  (* active hotpath-alloc allow *)
-}
-
-type rt_use = {
+(* A finding-to-be at one place: a determinism or bad-suppression site,
+   or an allocation (rule hotpath-alloc), with the allow active for its
+   rule. *)
+type site = {
   t_loc : Location.t;
-  t_ident : string;
-  t_supp : Suppress.t option;  (* active runtime-boundary allow *)
+  t_rule : string;
+  t_msg : string;
+  t_supp : Suppress.t option;
 }
 
 type fn_fact = {
@@ -43,7 +51,7 @@ type fn_fact = {
   f_loc : Location.t;
   f_hotpath : bool;
   f_ret_boxed : string option;  (* Some "float"/"int64"/... if boxed *)
-  mutable f_allocs : alloc list;
+  mutable f_allocs : site list;
   mutable f_refs : ref_fact list;
   mutable f_locks : bool;  (* body takes a Mutex: lock-protected section *)
 }
@@ -64,8 +72,8 @@ type unit_facts = {
   u_modname : string;
   u_fns : fn_fact list;  (* in definition order *)
   u_globals : global_def list;
-  u_runtime : rt_use list;
-  u_supps : Suppress.t list;  (* typed-pass sightings, file order *)
+  u_sites : site list;
+  u_supps : Suppress.t list;  (* every annotation, file order *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -91,67 +99,58 @@ type ctx = {
   mutable cur : fn_fact;
   mutable fns : fn_fact list;  (* reverse order *)
   mutable globals : global_def list;  (* reverse order *)
-  mutable runtime : rt_use list;  (* reverse order *)
+  mutable sites : site list;  (* reverse order *)
+  mutable sort_depth : int;  (* inside an order-restoring consumer *)
+  aliases : (string, string) Hashtbl.t;
+      (* module alias ident (unique name) -> resolved dotted path *)
 }
 
 let active_for ctx rule =
   List.find_opt (fun s -> String.equal s.Suppress.s_rule rule) ctx.active
 
-(* Register an attribute sighting.  The typed pass is lenient where the
-   syntactic pass is strict — malformed payloads and unknown rules are
-   already [bad-suppression] findings over there; here they simply fail
-   to suppress. *)
+let at ctx ~loc ~rule msg =
+  { t_loc = loc; t_rule = rule; t_msg = msg; t_supp = active_for ctx rule }
+
+let site ctx ~loc ~rule msg =
+  if not (Rules.exempt (Rules.find rule) ~file:ctx.file) then
+    ctx.sites <- at ctx ~loc ~rule msg :: ctx.sites
+
+(* Register one attribute: allows and ownership declarations join the
+   inventory, malformed annotations become bad-suppression sites. *)
 let suppression_of_attr ctx ~scope (attr : Parsetree.attribute) =
+  let register rule reason kind =
+    let s =
+      {
+        Suppress.s_file = ctx.file;
+        s_line = attr.Parsetree.attr_loc.Location.loc_start.Lexing.pos_lnum;
+        s_rule = rule;
+        s_reason = reason;
+        s_scope = scope;
+        s_kind = kind;
+        s_used = false;
+      }
+    in
+    ctx.supps <- s :: ctx.supps;
+    Some s
+  in
   match Suppress.parse attr with
-  | Suppress.Allow { rule; reason = Some reason }
-    when reason <> "" && Rules.known rule ->
-      let s =
-        {
-          Suppress.s_file = ctx.file;
-          s_line = (Suppress.loc attr).Location.loc_start.Lexing.pos_lnum;
-          s_rule = rule;
-          s_reason = reason;
-          s_scope = scope;
-          s_kind = Suppress.Allow;
-          s_used_syn = false;
-          s_used_typed = false;
-        }
-      in
-      ctx.supps <- s :: ctx.supps;
-      Some s
-  | _ -> None
+  | Suppress.Allow { rule; reason } -> register rule reason Suppress.Allow
+  | Suppress.Owned reason ->
+      register "domain-unsafe" reason Suppress.Domain_owned
+  | Suppress.Bad msg ->
+      site ctx ~loc:attr.Parsetree.attr_loc ~rule:"bad-suppression" msg;
+      None
+  | Suppress.Other | Suppress.Hotpath -> None
 
-let domain_owned_of_attrs ctx attrs =
-  List.fold_left
-    (fun acc (attr : Parsetree.attribute) ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          match Suppress.parse_domain_owned attr with
-          | Suppress.Owned (Some reason) when reason <> "" ->
-              let s =
-                {
-                  Suppress.s_file = ctx.file;
-                  s_line =
-                    (Suppress.loc attr).Location.loc_start.Lexing.pos_lnum;
-                  s_rule = "domain-unsafe";
-                  s_reason = reason;
-                  s_scope = Suppress.Scoped;
-                  s_kind = Suppress.Domain_owned;
-                  s_used_syn = false;
-                  s_used_typed = false;
-                }
-              in
-              ctx.supps <- s :: ctx.supps;
-              Some s
-          | _ -> None))
-    None attrs
-
+(* Registers [attrs] and returns them; the allows among them are active
+   until [pop_attrs]. *)
 let push_attrs ctx attrs =
   let pushed =
     List.filter_map (suppression_of_attr ctx ~scope:Suppress.Scoped) attrs
   in
-  ctx.active <- pushed @ ctx.active;
+  ctx.active <-
+    List.filter (fun s -> s.Suppress.s_kind = Suppress.Allow) pushed
+    @ ctx.active;
   pushed
 
 let pop_attrs ctx pushed =
@@ -168,9 +167,7 @@ let pop_attrs ctx pushed =
     pushed
 
 let alloc ctx ~loc what =
-  ctx.cur.f_allocs <-
-    { a_loc = loc; a_what = what; a_supp = active_for ctx "hotpath-alloc" }
-    :: ctx.cur.f_allocs
+  ctx.cur.f_allocs <- at ctx ~loc ~rule:"hotpath-alloc" what :: ctx.cur.f_allocs
 
 let reference ctx ~loc ~is_call callee =
   ctx.cur.f_refs <-
@@ -191,21 +188,72 @@ let prim_of (vd : Types.value_description) =
   | Types.Val_prim pd -> Some pd.Primitive.prim_name
   | _ -> None
 
+(* The identifier's dotted path with module aliases resolved, then
+   normalized ("Stdlib.Hashtbl.iter" -> "Hashtbl.iter"). *)
+let dotted ctx (path : Path.t) =
+  let rec go = function
+    | Path.Pident id -> (
+        match Hashtbl.find_opt ctx.aliases (Ident.unique_name id) with
+        | Some target -> target
+        | None -> Ident.name id)
+    | Path.Pdot (p, s) -> go p ^ "." ^ s
+    | p -> Path.name p
+  in
+  Rules.normalize_path (go path)
+
+let components dotted =
+  List.filter (fun c -> c <> "") (String.split_on_char '.' dotted)
+
+let check_path ctx ~loc dotted =
+  match Rules.classify (components dotted) with
+  | Rules.Clean -> ()
+  | Rules.Phys_eq op ->
+      site ctx ~rule:"phys-equality" ~loc
+        (Printf.sprintf
+           "physical equality (%s) depends on value representation, not \
+            contents; use structural (=/<>) or annotate the sanctioned \
+            sentinel identity check"
+           op)
+  | Rules.Hash_iter ->
+      site ctx ~rule:"hash-order" ~loc
+        "Hashtbl.iter visits bindings in hash-bucket order, which varies \
+         with seeding and growth history; use Dsim.Det.iter_sorted (or \
+         annotate a genuinely order-free callback)"
+  | Rules.Hash_fold ->
+      if ctx.sort_depth = 0 then
+        site ctx ~rule:"hash-order" ~loc
+          "Hashtbl.fold exposes hash-bucket order; sort the result in \
+           place (List.sort (... Hashtbl.fold ...)), use \
+           Dsim.Det.sorted_bindings, or annotate a commutative fold"
+  | Rules.Wall_clock id ->
+      site ctx ~rule:"wall-clock" ~loc
+        (Printf.sprintf
+           "%s reads real time; replicas must read time through the CTS \
+            interposition (paper \xc2\xa73) and simulations through \
+            Dsim.Time"
+           id)
+  | Rules.Random_use id ->
+      site ctx ~rule:"unseeded-random" ~loc
+        (Printf.sprintf
+           "%s draws from the ambient generator; use the run's seeded \
+            Dsim.Rng so schedules replay"
+           id)
+  | Rules.Domain_use id ->
+      site ctx ~rule:"domain-hygiene" ~loc
+        (Printf.sprintf
+           "%s spawns or names domains outside Mc.Pool; parallelism must \
+            go through the pool's deterministic merge"
+           id)
+
 let handle_ident ctx ~is_call (path : Path.t)
     (vd : Types.value_description) (loc : Location.t) =
-  let dotted = Rules.normalize_path (Path.name path) in
-  if Rules.is_runtime_path (Path.name path) then
-    ctx.runtime <-
-      {
-        t_loc = loc;
-        t_ident = dotted;
-        t_supp = active_for ctx "runtime-boundary";
-      }
-      :: ctx.runtime;
+  let dotted = dotted ctx path in
+  check_path ctx ~loc dotted;
   match prim_of vd with
   | Some prim ->
       if is_call && Rules.prim_allocates prim then
-        alloc ctx ~loc (Printf.sprintf "allocating primitive %s (%s)" dotted prim)
+        alloc ctx ~loc
+          (Printf.sprintf "allocating primitive %s (%s)" dotted prim)
       else if is_call then ()
       else if Rules.prim_allocates prim then
         (* referencing an allocating primitive as a value both allocates
@@ -213,22 +261,61 @@ let handle_ident ctx ~is_call (path : Path.t)
         alloc ctx ~loc
           (Printf.sprintf "allocating primitive %s passed as a value" dotted)
   | None -> (
-      if is_call && Rules.is_cold_error (Path.name path) then ()
+      if is_call && Rules.is_cold_error dotted then ()
       else
         match path with
         | Path.Pident id ->
             reference ctx ~loc ~is_call (Local (Ident.unique_name id))
         | _ -> reference ctx ~loc ~is_call (Global dotted))
 
+(* Is [e] an order-restoring consumer in function position — an ident
+   like [List.sort], possibly partially applied ([List.sort cmp])? *)
+let rec is_sort_expr ctx (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_ident (p, _, _) ->
+      Rules.is_sort_path (components (dotted ctx p))
+  | Typedtree.Texp_apply (f, _) -> is_sort_expr ctx f
+  | _ -> false
+
+let record_alias ctx id (me : Typedtree.module_expr) =
+  let rec target (me : Typedtree.module_expr) =
+    match me.Typedtree.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> Some (dotted ctx p)
+    | Typedtree.Tmod_constraint (me, _, _, _) -> target me
+    | _ -> None
+  in
+  match (id, target me) with
+  | Some id, Some t -> Hashtbl.replace ctx.aliases (Ident.unique_name id) t
+  | _ -> ()
+
+(* What constructing [desc] puts on the heap, if anything. *)
+let allocation : Typedtree.expression_desc -> string option = function
+  | Typedtree.Texp_function _ -> Some "closure construction"
+  | Typedtree.Texp_tuple _ -> Some "tuple allocation"
+  | Typedtree.Texp_construct (_, cd, _ :: _) ->
+      Some (Printf.sprintf "constructor %s allocation" cd.Types.cstr_name)
+  | Typedtree.Texp_variant (_, Some _) -> Some "polymorphic variant allocation"
+  | Typedtree.Texp_record _ -> Some "record allocation"
+  | Typedtree.Texp_array _ -> Some "array literal allocation"
+  | Typedtree.Texp_lazy _ -> Some "lazy thunk allocation"
+  | Typedtree.Texp_letmodule _ | Typedtree.Texp_pack _
+  | Typedtree.Texp_object _ ->
+      Some "first-class module / object allocation"
+  | Typedtree.Texp_letop _ -> Some "binding operator allocates closures"
+  | _ -> None
+
 let rec walk_expr ctx iter (e : Typedtree.expression) =
   let pushed = push_attrs ctx e.Typedtree.exp_attributes in
   let loc = e.Typedtree.exp_loc in
   (match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, vd) -> handle_ident ctx ~is_call:false p vd loc
+  | Typedtree.Texp_ident (p, lid, vd) ->
+      handle_ident ctx ~is_call:false p vd lid.Location.loc
   | Typedtree.Texp_apply (f, args) -> (
       (match f.Typedtree.exp_desc with
-      | Typedtree.Texp_ident (p, _, vd) ->
-          handle_ident ctx ~is_call:true p vd f.Typedtree.exp_loc;
+      | Typedtree.Texp_ident (p, lid, vd) ->
+          let pushed = push_attrs ctx f.Typedtree.exp_attributes in
+          handle_ident ctx ~is_call:true p vd lid.Location.loc;
+          pop_attrs ctx pushed;
           (* boxed arguments crossing a non-primitive call boundary are
              boxed by the caller; primitive calls stay unboxed *)
           if prim_of vd = None then
@@ -249,8 +336,24 @@ let rec walk_expr ctx iter (e : Typedtree.expression) =
             "indirect call (function value; target unknown to the \
              certifier)";
           walk_expr ctx iter f);
-      List.iter
-        (fun (_, a) -> match a with Some a -> walk_expr ctx iter a | None -> ())
+      (* arguments of a sort, and the left side of [... |> List.sort
+         cmp], are inside an order-restoring consumer *)
+      let piped_into_sort =
+        match (f.Typedtree.exp_desc, args) with
+        | Typedtree.Texp_ident (p, _, _), [ _; (_, Some rhs) ] ->
+            dotted ctx p = "|>" && is_sort_expr ctx rhs
+        | _ -> false
+      in
+      let sorts = is_sort_expr ctx f in
+      List.iteri
+        (fun i (_, a) ->
+          match a with
+          | Some a ->
+              let d = if sorts || (piped_into_sort && i = 0) then 1 else 0 in
+              ctx.sort_depth <- ctx.sort_depth + d;
+              walk_expr ctx iter a;
+              ctx.sort_depth <- ctx.sort_depth - d
+          | None -> ())
         args;
       match
         (f.Typedtree.exp_desc, is_arrow e.Typedtree.exp_type)
@@ -258,43 +361,33 @@ let rec walk_expr ctx iter (e : Typedtree.expression) =
       | Typedtree.Texp_ident (_, _, vd), true when prim_of vd = None ->
           alloc ctx ~loc "partial application builds a closure"
       | _ -> ())
-  | Typedtree.Texp_function _ ->
-      alloc ctx ~loc "closure construction";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_tuple _ ->
-      alloc ctx ~loc "tuple allocation";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_construct (_, cd, args) ->
-      if args <> [] then
-        alloc ctx ~loc
-          (Printf.sprintf "constructor %s allocation" cd.Types.cstr_name);
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_variant (_, Some _) ->
-      alloc ctx ~loc "polymorphic variant allocation";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_record _ ->
-      alloc ctx ~loc "record allocation";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_array _ ->
-      alloc ctx ~loc "array literal allocation";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_lazy _ ->
-      alloc ctx ~loc "lazy thunk allocation";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_letmodule _ | Typedtree.Texp_pack _
-  | Typedtree.Texp_object _ ->
-      alloc ctx ~loc "first-class module / object allocation";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | Typedtree.Texp_letop _ ->
-      alloc ctx ~loc "binding operator allocates closures";
-      Tast_iterator.default_iterator.Tast_iterator.expr iter e
-  | _ -> Tast_iterator.default_iterator.Tast_iterator.expr iter e);
+  | desc ->
+      (match desc with
+      | Typedtree.Texp_try (_, cases) ->
+          List.iter
+            (fun (c : Typedtree.value Typedtree.case) ->
+              match c.Typedtree.c_lhs.Typedtree.pat_desc with
+              | Typedtree.Tpat_any ->
+                  site ctx ~rule:"exn-swallow"
+                    ~loc:c.Typedtree.c_lhs.Typedtree.pat_loc
+                    "catch-all `with _ ->` discards the exception; match \
+                     the specific exceptions this code expects, or bind \
+                     and surface it"
+              | _ -> ())
+            cases
+      | Typedtree.Texp_letmodule (id, _, _, me, _) -> record_alias ctx id me
+      | _ -> ());
+      Option.iter (alloc ctx ~loc) (allocation desc);
+      Tast_iterator.default_iterator.Tast_iterator.expr iter e);
   pop_attrs ctx pushed
 
 (* ------------------------------------------------------------------ *)
 (* Structure walk                                                      *)
 
-let has_hotpath attrs = List.exists Suppress.is_hotpath attrs
+let has_hotpath attrs =
+  List.exists
+    (fun a -> match Suppress.parse a with Suppress.Hotpath -> true | _ -> false)
+    attrs
 
 (* Unroll the parameter chain of a top-level definition: single-case
    [fun p ->] layers are parameters (one n-ary function at runtime, no
@@ -347,7 +440,9 @@ let walk_unit (u : Cmt_loader.unit_info) =
       cur = init_fact u.Cmt_loader.ui_modname;
       fns = [];
       globals = [];
-      runtime = [];
+      sites = [];
+      sort_depth = 0;
+      aliases = Hashtbl.create 8;
     }
   in
   let init = ctx.cur in
@@ -372,11 +467,6 @@ let walk_unit (u : Cmt_loader.unit_info) =
     List.iter (walk_item prefix) items
   and walk_item prefix (si : Typedtree.structure_item) =
     match si.Typedtree.str_desc with
-    | Typedtree.Tstr_attribute a -> (
-        (* file-level allows stay active for the rest of the walk *)
-        match suppression_of_attr ctx ~scope:Suppress.File a with
-        | Some s -> ctx.active <- ctx.active @ [ s ]
-        | None -> ())
     | Typedtree.Tstr_value (_, vbs) ->
         List.iter
           (fun (vb : Typedtree.value_binding) ->
@@ -437,7 +527,9 @@ let walk_unit (u : Cmt_loader.unit_info) =
                 end
                 else begin
                   let owned =
-                    domain_owned_of_attrs ctx vb.Typedtree.vb_attributes
+                    List.find_opt
+                      (fun s -> s.Suppress.s_kind = Suppress.Domain_owned)
+                      pushed
                   in
                   ctx.globals <-
                     {
@@ -462,23 +554,39 @@ let walk_unit (u : Cmt_loader.unit_info) =
     | Typedtree.Tstr_recmodule mbs -> List.iter (walk_module prefix) mbs
     | _ -> ()
   and walk_module prefix (mb : Typedtree.module_binding) =
+    record_alias ctx mb.Typedtree.mb_id mb.Typedtree.mb_expr;
     let sub =
       match mb.Typedtree.mb_id with
       | Some id -> prefix ^ "." ^ Ident.name id
       | None -> prefix
     in
-    let rec go (me : Typedtree.module_expr) =
-      match me.Typedtree.mod_desc with
-      | Typedtree.Tmod_structure str ->
-          walk_items sub str.Typedtree.str_items
-      | Typedtree.Tmod_constraint (me, _, _, _) -> go me
-      | Typedtree.Tmod_functor (_, me) -> go me
-      | _ -> ()
-    in
-    go mb.Typedtree.mb_expr
+    walk_modexpr sub mb.Typedtree.mb_expr
+  and walk_modexpr prefix (me : Typedtree.module_expr) =
+    match me.Typedtree.mod_desc with
+    | Typedtree.Tmod_structure str -> walk_items prefix str.Typedtree.str_items
+    | Typedtree.Tmod_constraint (me, _, _, _) | Typedtree.Tmod_functor (_, me)
+      ->
+        walk_modexpr prefix me
+    | Typedtree.Tmod_apply (f, arg, _) ->
+        walk_modexpr prefix f;
+        walk_modexpr prefix arg
+    | Typedtree.Tmod_unpack (e, _) -> walk_expr ctx iter e
+    | _ -> ()
   in
-  walk_items u.Cmt_loader.ui_modname
-    u.Cmt_loader.ui_str.Typedtree.str_items;
+  let items = u.Cmt_loader.ui_str.Typedtree.str_items in
+  (* floating [@@@ctslint.allow ...] items cover the whole file, wherever
+     they appear *)
+  List.iter
+    (fun (si : Typedtree.structure_item) ->
+      match si.Typedtree.str_desc with
+      | Typedtree.Tstr_attribute a -> (
+          match suppression_of_attr ctx ~scope:Suppress.File a with
+          | Some s when s.Suppress.s_kind = Suppress.Allow ->
+              ctx.active <- ctx.active @ [ s ]
+          | _ -> ())
+      | _ -> ())
+    items;
+  walk_items u.Cmt_loader.ui_modname items;
   (* lock-protected sections: a function that takes a Mutex is treated
      as a critical section for the globals it touches *)
   List.iter
@@ -499,6 +607,9 @@ let walk_unit (u : Cmt_loader.unit_info) =
     u_modname = ctx.modname;
     u_fns = List.rev ctx.fns;
     u_globals = List.rev ctx.globals;
-    u_runtime = List.rev ctx.runtime;
-    u_supps = List.rev ctx.supps;
+    u_sites = List.rev ctx.sites;
+    u_supps =
+      List.stable_sort
+        (fun a b -> Int.compare a.Suppress.s_line b.Suppress.s_line)
+        (List.rev ctx.supps);
   }

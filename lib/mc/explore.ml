@@ -31,23 +31,17 @@ let wall () =
   Int64.to_float (Monotonic_clock.now ()) /. 1e9
 [@@ctslint.allow
   "wall-clock"
-    "elapsed_s is a report field for the operator; it never feeds back \
-     into exploration, schedules, or the merge"]
-[@@ctslint.allow
-  "runtime-boundary"
-    "this wrapper IS the explorer's declared clock boundary; throughput \
-     reporting needs one real elapsed-time read"]
+    "this wrapper IS the explorer's declared clock boundary; elapsed_s is \
+     a report field for the operator and never feeds back into \
+     exploration, schedules, or the merge"]
 
 let cpu () =
   Sys.time ()
 [@@ctslint.allow
   "wall-clock"
-    "cpu_s is a report field for the operator; it never feeds back into \
+    "this wrapper IS the explorer's declared CPU-time boundary; cpu_s is \
+     a report field for the operator and never feeds back into \
      exploration, schedules, or the merge"]
-[@@ctslint.allow
-  "runtime-boundary"
-    "this wrapper IS the explorer's declared CPU-time boundary; the \
-     efficiency report needs one real CPU-time read"]
 
 let schedules_per_sec r =
   if r.elapsed_s <= 0. then 0.

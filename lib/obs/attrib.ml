@@ -23,14 +23,7 @@
 type site = int
 
 let site_subs : Subsystem.t array ref = ref [||]
-[@@ctslint.domain_owned
-  "append-only site registry, populated by module initializers before \
-   any pool worker starts; workers only read it (via ensure_sites)"]
-
 let site_names : string array ref = ref [||]
-[@@ctslint.domain_owned
-  "append-only site registry, populated by module initializers before \
-   any pool worker starts; workers only read it (via ensure_sites)"]
 
 let n_sites = ref 0
 [@@ctslint.domain_owned
@@ -82,13 +75,9 @@ let now_ns () =
   Int64.to_int (Monotonic_clock.now ())
 [@@ctslint.allow
   "wall-clock"
-    "attribution measures real elapsed time by definition; the numbers \
-     only ever flow into operator reports, never back into simulated \
-     state"]
-[@@ctslint.allow
-  "runtime-boundary"
-    "this wrapper IS the declared clock boundary for attribution; every \
-     other obs site calls now_ns instead of the raw clock"]
+    "this wrapper IS the declared clock boundary for attribution, which \
+     measures real elapsed time by definition; the numbers only ever flow \
+     into operator reports, never back into simulated state"]
 
 let create () =
   {

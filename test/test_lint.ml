@@ -1,45 +1,35 @@
-(* Tests for ctslint (lib/lint): per-rule fixtures — a positive finding,
-   a clean negative, and a suppressed variant — with expect-style
-   diagnostic rendering; suppression hygiene (missing reason, unknown
-   rule, unused allow); the sort-context whitelist for pure-aggregation
-   folds; and two whole-tree gates: the live tree lints clean, and the
-   live [@ctslint.allow] annotations are load-bearing (removing any one
-   reintroduces a finding, checked via audit mode).
+(* Tests for ctslint's determinism rules (lib/lint): per-rule compiled
+   fixtures — a positive finding, a clean negative, and a suppressed
+   variant — with expect-style diagnostic rendering; suppression hygiene
+   (missing reason, unknown rule, unused allow, file-level allows
+   wherever they sit); the sort-context whitelist for pure-aggregation
+   folds; module aliases; and two whole-tree gates: the live tree lints
+   clean, and every live [@ctslint.allow] is load-bearing (audit mode
+   re-surfaces what each one hides).
 
    Plus the regression the linter exists to prevent: handler fan-out
    order must be a function of state, not of Hashtbl bucket layout
    (Dsim.Det + the gcs endpoint fan-out). *)
 
-let check = Alcotest.check
-let int = Alcotest.int
+open Lint_fixture
+
 let bool = Alcotest.bool
 
 (* ------------------------------------------------------------------ *)
 (* Fixture helpers                                                     *)
 
-let lint ?(file = "lib/fixture/fix.ml") src =
-  Lint.Driver.lint_string ~file src
+let lint ?(file = "lib/fixture/fix.ml") src = analyze_fixture [ (file, src) ]
 
 let diags ?file src =
-  let findings, _ = lint ?file src in
-  List.map Lint.Finding.to_string findings
+  List.map Lint.Finding.to_string (findings (lint ?file src))
 
-let rules_of ?file src =
-  let findings, _ = lint ?file src in
-  List.map (fun f -> f.Lint.Finding.rule) findings
-
-let count_rule ?file rule src =
-  List.length (List.filter (String.equal rule) (rules_of ?file src))
-
-let supps_of ?file src =
-  let _, supps = lint ?file src in
-  supps
+let count_rule ?file rule src = Lint_fixture.count_rule rule (lint ?file src)
+let rules_of ?file src = Lint_fixture.rules_of (lint ?file src)
 
 (* ------------------------------------------------------------------ *)
 (* Rule fixtures                                                       *)
 
 let test_wall_clock () =
-  (* positive: anywhere outside lib/clock *)
   check int "gettimeofday flagged" 1
     (count_rule "wall-clock" "let t = Unix.gettimeofday ()");
   check int "Sys.time flagged" 1 (count_rule "wall-clock" "let t = Sys.time ()");
@@ -49,24 +39,29 @@ let test_wall_clock () =
     (count_rule "wall-clock" "let t = Monotonic_clock.now ()");
   check int "project wrapper flagged" 1
     (count_rule "wall-clock" "let t = Mc.Explore.wall ()");
-  (* negative: the clock library itself is the sanctioned home *)
-  check int "lib/clock exempt" 0
-    (count_rule ~file:"lib/clock/hwclock.ml" "wall-clock"
-       "let t = Unix.gettimeofday ()");
+  (* a reference is as much a read as a call: the alias can be called
+     anywhere *)
+  check int "project wrapper taken as a value flagged" 1
+    (count_rule "wall-clock" "let wall = Mc.Explore.wall");
   (* negative: simulated time is fine anywhere *)
   check int "Dsim.Time clean" 0
     (count_rule "wall-clock" "let t = Dsim.Time.of_us 5");
   (* suppressed *)
-  let src =
-    {|let t = (Unix.gettimeofday () [@ctslint.allow "wall-clock" "boot banner only"])|}
+  let r =
+    lint
+      {|let t = (Unix.gettimeofday () [@ctslint.allow "wall-clock" "boot banner only"])|}
   in
-  check int "suppressed" 0 (count_rule "wall-clock" src);
-  check int "suppression recorded" 1 (List.length (supps_of src))
+  check int "suppressed" 0 (Lint_fixture.count_rule "wall-clock" r);
+  check int "suppression recorded" 1 (List.length r.Lint.Typed_check.r_supps)
 
 let test_hash_order () =
   (* positive: iter whose callback order escapes (the endpoint bug shape:
      reintroducing a Hashtbl.iter handler fan-out must fail the lint) *)
-  let fan_out = "let evict t = Hashtbl.iter (fun _ s -> s.handler `Evicted) t.subs" in
+  let fan_out =
+    "type sub = { handler : [ `Evicted ] -> unit }\n\
+     type t = { subs : (int, sub) Hashtbl.t }\n\
+     let evict t = Hashtbl.iter (fun _ s -> s.handler `Evicted) t.subs"
+  in
   check int "iter fan-out flagged" 1 (count_rule "hash-order" fan_out);
   check int "fold to list flagged" 1
     (count_rule "hash-order" "let ks h = Hashtbl.fold (fun k _ a -> k :: a) h []");
@@ -86,18 +81,31 @@ let test_hash_order () =
     {|[@@@ctslint.allow "hash-order" "stats table: callback only sums ints"]
 let total h = Hashtbl.fold (fun _ v a -> v + a) h 0|}
   in
-  check int "file-level suppressed" 0 (count_rule "hash-order" src)
+  check int "file-level suppressed" 0 (count_rule "hash-order" src);
+  (* a file-level allow covers the whole file, not just what follows it *)
+  let src =
+    {|let total h = Hashtbl.fold (fun _ v a -> v + a) h 0
+[@@@ctslint.allow "hash-order" "stats table: callback only sums ints"]|}
+  in
+  check (Alcotest.list Alcotest.string) "file-level allow below the site"
+    [] (rules_of src)
+
+let test_hash_order_alias () =
+  (* paths are resolved: a module alias cannot hide the iteration *)
+  let src = "module H = Hashtbl\nlet f h = H.iter (fun _ _ -> ()) h" in
+  check int "H.iter through module H = Hashtbl" 1
+    (count_rule "hash-order" src);
+  check int "local alias too" 1
+    (count_rule "hash-order"
+       "let f h = let module T = Hashtbl in T.fold (fun k _ a -> k :: a) h []")
 
 let test_unseeded_random () =
   check int "Random.int flagged" 1
     (count_rule "unseeded-random" "let x = Random.int 10");
   check int "Random.self_init flagged" 1
     (count_rule "unseeded-random" "let () = Random.self_init ()");
-  check int "rng.ml exempt" 0
-    (count_rule ~file:"lib/dsim/rng.ml" "unseeded-random"
-       "let x = Random.int 10");
   check int "seeded Rng clean" 0
-    (count_rule "unseeded-random" "let x = Dsim.Rng.int_range r 0 10");
+    (count_rule "unseeded-random" "let x r = Dsim.Rng.int_range r 0 10");
   check int "suppressed" 0
     (count_rule "unseeded-random"
        {|let x = (Random.int 10 [@ctslint.allow "unseeded-random" "jitter for a log banner"])|})
@@ -125,18 +133,18 @@ let test_exn_swallow () =
 
 let test_domain_hygiene () =
   check int "Domain.spawn flagged" 1
-    (count_rule "domain-hygiene" "let d = Domain.spawn f");
+    (count_rule "domain-hygiene" "let d f = Domain.spawn f");
   check int "Domain.self flagged" 1
     (count_rule "domain-hygiene" "let i = Domain.self ()");
   check int "pool.ml exempt" 0
     (count_rule ~file:"lib/mc/pool.ml" "domain-hygiene"
-       "let d = Domain.spawn f");
+       "let d f = Domain.spawn f");
   (* Domain.DLS (fiber-local state) is not in the forbidden set *)
   check int "Domain.DLS clean" 0
-    (count_rule "domain-hygiene" "let k = Domain.DLS.new_key f");
+    (count_rule "domain-hygiene" "let k f = Domain.DLS.new_key f");
   check int "suppressed" 0
     (count_rule "domain-hygiene"
-       {|let d = (Domain.spawn f) [@ctslint.allow "domain-hygiene" "one-shot watchdog"]|})
+       {|let d f = (Domain.spawn f) [@ctslint.allow "domain-hygiene" "one-shot watchdog"]|})
 
 let test_suppression_hygiene () =
   (* a suppression without a reason is rejected AND does not suppress *)
@@ -173,81 +181,86 @@ let test_diagnostic_rendering () =
   check (Alcotest.list Alcotest.string) "rendered diagnostic" expected
     (diags "let _ = ()\nlet f a b = a == b")
 
+(* A file outside every dune stanza has no typedtree; it must not escape
+   the lint silently. *)
+let test_missing_cmt () =
+  let r =
+    analyze_fixture
+      ~uncompiled:[ ("lib/orphan.ml", "let t = Unix.gettimeofday ()\n") ]
+      [ ("lib/built.ml", "let x = 1\n") ]
+  in
+  check (Alcotest.list Alcotest.string) "one missing-cmt finding"
+    [ "missing-cmt" ] (Lint_fixture.rules_of r);
+  check bool "names the file" true
+    (Filename.check_suffix (List.hd (findings r)).Lint.Finding.file
+       "lib/orphan.ml");
+  check int "swept both files" 2 r.Lint.Typed_check.r_files
+
 (* ------------------------------------------------------------------ *)
 (* Whole-tree gates                                                    *)
 
-let repo_root () =
-  (* Walk up from the runtime cwd (_build/default/test under dune) to the
-     checkout: the first ancestor holding both .git and dune-project. *)
-  let rec go d =
-    if
-      Sys.file_exists (Filename.concat d ".git")
-      && Sys.file_exists (Filename.concat d "dune-project")
-    then Some d
-    else
-      let p = Filename.dirname d in
-      if String.equal p d then None else go p
-  in
-  go (Sys.getcwd ())
-
-let tree_paths root =
-  List.filter_map
-    (fun d ->
-      let p = Filename.concat root d in
-      if Sys.file_exists p then Some p else None)
-    [ "lib"; "bin"; "bench"; "test"; "examples" ]
-
 let test_live_tree_clean () =
-  match repo_root () with
+  match Lazy.force live with
   | None -> () (* not running from a checkout; the @lint alias covers it *)
-  | Some root ->
-      let r = Lint.Driver.lint_paths (tree_paths root) in
+  | Some r ->
       check
         (Alcotest.list Alcotest.string)
         "zero findings on the live tree" []
-        (List.map Lint.Finding.to_string r.Lint.Driver.findings);
-      check bool "tree was actually linted" true (r.Lint.Driver.files > 50);
+        (List.map Lint.Finding.to_string (findings r));
+      check bool "tree was actually linted" true
+        (r.Lint.Typed_check.r_files > 50);
       (* every suppression in the tree carries a reason by construction;
          make sure there are some (the sanctioned sentinels) *)
       check bool "suppressions present" true
-        (List.length r.Lint.Driver.suppressions >= 15)
+        (List.length r.Lint.Typed_check.r_supps >= 15)
 
 let test_live_annotations_load_bearing () =
-  (* Audit mode reports findings even where suppressed.  Every live
-     [@ctslint.allow] must be load-bearing: removing any one would
-     reintroduce at least one finding, which is exactly the difference
-     between audit mode and normal mode (unused allows are impossible in
-     a clean tree — they are themselves findings). *)
-  match repo_root () with
-  | None -> ()
-  | Some root ->
-      let paths = tree_paths root in
-      let audit =
-        Lint.Driver.lint_paths ~respect_suppressions:false paths
-      in
-      let normal = Lint.Driver.lint_paths paths in
-      check int "clean under suppressions" 0
-        (List.length normal.Lint.Driver.findings);
-      (* only the syntactic pass runs here, so only its rules' allows
-         can be exposed; the typed ones are audited by test_lint_typed *)
-      let syntactic =
+  (* Audit mode reports findings even where suppressed, and follows the
+     certified-region boundaries.  Every live [@ctslint.allow] must be
+     load-bearing: for each (file, rule), audit mode must expose at least
+     as many findings as there are allows (unused allows are impossible
+     in a clean tree — they are themselves findings). *)
+  match (Lazy.force live, Lazy.force live_audit) with
+  | Some normal, Some audit ->
+      check int "clean under suppressions" 0 (List.length (findings normal));
+      let allows =
         List.filter
-          (fun s ->
-            Lint.Rules.pass_of s.Lint.Suppress.s_rule = Lint.Rules.Syntactic)
-          normal.Lint.Driver.suppressions
+          (fun s -> s.Lint.Suppress.s_kind = Lint.Suppress.Allow)
+          normal.Lint.Typed_check.r_supps
       in
-      check bool "audit mode exposes the suppressed sites" true
-        (List.length audit.Lint.Driver.findings >= List.length syntactic);
+      check bool "allows present" true (List.length allows >= 15);
+      let count pred l = List.length (List.filter pred l) in
+      List.iter
+        (fun (s : Lint.Suppress.t) ->
+          let same_site file rule =
+            String.equal file s.Lint.Suppress.s_file
+            && String.equal rule s.Lint.Suppress.s_rule
+          in
+          check bool
+            (Printf.sprintf "allow is load-bearing: %s:%d %s"
+               s.Lint.Suppress.s_file s.Lint.Suppress.s_line
+               s.Lint.Suppress.s_rule)
+            true
+            (count
+               (fun (f : Lint.Finding.t) ->
+                 same_site f.Lint.Finding.file f.Lint.Finding.rule)
+               (findings audit)
+            >= count
+                 (fun (s' : Lint.Suppress.t) ->
+                   s'.Lint.Suppress.s_kind = Lint.Suppress.Allow
+                   && same_site s'.Lint.Suppress.s_file s'.Lint.Suppress.s_rule)
+                 allows))
+        allows;
       (* spot-check an annotated file: the snapshot's identity table is
          clean normally, dirty with its annotations ignored *)
-      let snap = Filename.concat root "lib/mc/snap.ml" in
-      let f_normal, _ = Lint.Driver.lint_file snap in
-      let f_audit, _ =
-        Lint.Driver.lint_file ~respect_suppressions:false snap
+      let in_snap (f : Lint.Finding.t) =
+        String.equal f.Lint.Finding.file "lib/mc/snap.ml"
       in
-      check int "snap clean with annotations" 0 (List.length f_normal);
+      check int "snap clean with annotations" 0
+        (count in_snap (findings normal));
       check bool "snap dirty without annotations" true
-        (List.length f_audit > 0)
+        (count in_snap (findings audit) > 0)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The bug class itself: iteration order independent of bucket layout   *)
@@ -348,6 +361,8 @@ let suites =
       [
         Alcotest.test_case "rule: wall-clock" `Quick test_wall_clock;
         Alcotest.test_case "rule: hash-order" `Quick test_hash_order;
+        Alcotest.test_case "hash-order through a module alias" `Quick
+          test_hash_order_alias;
         Alcotest.test_case "rule: unseeded-random" `Quick
           test_unseeded_random;
         Alcotest.test_case "rule: phys-equality" `Quick test_phys_equality;
@@ -357,6 +372,8 @@ let suites =
           test_suppression_hygiene;
         Alcotest.test_case "diagnostic rendering" `Quick
           test_diagnostic_rendering;
+        Alcotest.test_case "missing-cmt for an unbuilt file" `Quick
+          test_missing_cmt;
         Alcotest.test_case "live tree lints clean" `Quick
           test_live_tree_clean;
         Alcotest.test_case "live annotations are load-bearing" `Quick

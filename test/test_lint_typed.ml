@@ -1,80 +1,18 @@
-(* Tests for the typed pass of ctslint (lib/lint: Cmt_loader +
-   Typed_facts + Typed_check): per-rule fixtures for the three typed
-   families — hotpath-alloc, domain-unsafe, runtime-boundary — each with
-   a positive finding, a clean negative, and a suppressed variant;
-   interprocedural certification across modules; suppression pass
-   attribution; the live-tree typed gate (every [@ctslint.hotpath] root
-   certifies, zero findings); and the static-vs-dynamic cross-check:
-   functions the certifier puts in the inventory are re-measured with
-   [Gc.minor_words] and must allocate nothing at runtime.
+(* Tests for the whole-program rules of ctslint (lib/lint: Cmt_loader +
+   Typed_facts + Typed_check): per-rule compiled fixtures for
+   hotpath-alloc and domain-unsafe, and for the runtime idents the
+   wall-clock rule fences — each with a positive finding, a clean
+   negative, and a suppressed variant; interprocedural certification
+   across modules; attribute hygiene; the live-tree gate (every
+   [@ctslint.hotpath] root certifies, zero findings, one typedtree per
+   swept file); and the static-vs-dynamic cross-check: functions the
+   certifier puts in the inventory are re-measured with
+   [Gc.minor_words] and must allocate nothing at runtime. *)
 
-   Fixtures are real compiled code: each test writes sources into a
-   temp directory, runs [ocamlc -bin-annot -c] (the toolchain that
-   built this very test), and feeds the resulting .cmt files through
-   the same loader the CLI uses — so the tests exercise typedtree
-   shapes, not hand-built fact records. *)
+open Lint_fixture
 
-let check = Alcotest.check
-let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* ------------------------------------------------------------------ *)
-(* Fixture helpers: compile sources to .cmt, load, walk, analyze       *)
-
-let sh fmt = Printf.ksprintf Sys.command fmt
-
-let write_file path src =
-  ignore (sh "mkdir -p %s" (Filename.quote (Filename.dirname path)));
-  let oc = open_out path in
-  output_string oc src;
-  close_out oc
-
-(* [files] are (relative-path, source) pairs in dependency order; the
-   relative path becomes [cmt_sourcefile], which is what the path-based
-   policies (domain roots, runtime exemptions) match against. *)
-let analyze_fixture ?(respect = true) files =
-  let dir = Filename.temp_file "ctslint_typed_" ".fix" in
-  Sys.remove dir;
-  ignore (sh "mkdir -p %s" (Filename.quote dir));
-  List.iter
-    (fun (rel, src) -> write_file (Filename.concat dir rel) src)
-    files;
-  let srcs =
-    String.concat " " (List.map (fun (rel, _) -> Filename.quote rel) files)
-  in
-  let rc =
-    sh "cd %s && ocamlc -bin-annot -w -a -c %s > compile.log 2>&1"
-      (Filename.quote dir) srcs
-  in
-  if rc <> 0 then begin
-    ignore (sh "cat %s/compile.log 1>&2" (Filename.quote dir));
-    Alcotest.failf "fixture failed to compile (ocamlc exit %d)" rc
-  end;
-  let units, errs = Lint.Cmt_loader.load_build_dir dir in
-  check int "fixture cmts load without errors" 0 (List.length errs);
-  check int "every fixture unit loaded" (List.length files)
-    (List.length units);
-  let facts = List.map Lint.Typed_facts.walk_unit units in
-  let r = Lint.Typed_check.analyze ~respect_suppressions:respect facts in
-  ignore (sh "rm -rf %s" (Filename.quote dir));
-  r
-
-let rules_of (r : Lint.Typed_check.result) =
-  List.map (fun f -> f.Lint.Finding.rule) r.Lint.Typed_check.r_findings
-
-let count_rule rule r =
-  List.length (List.filter (String.equal rule) (rules_of r))
-
-let findings r = r.Lint.Typed_check.r_findings
-
-let supp_with r pred =
-  List.find_opt pred r.Lint.Typed_check.r_supps
 
 (* ------------------------------------------------------------------ *)
 (* hotpath-alloc                                                       *)
@@ -123,9 +61,7 @@ let test_hotpath_suppressed () =
   (match
      supp_with r (fun s -> String.equal s.Lint.Suppress.s_rule "hotpath-alloc")
    with
-  | Some s ->
-      check string "consumed by the typed pass" "typed"
-        (Lint.Suppress.pass_label s)
+  | Some s -> check bool "consumed" true s.Lint.Suppress.s_used
   | None -> Alcotest.fail "suppression sighting missing");
   (* audit mode re-surfaces the exact site *)
   let audit =
@@ -221,56 +157,53 @@ let test_domain_owned_suppressed () =
   match
     supp_with r (fun s -> s.Lint.Suppress.s_kind = Lint.Suppress.Domain_owned)
   with
-  | Some s ->
-      check string "consumed by the typed pass" "typed"
-        (Lint.Suppress.pass_label s)
+  | Some s -> check bool "consumed" true s.Lint.Suppress.s_used
   | None -> Alcotest.fail "domain_owned sighting missing"
 
 (* ------------------------------------------------------------------ *)
-(* runtime-boundary                                                    *)
+(* runtime-boundary: host runtime calls are wall-clock findings         *)
 
 let test_runtime_positive () =
   let r =
     analyze_fixture [ ("lib/foo.ml", "let elapsed () = Sys.time ()\n") ]
   in
-  check int "one finding" 1 (count_rule "runtime-boundary" r);
+  check int "one finding" 1 (count_rule "wall-clock" r);
   let f = List.hd (findings r) in
   check string "exact file" "lib/foo.ml" f.Lint.Finding.file;
   check int "exact line" 1 f.Lint.Finding.line;
   check bool "names the ident" true
-    (contains ~sub:"Sys.time" f.Lint.Finding.message)
-
-let test_runtime_exempt () =
-  let r =
-    analyze_fixture
-      [ ("lib/rt_real/clock.ml", "let elapsed () = Sys.time ()\n") ]
-  in
-  check int "the runtime layer may touch the runtime" 0
-    (List.length (findings r))
+    (contains ~sub:"Sys.time" f.Lint.Finding.message);
+  (* whole runtime modules, and console input, are fenced too *)
+  check int "Unix, Thread and console input" 3
+    (count_rule "wall-clock"
+       (analyze_fixture
+          [
+            ( "lib/foo.ml",
+              "let pid () = Unix.getpid ()\n\
+               let me () = Thread.self ()\n\
+               let line () = read_line ()\n" );
+          ]))
 
 let runtime_suppressed_src =
   "let elapsed () =\n\
   \  Sys.time ()\n\
-   [@@ctslint.allow \"runtime-boundary\" \"fixture: declared boundary\"]\n"
+   [@@ctslint.allow \"wall-clock\" \"fixture: declared boundary\"]\n"
 
 let test_runtime_suppressed () =
   let r = analyze_fixture [ ("lib/foo.ml", runtime_suppressed_src) ] in
   check int "allow silences the finding" 0 (List.length (findings r));
   (match
-     supp_with r (fun s ->
-         String.equal s.Lint.Suppress.s_rule "runtime-boundary")
+     supp_with r (fun s -> String.equal s.Lint.Suppress.s_rule "wall-clock")
    with
-  | Some s ->
-      check string "consumed by the typed pass" "typed"
-        (Lint.Suppress.pass_label s)
+  | Some s -> check bool "consumed" true s.Lint.Suppress.s_used
   | None -> Alcotest.fail "suppression sighting missing");
   let audit =
     analyze_fixture ~respect:false [ ("lib/foo.ml", runtime_suppressed_src) ]
   in
-  check int "audit mode re-surfaces it" 1 (count_rule "runtime-boundary" audit)
+  check int "audit mode re-surfaces it" 1 (count_rule "wall-clock" audit)
 
 (* ------------------------------------------------------------------ *)
-(* Suppression hygiene across the two passes                           *)
+(* Suppression hygiene                                                 *)
 
 let test_unused_typed_allow () =
   let r =
@@ -287,97 +220,46 @@ let test_unused_typed_allow () =
   check bool "names the rule" true
     (contains ~sub:"hotpath-alloc" (List.hd (findings r)).Lint.Finding.message)
 
-let test_syntactic_hygiene_of_typed_attrs () =
-  (* attribute well-formedness stays with the syntactic pass, for both
-     passes' annotations *)
-  let rules_syn src =
-    let fs, _ = Lint.Driver.lint_string ~file:"lib/fixture/fix.ml" src in
-    List.map (fun f -> f.Lint.Finding.rule) fs
+let test_unused_domain_owned () =
+  (* an ownership declaration no pool worker reaches is judged like an
+     allow that silences nothing *)
+  let r =
+    analyze_fixture
+      [
+        ( "lib/mc/pool.ml",
+          "let registry = ref 0\n\
+           [@@ctslint.domain_owned \"fixture: never shared\"]\n" );
+      ]
   in
+  check (Alcotest.list string) "unreached domain_owned is unused"
+    [ "unused-allow" ] (rules_of r)
+
+let test_syntactic_hygiene_of_typed_attrs () =
+  (* attribute well-formedness, for every ctslint annotation *)
+  let rules src = rules_of (analyze_fixture [ ("lib/mc/pool.ml", src) ]) in
   check (Alcotest.list string) "hotpath takes no payload"
     [ "bad-suppression" ]
-    (rules_syn "let f x = x [@@ctslint.hotpath \"why\"]\n");
+    (rules "let f x = x [@@ctslint.hotpath \"why\"]\n");
   check (Alcotest.list string) "domain_owned needs a reason"
     [ "bad-suppression" ]
-    (rules_syn "let r = ref 0 [@@ctslint.domain_owned]\n");
+    (rules "let r = ref 0 [@@ctslint.domain_owned]\n");
   check (Alcotest.list string) "unknown ctslint attribute"
     [ "bad-suppression" ]
-    (rules_syn "let g = 1 [@@ctslint.frobnicate \"a\" \"b\"]\n");
+    (rules "let g = 1 [@@ctslint.frobnicate \"a\" \"b\"]\n");
   check (Alcotest.list string) "well-formed hotpath is clean" []
-    (rules_syn "let f x = x [@@ctslint.hotpath]\n");
+    (rules "let f x = x [@@ctslint.hotpath]\n");
   check (Alcotest.list string) "well-formed domain_owned is clean" []
-    (rules_syn "let r = ref 0 [@@ctslint.domain_owned \"reason here\"]\n")
-
-let test_pass_attribution_merge () =
-  let mk ?(syn = false) ?(typed = false) () =
-    {
-      Lint.Suppress.s_file = "x.ml";
-      s_line = 3;
-      s_rule = "wall-clock";
-      s_reason = "r";
-      s_scope = Lint.Suppress.Scoped;
-      s_kind = Lint.Suppress.Allow;
-      s_used_syn = syn;
-      s_used_typed = typed;
-    }
-  in
-  check string "unused" "unused" (Lint.Suppress.pass_label (mk ()));
-  check string "syntactic" "syntactic"
-    (Lint.Suppress.pass_label (mk ~syn:true ()));
-  check string "typed" "typed" (Lint.Suppress.pass_label (mk ~typed:true ()));
-  (* the same source attribute seen by both walks merges into one entry
-     that remembers both consumers *)
-  let merged =
-    Lint.Suppress.merge_into ~into:[ mk ~syn:true () ] [ mk ~typed:true () ]
-  in
-  check int "one entry per source attribute" 1 (List.length merged);
-  let s = List.hd merged in
-  check string "both passes" "both passes" (Lint.Suppress.pass_label s);
-  check bool "inventory renders the consumer" true
-    (contains ~sub:"[both passes]" (Lint.Suppress.to_string s))
+    (rules
+       "let r = ref 0 [@@ctslint.domain_owned \"reason here\"]\n\
+        let worker () = !r\n")
 
 (* ------------------------------------------------------------------ *)
 (* Live-tree gates                                                     *)
 
-let repo_root () =
-  (* Walk up from the runtime cwd (_build/default/test under dune) to
-     the checkout: the first ancestor holding both .git and
-     dune-project. *)
-  let rec go d =
-    if
-      Sys.file_exists (Filename.concat d ".git")
-      && Sys.file_exists (Filename.concat d "dune-project")
-    then Some d
-    else
-      let p = Filename.dirname d in
-      if String.equal p d then None else go p
-  in
-  go (Sys.getcwd ())
-
-let tree_dirs = [ "lib"; "bin"; "bench"; "test"; "examples" ]
-
-(* The typed analysis of whatever part of the tree is built.  The test
-   binary's own build guarantees every library (and the tests) left a
-   .cmt behind; executables may or may not be built, and the gates
-   below only assert over what is present. *)
-let live =
-  lazy
-    (match repo_root () with
-    | None -> None
-    | Some root -> (
-        match Lint.Cmt_loader.find_build_dir root with
-        | None -> None
-        | Some bdir ->
-            let units, errs = Lint.Cmt_loader.load_build_dir bdir in
-            let units = Lint.Cmt_loader.under_paths tree_dirs units in
-            let facts = List.map Lint.Typed_facts.walk_unit units in
-            Some (Lint.Typed_check.analyze facts, errs)))
-
 let test_live_typed_gate () =
   match Lazy.force live with
-  | None -> () (* not running from a checkout; @lint-typed covers it *)
-  | Some (r, errs) ->
-      check int "every .cmt loads" 0 (List.length errs);
+  | None -> () (* not running from a checkout; @lint covers it *)
+  | Some r ->
       check
         (Alcotest.list string)
         "zero typed findings on the live tree" []
@@ -397,21 +279,21 @@ let test_live_typed_gate () =
 let test_live_suppression_attribution () =
   match Lazy.force live with
   | None -> ()
-  | Some (r, _) -> (
+  | Some r -> (
       match
         supp_with r (fun s ->
             contains ~sub:"event_queue" s.Lint.Suppress.s_file
             && String.equal s.Lint.Suppress.s_rule "hotpath-alloc")
       with
       | Some s ->
-          check bool "the queue's hotpath allow is consumed by the typed pass"
-            true s.Lint.Suppress.s_used_typed
+          check bool "the queue's hotpath allow is consumed" true
+            s.Lint.Suppress.s_used
       | None -> Alcotest.fail "event_queue hotpath-alloc allow not sighted")
 
 let test_alias_coverage () =
-  (* every top-level directory holding .ml files must be in the set both
-     lint aliases (and these tests) sweep — a new directory cannot
-     silently escape the gates *)
+  (* every top-level directory holding .ml files must be in the set the
+     lint alias (and these tests) sweep — a new directory cannot
+     silently escape the gate *)
   match repo_root () with
   | None -> ()
   | Some root ->
@@ -436,7 +318,8 @@ let test_alias_coverage () =
             check bool ("directory is lint-covered: " ^ entry) true
               (List.mem entry tree_dirs))
         (Sys.readdir root);
-      (* and the dune rules pass exactly that set to both passes *)
+      (* and the one dune rule passes exactly that set, over a build
+         that has every typedtree *)
       let ic = open_in (Filename.concat root "dune") in
       let n = in_channel_length ic in
       let dune = really_input_string ic n in
@@ -444,22 +327,26 @@ let test_alias_coverage () =
       let args = String.concat " " tree_dirs in
       check bool "@lint sweeps the full set" true
         (contains ~sub:("ctslint.exe} " ^ args) dune);
-      check bool "@lint-typed sweeps the full set" true
-        (contains ~sub:("ctslint.exe} --typed " ^ args) dune)
+      check bool "@lint builds every typedtree first" true
+        (contains ~sub:"(alias_rec check)" dune)
 
-let test_linted_file_floor () =
-  match repo_root () with
+let test_units_cover_swept_files () =
+  match Lazy.force live with
   | None -> ()
-  | Some root ->
-      let paths =
-        List.filter_map
-          (fun d ->
-            let p = Filename.concat root d in
-            if Sys.file_exists p then Some p else None)
-          tree_dirs
-      in
-      let r = Lint.Driver.lint_paths paths in
-      check bool "syntactic pass file floor" true (r.Lint.Driver.files >= 95)
+  | Some r ->
+      check
+        (Alcotest.list string)
+        "no swept file lacks a typedtree" []
+        (List.filter_map
+           (fun (f : Lint.Finding.t) ->
+             if String.equal f.Lint.Finding.rule "missing-cmt" then
+               Some f.Lint.Finding.file
+             else None)
+           (findings r));
+      check int "units = swept .ml count" r.Lint.Typed_check.r_files
+        r.Lint.Typed_check.r_units;
+      check bool "the whole tree was swept" true
+        (r.Lint.Typed_check.r_files >= 100)
 
 (* ------------------------------------------------------------------ *)
 (* Static-vs-dynamic cross-check                                       *)
@@ -472,7 +359,7 @@ let test_linted_file_floor () =
 let assert_certified names =
   match Lazy.force live with
   | None -> ()
-  | Some (r, _) ->
+  | Some r ->
       List.iter
         (fun n ->
           check bool ("statically certified: " ^ n) true
@@ -571,20 +458,19 @@ let suites =
           test_domain_owned_suppressed;
         Alcotest.test_case "runtime-boundary: positive" `Quick
           test_runtime_positive;
-        Alcotest.test_case "runtime-boundary: rt_real exempt" `Quick
-          test_runtime_exempt;
         Alcotest.test_case "runtime-boundary: suppressed" `Quick
           test_runtime_suppressed;
         Alcotest.test_case "unused typed allow" `Quick test_unused_typed_allow;
+        Alcotest.test_case "unused domain_owned" `Quick
+          test_unused_domain_owned;
         Alcotest.test_case "syntactic hygiene of typed attributes" `Quick
           test_syntactic_hygiene_of_typed_attrs;
-        Alcotest.test_case "suppression pass attribution" `Quick
-          test_pass_attribution_merge;
         Alcotest.test_case "live tree: typed gate" `Quick test_live_typed_gate;
         Alcotest.test_case "live tree: suppression attribution" `Quick
           test_live_suppression_attribution;
         Alcotest.test_case "lint alias coverage" `Quick test_alias_coverage;
-        Alcotest.test_case "linted file floor" `Quick test_linted_file_floor;
+        Alcotest.test_case "units = swept .ml files" `Quick
+          test_units_cover_swept_files;
         Alcotest.test_case "cross-check: engine + queue" `Quick
           test_cross_check_engine_queue;
         Alcotest.test_case "cross-check: rng" `Quick test_cross_check_rng;
