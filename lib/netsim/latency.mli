@@ -34,3 +34,13 @@ val default_wan_wire : Dsim.Time.Span.t
 
 val sample : Dsim.Rng.t -> t -> Dsim.Time.Span.t
 (** Draw a latency; always >= 1 µs. *)
+
+type compiled
+(** A model prepared for repeated draws: mixture weights, their total and
+    the Gaussian parameters are unpacked once instead of on every draw. *)
+
+val compile : t -> compiled
+
+val draw : Dsim.Rng.t -> compiled -> Dsim.Time.Span.t
+(** [draw rng (compile m)] consumes the same random numbers and returns
+    the same latency as [sample rng m], draw for draw. *)

@@ -35,7 +35,8 @@ and 'a bcell = {
 and 'a t = {
   eng : Dsim.Engine.t;
   rng : Dsim.Rng.t;
-  mutable cfg : config;
+  mutable cfg : config; (* only [loss] changes after [create] *)
+  lat : Latency.compiled; (* [cfg.latency], compiled once *)
   mutable base : int;
       (* lowest node id the per-node tables cover: [ports], [sent],
          [delivered] and both dimensions of [last_delivery] are indexed
@@ -79,6 +80,7 @@ let create eng cfg =
     eng;
     rng = Dsim.Rng.split (Dsim.Engine.rng eng);
     cfg;
+    lat = Latency.compile cfg.latency;
     base = 0;
     ports = [||];
     members = [||];
@@ -296,7 +298,7 @@ let deliver_extra t ~extra ~src ~dst payload =
       false
     end
     else begin
-      let lat = Dsim.Time.Span.add extra (Latency.sample t.rng t.cfg.latency) in
+      let lat = Dsim.Time.Span.add extra (Latency.draw t.rng t.lat) in
       (* Controller-directed extra delay (schedule exploration) is added
          before the FIFO bump below, so the per-path ordering guarantee
          holds even for perturbed packets. *)
@@ -415,7 +417,7 @@ let broadcast_many t ~src payloads ~n =
                 rec_dropped t ~src ~dst ~reason:0 ~pos:(-1)
               end
               else begin
-                let lat = Latency.sample t.rng t.cfg.latency in
+                let lat = Latency.draw t.rng t.lat in
                 let lat =
                   match t.delay_hook with
                   | Some hook -> Dsim.Time.Span.add lat (hook ~src ~dst)

@@ -241,7 +241,12 @@ let apply_state t ~(for_node : Nid.t) (c : Checkpoint.t) =
       held
   end
 
-let on_deliver t (msg : Gcs.Msg.t) =
+(* Wall-time attribution of delivery routing.  [process_req] is not
+   bracketed: it runs on the processing fiber and suspends inside
+   [clock_read], and a region must stay within one engine callback. *)
+let at_deliver = Obs.Attrib.site ~sub:Obs.Subsystem.Repl ~name:"deliver"
+
+let on_deliver_inner t (msg : Gcs.Msg.t) =
   Cts.Service.on_message t.cts msg;
   match msg.body with
   | Rpc.Wire.Request { op; arg; ts } ->
@@ -257,6 +262,12 @@ let on_deliver t (msg : Gcs.Msg.t) =
       apply_state t ~for_node checkpoint
   | Checkpoint.Periodic c -> apply_periodic t c
   | _ -> ()
+
+let on_deliver t msg =
+  let s = Dsim.Engine.obs t.eng in
+  Obs.Sink.attr_enter s at_deliver;
+  on_deliver_inner t msg;
+  Obs.Sink.attr_leave s
 
 (* ------------------------------------------------------------------ *)
 (* View changes                                                        *)

@@ -31,8 +31,18 @@ val invoke :
     reply arrives.  With a [timeout], each attempt that expires is retried
     up to [retries] times (default 0) — re-sending with the same sequence
     number, so the replicas' duplicate-detection cache keeps the invocation
-    exactly-once even when a reply was lost to a crash.  Raises {!Timeout}
-    when every attempt expires; a reply arriving later is discarded. *)
+    exactly-once even when a reply was lost to a crash.
+
+    An attempt started at [s] has the deadline [s + timeout] (a negative
+    [timeout] counts as zero).  It succeeds iff a reply is delivered
+    strictly before that instant; a reply delivered at the deadline
+    itself loses.  Each retry starts at the previous attempt's deadline,
+    so an invocation started at [s] that nobody answers raises {!Timeout}
+    at exactly [s + (retries + 1) * timeout], however many other calls
+    the client has made or has in flight.  While a retry is outstanding,
+    a reply to an earlier attempt answers it (they share the sequence
+    number).  After {!Timeout}, the first late reply is dropped without
+    being counted by {!duplicate_replies}; further copies are counted. *)
 
 val invoke_timed :
   ?timeout:Dsim.Time.Span.t ->

@@ -306,6 +306,50 @@ let test_latency_models_positive () =
       done)
     models
 
+let test_compiled_latency_draws_like_sample () =
+  (* The per-network compiled form must consume the same random numbers
+     and return the same latency as [sample], draw for draw: golden seeds
+     depend on it. *)
+  let module L = Netsim.Latency in
+  let models =
+    [
+      ("calibrated", L.calibrated ~wire:L.default_wire);
+      ("wan", L.wan ~wire:L.default_wan_wire);
+      ("constant", L.Constant (Span.of_us 10));
+      ("constant below floor", L.Constant Span.zero);
+      ("uniform", L.Uniform { lo = Span.of_us 1; hi = Span.of_us 50 });
+      ( "gaussian at the floor",
+        L.Gaussian { mu = Span.of_us 20; sigma = Span.of_us 30 } );
+      ( "gaussian mixture, unnormalized",
+        L.Mixture
+          [
+            (2.0, L.Gaussian { mu = Span.of_us 5; sigma = Span.of_us 9 });
+            (0.5, L.Gaussian { mu = Span.of_us 80; sigma = Span.of_us 4 });
+            (1.5, L.Gaussian { mu = Span.of_us 30; sigma = Span.of_us 1 });
+          ] );
+      ( "nested mixture",
+        L.Mixture
+          [
+            (0.5, L.calibrated ~wire:(Span.of_us 40));
+            (0.3, L.Uniform { lo = Span.of_us 2; hi = Span.of_us 9 });
+            (0.2, L.Constant (Span.of_us 7));
+          ] );
+    ]
+  in
+  List.iter
+    (fun (name, m) ->
+      let a = Dsim.Rng.create 42L and b = Dsim.Rng.create 42L in
+      let c = L.compile m in
+      for i = 1 to 100_000 do
+        let want = L.sample a m and got = L.draw b c in
+        if not (Span.equal want got) then
+          Alcotest.failf "%s: draw %d is %a, sample gives %a" name i Span.pp
+            got Span.pp want
+      done;
+      check bool (name ^ ": streams in step") true
+        (Dsim.Rng.int64 a = Dsim.Rng.int64 b))
+    models
+
 let test_calibrated_peak_near_wire () =
   let eng = Dsim.Engine.create ~seed:9L () in
   let rng = Dsim.Engine.rng eng in
@@ -542,6 +586,8 @@ let suites =
           test_latency_models_positive;
         Alcotest.test_case "calibrated peak" `Quick
           test_calibrated_peak_near_wire;
+        Alcotest.test_case "compiled latency draws like sample" `Quick
+          test_compiled_latency_draws_like_sample;
         Alcotest.test_case "tables span the attached ids" `Quick
           test_id_span_tables;
         QCheck_alcotest.to_alcotest prop_broadcast_reaches_all_connected;
