@@ -579,10 +579,16 @@ let hier_cmd =
       (Hier.Topology.replicas topo)
       shards shard_size
       (match mode with Hier.Gateway.Star -> "star" | Hier.Gateway.Ring -> "ring");
+    (* Minor words are a deterministic count per seed and build, so the
+       formation's allocation can be gated without timing anything. *)
+    let words0 = Gc.minor_words () in
     CH.start_all t;
+    let formation_words = int_of_float (Gc.minor_words () -. words0) in
     Format.fprintf ppf "rings and groups formed at t=%d us; initial skew %d us@."
       (Dsim.Time.to_us (Dsim.Engine.now t.CH.eng))
       (Span.to_us (CH.cross_shard_skew t));
+    Format.fprintf ppf "formation: %d events, %d minor words@."
+      (Dsim.Engine.steps t.CH.eng) formation_words;
     (* The built world's size, measured as ctsbench measures [world_mb]:
        the live heap after a full collection, less the recorder's ring,
        which belongs to the observer rather than the world. *)
@@ -646,6 +652,7 @@ let hier_cmd =
         (fun (name, v) -> Obs.Metrics.gauge m name := float_of_int v)
         [
           ("event_queue_hwm", CH.queue_hwm t);
+          ("formation_minor_words", formation_words);
           ("hier_cross_shard_skew_us", Span.to_us skew);
           ("hier_neighbor_skew_us", Span.to_us (CH.neighbor_skew t));
         ];

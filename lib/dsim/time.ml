@@ -19,8 +19,8 @@ let ( <= ) (a : int) b = a <= b
 let ( < ) (a : int) b = a < b
 let ( >= ) (a : int) b = a >= b
 let ( > ) (a : int) b = a > b
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 
 let pp ppf t =
   let sign, t = if Stdlib.( < ) t 0 then ("-", -t) else ("", t) in

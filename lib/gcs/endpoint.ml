@@ -39,6 +39,9 @@ type t = {
       (** membership ops delivered since the last ring change, re-applied
           on top of an adopted snapshot *)
   subs : (Group_id.t, sub) Hashtbl.t;
+  mutable subs_memo : (Group_id.t * sub) option;
+      (** one-entry cache over [subs] for the per-delivery lookup: a
+          replica delivers to one group.  Cleared when [subs] changes. *)
   mutable pending_joins : Group_id.t list;
       (** joins requested before the map was known *)
   mutable last_primary : Nid.Set.t option;
@@ -153,8 +156,18 @@ let adopt_snapshot t ~ring ~groups =
       List.iter (announce_join t) pending
   | None, _ -> () (* snapshot for a ring we are no longer on *)
 
+let find_sub t group =
+  match t.subs_memo with
+  | Some (g, sub) when Group_id.equal g group -> Some sub
+  | _ -> (
+      match Hashtbl.find_opt t.subs group with
+      | Some sub as r ->
+          t.subs_memo <- Some (group, sub);
+          r
+      | None -> None)
+
 let on_app_deliver t (msg : Msg.t) ~from_node =
-  match Hashtbl.find_opt t.subs msg.header.dst_grp with
+  match find_sub t msg.header.dst_grp with
   | Some sub when sub.am_member -> sub.handler (Deliver { msg; from_node })
   | Some _ | None -> ()
 
@@ -264,6 +277,7 @@ let create eng net ~me ?totem_config ~bootstrap () =
         groups = (if bootstrap then Some Group_id.Map.empty else None);
         buffered_ops = [];
         subs = Hashtbl.create 8;
+        subs_memo = None;
         pending_joins = [];
         last_primary = None;
         primary = true;
@@ -284,6 +298,7 @@ let join_group t group ~handler =
   let sub = { handler; am_member = false } in
   refresh_member_cache t group sub;
   Hashtbl.replace t.subs group sub;
+  t.subs_memo <- None;
   match t.groups with
   | Some _ -> announce_join t group
   | None -> t.pending_joins <- group :: t.pending_joins
@@ -291,6 +306,7 @@ let join_group t group ~handler =
 let leave_group t group =
   if Hashtbl.mem t.subs group then begin
     Hashtbl.remove t.subs group;
+    t.subs_memo <- None;
     Totem.Node.multicast t.node (Group_leave { node = t.me; group })
   end
 

@@ -158,15 +158,16 @@ let live_members t s =
     (fun id -> not t.replicas.(Nid.to_int id).crashed)
     (Hier.Topology.shard_members t.topo s)
 
+(* Shard members and Totem's member lists are both ascending by id, so
+   the ring is formed when each live member's list is exactly [expect]. *)
 let ring_formed t s =
-  let expect = List.sort Nid.compare (live_members t s) in
-  expect = []
-  || List.for_all
-       (fun id ->
-         let tot = Gcs.Endpoint.totem t.replicas.(Nid.to_int id).endpoint in
-         Totem.Node.is_operational tot
-         && List.sort Nid.compare (Totem.Node.members tot) = expect)
-       expect
+  let expect = live_members t s in
+  List.for_all
+    (fun id ->
+      let tot = Gcs.Endpoint.totem t.replicas.(Nid.to_int id).endpoint in
+      Totem.Node.is_operational tot
+      && List.equal Nid.equal (Totem.Node.members tot) expect)
+    expect
 
 let shard_formed t s =
   let expect = live_members t s in

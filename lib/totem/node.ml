@@ -1,5 +1,4 @@
 module Nid = Netsim.Node_id
-module Set = Netsim.Node_id.Set
 module IntSet = Stdlib.Set.Make (Int)
 
 let src = Logs.Src.create "totem" ~doc:"Totem single-ring protocol"
@@ -33,7 +32,9 @@ type recovery_state = {
   ring_peers : (Ring_id.t * Nid.t list) list;
       (* members of each of [my_rings]'s old rings, same memoization *)
   offers : (Nid.t, (Ring_id.t * int list) list) Hashtbl.t;
-  mutable done_from : Set.t;
+  awaiting : Bits.countdown;
+      (* committed members whose Recovery_done has not arrived yet; each
+         done costs one bit test *)
   mutable my_done_sent : bool;
   mutable stashed_token : Wire.token option;
 }
@@ -236,7 +237,7 @@ let rec enter_gather t ~candidates ~prefail =
   let was_operational = is_operational t in
   let g =
     Gather.create ~me:t.me
-      ~proc:(Set.union candidates (Set.of_list t.members))
+      ~proc:(Bits.union candidates (Bits.of_list t.members))
       ~fail:prefail
   in
   t.state <- Gather g;
@@ -245,12 +246,12 @@ let rec enter_gather t ~candidates ~prefail =
      Obs.Sink.rec_event s ~kind:Obs.Recorder.k_gather
        ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
        ~node:(Nid.to_int t.me)
-       ~a:(Set.cardinal (Gather.proc_set g))
+       ~a:(Bits.cardinal (Gather.proc_set g))
        ~b:0);
   if was_operational then t.handler Blocked;
   Log.debug (fun m ->
       m "%a: enter gather (candidates=%d)" Nid.pp t.me
-        (Set.cardinal (Gather.proc_set g)));
+        (Bits.cardinal (Gather.proc_set g)));
   send_join t g;
   join_tick t;
   arm_consensus_deadline t;
@@ -273,10 +274,10 @@ and arm_consensus_deadline t =
       match t.state with
       | Gather g ->
           let silent = Gather.deadline g in
-          if not (Set.is_empty silent) then begin
+          if not (Bits.is_empty silent) then begin
             Log.debug (fun m ->
                 m "%a: consensus timeout, failing %d silent candidates" Nid.pp
-                  t.me (Set.cardinal silent));
+                  t.me (Bits.cardinal silent));
             Gather.fail g silent;
             send_join t g;
             maybe_consensus t g
@@ -291,19 +292,19 @@ and arm_consensus_deadline t =
 and maybe_consensus t g =
   if Gather.agreed g then
     let live = Gather.live g in
-    if Nid.equal (Set.min_elt live) t.me then begin
-      (* This node is the representative: form and announce the new ring. *)
+    if Nid.equal (Bits.min_elt live) t.me then begin
+      (* This node is the representative: form and announce the new ring.
+         [Bits.elements] is already ascending in [Nid.compare] order. *)
+      let members_sorted = Bits.elements live in
       let gens =
-        Set.fold
-          (fun p acc ->
+        List.fold_left
+          (fun acc p ->
             match Gather.find g p with
-            | Some j -> max acc j.max_gen
+            | Some j -> Int.max acc j.max_gen
             | None -> acc)
-          live t.max_gen
+          t.max_gen members_sorted
       in
       let new_ring = Ring_id.make ~rep:t.me ~gen:(gens + 1) in
-      (* [Set.elements] is already ascending in [Nid.compare] order *)
-      let members_sorted = Set.elements live in
       let member_old =
         List.map
           (fun p -> (p, (Option.get (Gather.find g p)).Wire.j_old))
@@ -321,7 +322,7 @@ and maybe_consensus t g =
                     (Hashtbl.find_opt per_ring r)
                 in
                 Hashtbl.replace per_ring r
-                  (min lo (info.old_aru + 1), max hi info.high_seq))
+                  (Int.min lo (info.old_aru + 1), Int.max hi info.high_seq))
           member_old;
         Dsim.Det.sorted_bindings ~compare:Ring_id.compare per_ring
         |> List.filter (fun (_, (lo, hi)) -> hi >= lo)
@@ -346,11 +347,11 @@ and maybe_consensus t g =
           match t.state with
           | Wait_commit g when t.commit_round = round ->
               let live = Gather.live g in
-              let leader = Set.min_elt live in
+              let leader = Bits.min_elt live in
               Log.debug (fun m ->
                   m "%a: commit timeout, failing leader %a" Nid.pp t.me Nid.pp
                     leader);
-              enter_gather t ~candidates:live ~prefail:(Set.singleton leader)
+              enter_gather t ~candidates:live ~prefail:(Bits.singleton leader)
           | _ -> ())
     end
 
@@ -440,7 +441,7 @@ and check_my_done t (rs : recovery_state) =
   in
   if ready && not rs.my_done_sent then begin
     rs.my_done_sent <- true;
-    rs.done_from <- Set.add t.me rs.done_from;
+    Bits.strike rs.awaiting t.me;
     bcast t
       (Wire.Recovery_done { d_sender = t.me; new_ring = c.new_ring; nudge = false })
   end;
@@ -448,7 +449,7 @@ and check_my_done t (rs : recovery_state) =
 
 and maybe_finish_recovery t (rs : recovery_state) =
   let c = rs.commit in
-  if rs.my_done_sent && Set.subset (Set.of_list c.members) rs.done_from then begin
+  if rs.my_done_sent && Bits.remaining rs.awaiting = 0 then begin
     (* Deliver the old ring's leftovers in sequence order, skipping gaps no
        surviving member can fill, then announce the new view.  Even when
        there was nothing to exchange (every member already held the same
@@ -519,7 +520,7 @@ and maybe_finish_recovery t (rs : recovery_state) =
 
 and install_ring t (c : Wire.commit) =
   t.epoch <- t.epoch + 1;
-  t.max_gen <- max t.max_gen c.new_ring.gen;
+  t.max_gen <- Int.max t.max_gen c.new_ring.gen;
   t.last_token_seq <- 0;
   t.prev_visit_aru <- 0;
   t.last_visit_count <- 0;
@@ -531,7 +532,7 @@ and install_ring t (c : Wire.commit) =
       my_rings;
       ring_peers = List.map (fun (r, _) -> (r, ring_members_of c r)) my_rings;
       offers = Hashtbl.create 8;
-      done_from = Set.empty;
+      awaiting = Bits.countdown c.members;
       my_done_sent = false;
       stashed_token = None;
     }
@@ -547,7 +548,8 @@ and install_ring t (c : Wire.commit) =
                "phys-equality"
                  "generation check: timer validity is attempt identity"] ->
           Log.debug (fun m -> m "%a: recovery timeout" Nid.pp t.me);
-          enter_gather t ~candidates:(Set.of_list c.members) ~prefail:Set.empty
+          enter_gather t ~candidates:(Bits.of_list c.members)
+            ~prefail:Bits.empty
       | _ -> ());
   check_my_done t rs
 
@@ -607,8 +609,8 @@ and watchdog_step t ep =
             if Dsim.Time.(Dsim.Engine.now t.eng >= t.token_deadline) then begin
               if t.watchdog_ep = ep then t.watchdog_ep <- -1;
               Log.debug (fun m -> m "%a: token loss" Nid.pp t.me);
-              enter_gather t ~candidates:(Set.of_list t.members)
-                ~prefail:Set.empty
+              enter_gather t ~candidates:(Bits.of_list t.members)
+                ~prefail:Bits.empty
             end
             else
               (* tokens arrived since this check was scheduled: the
@@ -647,7 +649,7 @@ and accept_token t (tok : Wire.token) =
      them received by every member (two-rotation stability). *)
   (match t.cfg.delivery with
   | Config.Agreed -> drain_deliveries t
-  | Config.Safe -> drain_deliveries ~upto:(min prev_aru tok.aru) t);
+  | Config.Safe -> drain_deliveries ~upto:(Int.min prev_aru tok.aru) t);
   (* 1. Retransmit requested messages that we hold. *)
   (* Fast path for the healthy ring: nothing requested and no local gaps
      means steps 1-2 are a no-op — skip the list traffic entirely. *)
@@ -675,7 +677,9 @@ and accept_token t (tok : Wire.token) =
         List.length satisfied
   in
   (* 3. Broadcast pending messages under flow control. *)
-  let budget = min t.cfg.max_msgs_per_visit (max 0 (t.cfg.window - tok.fcc)) in
+  let budget =
+    Int.min t.cfg.max_msgs_per_visit (Int.max 0 (t.cfg.window - tok.fcc))
+  in
   let sent = ref 0 in
   while !sent < budget && not (Queue.is_empty t.pending) do
     let payload, unless = Queue.pop t.pending in
@@ -693,7 +697,7 @@ and accept_token t (tok : Wire.token) =
   done;
   (* Retransmits then fresh messages, in push order, one batch per peer. *)
   out_flush t;
-  tok.fcc <- max 0 (tok.fcc + !sent - t.last_visit_count);
+  tok.fcc <- Int.max 0 (tok.fcc + !sent - t.last_visit_count);
   t.last_visit_count <- !sent;
   (* 4. Update the all-received-up-to field (Totem's rule: the owner of the
      lowered aru — or anybody, when it is unowned — raises it to its local
@@ -712,7 +716,7 @@ and accept_token t (tok : Wire.token) =
         tok.aru_id <- Some t.me
       end);
   (* 5. Garbage-collect messages that have been stable for a rotation. *)
-  let stable = min t.prev_visit_aru tok.aru in
+  let stable = Int.min t.prev_visit_aru tok.aru in
   let deliverable = Store.delivered s in
   if stable > 0 && stable <= deliverable then Store.gc s ~upto:stable;
   t.prev_visit_aru <- tok.aru;
@@ -720,7 +724,7 @@ and accept_token t (tok : Wire.token) =
      broadcasts and retransmissions we just stored). *)
   (match t.cfg.delivery with
   | Config.Agreed -> drain_deliveries t
-  | Config.Safe -> drain_deliveries ~upto:(min prev_aru tok.aru) t);
+  | Config.Safe -> drain_deliveries ~upto:(Int.min prev_aru tok.aru) t);
   (* 7. Forward after the processing hold time.  The hold is a
      deterministic delay, so the send is committed now with the hold
      folded into the network delay instead of parked in a timer event —
@@ -791,7 +795,8 @@ and on_regular t (msg : 'a Wire.regular) =
   (if (not relevant) && is_operational t then
      let foreign = not (List.exists (Nid.equal msg.sender) t.members) in
      if foreign then
-       enter_gather t ~candidates:(Set.singleton msg.sender) ~prefail:Set.empty);
+       enter_gather t ~candidates:(Bits.singleton msg.sender)
+         ~prefail:Bits.empty);
   if relevant then begin
     let s = store_for t msg.ring in
     let fresh = Store.add s msg in
@@ -804,7 +809,7 @@ and on_regular t (msg : 'a Wire.regular) =
   end
 
 and on_join t (j : Wire.join) =
-  t.max_gen <- max t.max_gen j.max_gen;
+  t.max_gen <- Int.max t.max_gen j.max_gen;
   match t.state with
   | Crashed | Idle -> ()
   | Gather g | Wait_commit g ->
@@ -829,8 +834,8 @@ and on_join t (j : Wire.join) =
       let is_member = List.exists (Nid.equal j.j_sender) t.members in
       if (not is_member) || j.max_gen >= my_gen then
         enter_gather t
-          ~candidates:(Set.add j.j_sender j.proc_set)
-          ~prefail:Set.empty
+          ~candidates:(Bits.add j.j_sender j.proc_set)
+          ~prefail:Bits.empty
 
 and on_commit t (c : Wire.commit) =
   if List.exists (Nid.equal t.me) c.members then
@@ -891,7 +896,7 @@ and resend_recovery_help t ~new_ring =
 and on_done t ~d_sender ~new_ring ~nudge =
   match t.state with
   | Recover rs when Ring_id.equal rs.commit.new_ring new_ring ->
-      rs.done_from <- Set.add d_sender rs.done_from;
+      Bits.strike rs.awaiting d_sender;
       maybe_finish_recovery t rs
   | Operational ->
       (* A genuine (non-nudge) done means its sender is still recovering on
@@ -905,7 +910,7 @@ and on_presence t ~p_sender ~p_ring =
   | Operational, Some r when not (Ring_id.equal r p_ring) ->
       Log.debug (fun m ->
           m "%a: foreign presence from %a, merging" Nid.pp t.me Nid.pp p_sender);
-      enter_gather t ~candidates:(Set.singleton p_sender) ~prefail:Set.empty
+      enter_gather t ~candidates:(Bits.singleton p_sender) ~prefail:Bits.empty
   | _ -> ()
 
 (* Wall-time attribution: token visits, data receives and each kind of
@@ -1002,7 +1007,7 @@ let create eng net ~me ?(config = Config.default) ~handler () =
 
 let start t =
   match t.state with
-  | Idle -> enter_gather t ~candidates:Set.empty ~prefail:Set.empty
+  | Idle -> enter_gather t ~candidates:Bits.empty ~prefail:Bits.empty
   | _ -> invalid_arg "Totem.Node.start: already started"
 
 let multicast ?unless t payload =

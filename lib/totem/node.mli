@@ -71,6 +71,8 @@ val crash : 'a t -> unit
 val me : 'a t -> Netsim.Node_id.t
 val ring : 'a t -> Ring_id.t option
 val members : 'a t -> Netsim.Node_id.t list
+(** The current ring's members, ascending by id. *)
+
 val is_operational : 'a t -> bool
 val pending : 'a t -> int
 (** Multicasts queued but not yet broadcast. *)

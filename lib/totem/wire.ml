@@ -23,8 +23,8 @@ type old_ring_info = {
 
 type join = {
   j_sender : Netsim.Node_id.t;
-  proc_set : Netsim.Node_id.Set.t;
-  fail_set : Netsim.Node_id.Set.t;
+  proc_set : Bits.t;
+  fail_set : Bits.t;
   j_old : old_ring_info;
   max_gen : int;
 }
@@ -60,13 +60,6 @@ type 'a t =
     }
   | Presence of { p_sender : Netsim.Node_id.t; p_ring : Ring_id.t }
 
-let pp_set ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-       Netsim.Node_id.pp)
-    (Netsim.Node_id.Set.elements s)
-
 let pp ppf = function
   | Regular r ->
       Format.fprintf ppf "regular %a #%d from %a" Ring_id.pp r.ring r.seq
@@ -80,7 +73,7 @@ let pp ppf = function
         t.rtr
   | Join j ->
       Format.fprintf ppf "join from %a proc=%a fail=%a" Netsim.Node_id.pp
-        j.j_sender pp_set j.proc_set pp_set j.fail_set
+        j.j_sender Bits.pp j.proc_set Bits.pp j.fail_set
   | Commit c ->
       Format.fprintf ppf "commit %a members=[%a]" Ring_id.pp c.new_ring
         (Format.pp_print_list

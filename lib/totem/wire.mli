@@ -32,8 +32,8 @@ type old_ring_info = {
 
 type join = {
   j_sender : Netsim.Node_id.t;
-  proc_set : Netsim.Node_id.Set.t;  (** candidate members, incl. sender *)
-  fail_set : Netsim.Node_id.Set.t;  (** nodes the sender has given up on *)
+  proc_set : Bits.t;  (** candidate members, incl. sender *)
+  fail_set : Bits.t;  (** nodes the sender has given up on *)
   j_old : old_ring_info;
   max_gen : int;  (** highest ring generation the sender has seen *)
 }

@@ -435,6 +435,25 @@ let test_formation_join_storm_bounded () =
     (Printf.sprintf "world %d words <= 320000" words)
     true (words <= 320_000)
 
+(* The per-receipt cost of membership messages, pinned by counts that
+   repeat exactly per seed.  With balanced-tree candidate sets, a
+   polymorphic join table and a member-list rebuild per recovery done,
+   this formation allocated 6 843 446 minor words; bitset sets, an
+   int-keyed table and a countdown of awaited dones bring it to about
+   1.8 M.  The simulated formation must not move at all: same event
+   count, same instant. *)
+let test_formation_alloc_bounded () =
+  let t = CH.create ~seed:1L ~shards:16 ~shard_size:16 () in
+  let w0 = Gc.minor_words () in
+  CH.start_all t;
+  let words = Gc.minor_words () -. w0 in
+  check bool
+    (Printf.sprintf "formation minor words %.0f <= 3.4 M" words)
+    true (words <= 3.4e6);
+  check int "formation events" 40_677 (Dsim.Engine.steps t.CH.eng);
+  check int "formation instant (ns)" 5_056_396
+    (Time.to_ns (Dsim.Engine.now t.CH.eng))
+
 let suites =
   [
     ( "hier",
@@ -458,5 +477,7 @@ let suites =
           test_golden_seed_fingerprint;
         Alcotest.test_case "formation join storm bounded (16x16, seed 1)"
           `Slow test_formation_join_storm_bounded;
+        Alcotest.test_case "formation allocation bounded (16x16, seed 1)"
+          `Slow test_formation_alloc_bounded;
       ] );
   ]

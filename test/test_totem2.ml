@@ -291,6 +291,13 @@ let prop_large_ring_total_order =
 
 module Set = Nid.Set
 
+module Bits = struct
+  include Totem.Bits
+
+  let of_set s = of_list (Set.elements s)
+  let to_set b = Set.of_list (elements b)
+end
+
 (* Reference: the same set rules, with the agreement test as first
    written — every live candidate's latest join compared with the local
    sets structurally. *)
@@ -305,10 +312,10 @@ let ref_absorb r (j : Totem.Wire.join) =
   if Set.mem j.j_sender r.fail then false
   else begin
     Hashtbl.replace r.joins j.j_sender j;
-    let proc = Set.union r.proc j.proc_set in
+    let proc = Set.union r.proc (Bits.to_set j.proc_set) in
     let fail =
-      if Set.mem r.me j.fail_set then Set.add j.j_sender r.fail
-      else Set.union r.fail j.fail_set
+      if Set.mem r.me (Bits.to_set j.fail_set) then Set.add j.j_sender r.fail
+      else Set.union r.fail (Bits.to_set j.fail_set)
     in
     let grew = not (Set.equal proc r.proc && Set.equal fail r.fail) in
     r.proc <- proc;
@@ -323,81 +330,216 @@ let ref_agreed r =
        (fun p ->
          match Hashtbl.find_opt r.joins p with
          | Some (j : Totem.Wire.join) ->
-             Set.equal j.proc_set r.proc && Set.equal j.fail_set r.fail
+             Set.equal (Bits.to_set j.proc_set) r.proc
+             && Set.equal (Bits.to_set j.fail_set) r.fail
          | None -> false)
        live
 
 let join_of ~sender ~proc ~fail : Totem.Wire.join =
   {
     j_sender = sender;
-    proc_set = proc;
-    fail_set = fail;
+    proc_set = Bits.of_set proc;
+    fail_set = Bits.of_set fail;
     j_old = { old_ring = None; high_seq = 0; old_aru = 0 };
     max_gen = 0;
   }
 
-let set_of_mask k mask =
+(* Node [i] of a property's k nodes has id [ids.(i)]. *)
+let set_of_mask ids k mask =
   Set.of_list
     (List.filter_map
-       (fun i -> if mask land (1 lsl i) <> 0 then Some (n i) else None)
+       (fun i -> if mask land (1 lsl i) <> 0 then Some (n ids.(i)) else None)
        (List.init k Fun.id))
 
-(* Node 0 receives a random sequence of steps over nodes 0..k-1:
+(* The receiver receives a random sequence of steps over nodes 0..k-1:
    0 a join with random sets; 1 a join echoing the local sets; 2 that
    echo failing the receiver; 3 the receiver's own join; 4 a consensus
    timeout failing random nodes.  After every step the cached agreement
    count must give the reference's verdict, over the same sets. *)
+let gather_matches_reference ids (k, (proc0, fail0), steps) =
+  let set_of_mask = set_of_mask ids in
+  let me = n ids.(0) in
+  let proc = set_of_mask k proc0 and fail = set_of_mask k fail0 in
+  let g =
+    Totem.Gather.create ~me ~proc:(Bits.of_set proc) ~fail:(Bits.of_set fail)
+  in
+  let r =
+    {
+      me;
+      proc = Set.add me proc;
+      fail = Set.remove me fail;
+      joins = Hashtbl.create 8;
+    }
+  in
+  let same () =
+    Set.equal (Bits.to_set (Totem.Gather.proc_set g)) r.proc
+    && Set.equal (Bits.to_set (Totem.Gather.fail_set g)) r.fail
+    && Set.equal (Bits.to_set (Totem.Gather.live g)) (Set.diff r.proc r.fail)
+    && Totem.Gather.agreed g = ref_agreed r
+  in
+  let absorb j = Totem.Gather.absorb g j = ref_absorb r j in
+  same ()
+  && List.for_all
+       (fun (kind, s, pmask, fmask) ->
+         let sender = n ids.(1 + (s mod (k - 1))) in
+         let ok =
+           match kind with
+           | 0 ->
+               absorb
+                 (join_of ~sender
+                    ~proc:(Set.add sender (set_of_mask k pmask))
+                    ~fail:(set_of_mask k fmask))
+           | 1 -> absorb (join_of ~sender ~proc:r.proc ~fail:r.fail)
+           | 2 ->
+               absorb (join_of ~sender ~proc:r.proc ~fail:(Set.add me r.fail))
+           | 3 -> absorb (join_of ~sender:me ~proc:r.proc ~fail:r.fail)
+           | _ ->
+               let f = set_of_mask k fmask in
+               Totem.Gather.fail g (Bits.of_set f);
+               r.fail <- Set.union r.fail (Set.remove me f);
+               true
+         in
+         ok && same ())
+       steps
+
+let gather_case_gen =
+  QCheck.(
+    triple (int_range 2 8)
+      (pair (int_bound 255) (int_bound 255))
+      (list_of_size (Gen.int_range 1 40)
+         (quad (int_bound 4) (int_bound 7) (int_bound 255) (int_bound 255))))
+
 let prop_gather_agreement_matches_reference =
   QCheck.Test.make ~count:500
     ~name:"gather: cached-cardinality agreement equals Set.equal"
+    gather_case_gen
+    (gather_matches_reference (Array.init 8 Fun.id))
+
+(* The same steps over ids spread across word boundaries of the bitsets:
+   the receiver sits in word 1 and the senders reach word 16. *)
+let prop_gather_agreement_across_words =
+  QCheck.Test.make ~count:500
+    ~name:"gather: agreement equals Set.equal, ids across bitset words"
+    gather_case_gen
+    (gather_matches_reference [| 62; 0; 61; 63; 123; 124; 186; 1023 |])
+
+(* ------------------------------------------------------------------ *)
+(* Bitsets *)
+
+(* Ids 0..1100, biased towards word boundaries. *)
+let bits_id_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; 61; 62; 63; 123; 124; 125; 1023; 1100 ];
+        int_bound 1100;
+      ])
+
+let bits_set_gen = QCheck.Gen.(list_size (int_bound 40) bits_id_gen)
+
+let prop_bits_match_set =
+  QCheck.Test.make ~count:1000 ~name:"bitset ops equal Node_id.Set ops"
     QCheck.(
-      triple (int_range 2 8)
-        (pair (int_bound 255) (int_bound 255))
-        (list_of_size (Gen.int_range 1 40)
-           (quad (int_bound 4) (int_bound 7) (int_bound 255) (int_bound 255))))
-    (fun (k, (proc0, fail0), steps) ->
-      let me = n 0 in
-      let proc = set_of_mask k proc0 and fail = set_of_mask k fail0 in
-      let g = Totem.Gather.create ~me ~proc ~fail in
-      let r =
-        {
-          me;
-          proc = Set.add me proc;
-          fail = Set.remove me fail;
-          joins = Hashtbl.create 8;
-        }
+      make
+        ~print:(fun (a, b, x) ->
+          let l = Print.(list int) in
+          Printf.sprintf "(%s, %s, %d)" (l a) (l b) x)
+        Gen.(triple bits_set_gen bits_set_gen bits_id_gen))
+    (fun (a, b, x) ->
+      let a = List.map n a and b = List.map n b in
+      let sa = Set.of_list a and sb = Set.of_list b in
+      let ba = Bits.of_list a and bb = Bits.of_list b in
+      let x = n x in
+      let same_set bits set =
+        List.equal Nid.equal (Bits.elements bits) (Set.elements set)
+        && Bits.cardinal bits = Set.cardinal set
       in
-      let same () =
-        Set.equal (Totem.Gather.proc_set g) r.proc
-        && Set.equal (Totem.Gather.fail_set g) r.fail
-        && Set.equal (Totem.Gather.live g) (Set.diff r.proc r.fail)
-        && Totem.Gather.agreed g = ref_agreed r
-      in
-      let absorb j = Totem.Gather.absorb g j = ref_absorb r j in
-      same ()
-      && List.for_all
-           (fun (kind, s, pmask, fmask) ->
-             let sender = n (1 + (s mod (k - 1))) in
-             let ok =
-               match kind with
-               | 0 ->
-                   absorb
-                     (join_of ~sender
-                        ~proc:(Set.add sender (set_of_mask k pmask))
-                        ~fail:(set_of_mask k fmask))
-               | 1 -> absorb (join_of ~sender ~proc:r.proc ~fail:r.fail)
-               | 2 ->
-                   absorb
-                     (join_of ~sender ~proc:r.proc ~fail:(Set.add me r.fail))
-               | 3 -> absorb (join_of ~sender:me ~proc:r.proc ~fail:r.fail)
-               | _ ->
-                   let f = set_of_mask k fmask in
-                   Totem.Gather.fail g f;
-                   r.fail <- Set.union r.fail (Set.remove me f);
-                   true
-             in
-             ok && same ())
-           steps)
+      same_set ba sa && same_set bb sb
+      && Bits.subset ba bb = Set.subset sa sb
+      && Bits.subset bb ba = Set.subset sb sa
+      && Bits.subset ba (Bits.union ba bb)
+      && same_set (Bits.union ba bb) (Set.union sa sb)
+      && same_set (Bits.diff ba bb) (Set.diff sa sb)
+      && Bits.diff_cardinal ba bb = Set.cardinal (Set.diff sa sb)
+      && Bits.mem x ba = Set.mem x sa
+      && same_set (Bits.add x ba) (Set.add x sa)
+      && same_set (Bits.remove x ba) (Set.remove x sa)
+      && (Set.is_empty sa || Nid.equal (Bits.min_elt ba) (Set.min_elt sa))
+      && Bits.is_empty ba = Set.is_empty sa)
+
+let test_bits_edges () =
+  let bits l = Bits.of_list (List.map n l) in
+  let ids l = List.map Nid.to_int (Bits.elements (bits l)) in
+  check (Alcotest.list int) "empty" [] (ids []);
+  check (Alcotest.list int) "word edges ascending"
+    [ 0; 61; 62; 63; 123; 124; 1023 ]
+    (ids [ 1023; 124; 123; 63; 62; 61; 0 ]);
+  check int "cardinal of word-edge set" 7
+    (Bits.cardinal (bits [ 0; 61; 62; 63; 123; 124; 1023 ]));
+  check bool "empty subset of empty" true (Bits.subset Bits.empty Bits.empty);
+  check bool "high id not a subset of a short set" false
+    (Bits.subset (bits [ 1023 ]) (bits [ 0 ]));
+  check bool "short set a subset of a long one" true
+    (Bits.subset (bits [ 0 ]) (bits [ 0; 1023 ]));
+  check int "two full words" 124 (Bits.cardinal (bits (List.init 124 Fun.id)))
+
+(* A recovery goes operational exactly when every committed member's
+   Recovery_done is in: the node's own, then one per other member.
+   Dones from non-members and repeated dones count nothing. *)
+let test_recovery_done_count () =
+  let eng = Dsim.Engine.create ~seed:1L () in
+  let net =
+    Netsim.Network.create eng
+      {
+        Netsim.Network.latency = Netsim.Latency.Constant (Span.of_us 26);
+        loss = 0.;
+      }
+  in
+  let node =
+    Totem.Node.create eng net ~me:(n 0) ~handler:(fun _ -> ()) ()
+  in
+  (* Nodes 1 and 2 are the other members and 3 is an outsider; none runs
+     Totem, each message is injected by hand. *)
+  List.iter
+    (fun i -> Netsim.Network.attach net (n i) (fun ~src:_ _ -> ()))
+    [ 1; 2; 3 ];
+  Totem.Node.start node;
+  let new_ring = Totem.Ring_id.make ~rep:(n 1) ~gen:5 in
+  let fresh : Totem.Wire.old_ring_info =
+    { old_ring = None; high_seq = 0; old_aru = 0 }
+  in
+  let inject src msg =
+    Netsim.Network.send net ~src:(n src) ~dst:(n 0) msg;
+    Dsim.Engine.run
+      ~until:(Time.add (Dsim.Engine.now eng) (Span.of_us 100))
+      eng
+  in
+  inject 1
+    (Totem.Wire.Commit
+       {
+         new_ring;
+         members = [ n 0; n 1; n 2 ];
+         member_old = List.map (fun i -> (n i, fresh)) [ 0; 1; 2 ];
+         recover = [];
+       });
+  let operational () = Totem.Node.is_operational node in
+  check bool "recovering after the commit" false (operational ());
+  let done_from i =
+    inject i
+      (Totem.Wire.Recovery_done { d_sender = n i; new_ring; nudge = false })
+  in
+  done_from 3;
+  check bool "a non-member's done counts nothing" false (operational ());
+  done_from 1;
+  check bool "one of two other members" false (operational ());
+  done_from 1;
+  check bool "a repeated done counts nothing" false (operational ());
+  done_from 2;
+  check bool "every member's done is in" true (operational ());
+  check bool "on the committed ring" true
+    (match Totem.Node.ring node with
+    | Some r -> Totem.Ring_id.equal r new_ring
+    | None -> false)
 
 (* A random minority of 3..8 nodes crashes at random instants of the
    first gather, on a clean or a lossy LAN: every survivor must reach
@@ -488,6 +630,11 @@ let suites =
     ( "totem.gather",
       [
         QCheck_alcotest.to_alcotest prop_gather_agreement_matches_reference;
+        QCheck_alcotest.to_alcotest prop_gather_agreement_across_words;
+        QCheck_alcotest.to_alcotest prop_bits_match_set;
+        Alcotest.test_case "bitset word edges" `Quick test_bits_edges;
+        Alcotest.test_case "recovery ends on every member's done" `Quick
+          test_recovery_done_count;
         QCheck_alcotest.to_alcotest prop_formation_survives_mid_gather_crashes;
       ] );
   ]
