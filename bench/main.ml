@@ -94,6 +94,33 @@ let emit_json () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The host's reference kernel, measured first: the bare engine timer
+   loop (ctsbench's dsim.bare_ns_per_event), best of [passes].  The
+   trajectory takes its ratio between two points out of their wall-clock
+   headlines, so a slower host does not read as slower code. *)
+let bench_calibration () =
+  let n = 200_000 and batch = 10_000 in
+  let (), dt, spread =
+    best_of (fun () ->
+        let eng = Dsim.Engine.create () in
+        timed (fun () ->
+            for _ = 1 to n / batch do
+              for i = 1 to batch do
+                Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
+              done;
+              Dsim.Engine.run eng
+            done))
+  in
+  Format.fprintf ppf
+    "host reference kernel: %.2e engine timer events/s (best of %d, spread \
+     %.1f%%)@."
+    (float_of_int n /. dt) passes (100. *. spread);
+  json_add "calibration"
+    (Printf.sprintf
+       "{\"kernel\": \"engine timer loop\", \"events\": %d, \
+        \"kernel_events_per_sec\": %.0f, \"kernel_events_per_sec_spread\": %.3f}"
+       n (float_of_int n /. dt) spread)
+
 let bench_fig4 () =
   section "E1 / Figure 4: worked example of the CCS algorithm";
   R.fig4 ppf (E.fig4 ())
@@ -396,7 +423,7 @@ let bench_engine () =
 (* Multicore exploration scaling: the same random-walk exploration
    ([ctsim explore --strategy random]) at 1/2/4/8 worker domains. *)
 let bench_mc_scaling () =
-  section "MC3: multicore schedule exploration scaling (Mc.Pool)";
+  section "MC3: multicore schedule exploration scaling (Mc.Explore ~jobs)";
   let budget = scaled 2_000 in
   let cfg = { Mc.Harness.default with Mc.Harness.rounds = 12 } in
   Format.fprintf ppf
@@ -409,7 +436,7 @@ let bench_mc_scaling () =
     "spread" "wall (s)" "cpu (s)" "speedup vs 1 domain";
   (* discarded warmup: page in the code and let the first run's
      one-time promotions happen outside the measured rows *)
-  ignore (Mc.Pool.explore ~budget:(scaled 200) ~jobs:1 cfg);
+  ignore (Mc.Explore.explore ~budget:(scaled 200) ~jobs:1 cfg);
   (* The exploration result is deterministic — identical across a row's
      runs — so only the timing varies. *)
   let row jobs =
@@ -417,7 +444,7 @@ let bench_mc_scaling () =
       best_of (fun () ->
           (* same heap state for every run (and as a standalone run) *)
           Gc.compact ();
-          let r = Mc.Pool.explore ~budget ~jobs cfg in
+          let r = Mc.Explore.explore ~budget ~jobs cfg in
           (r.Mc.Explore.elapsed_s, r))
     in
     (jobs, Mc.Explore.schedules_per_sec r, spread, r.Mc.Explore.elapsed_s,
@@ -801,6 +828,7 @@ let run_micro () =
 let () =
   Format.fprintf ppf
     "Consistent Time Service reproduction benchmarks (scale=%.3g)@." scale;
+  bench_calibration ();
   bench_fig4 ();
   bench_token ();
   bench_fig5 ();

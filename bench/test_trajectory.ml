@@ -84,6 +84,49 @@ let check_band () =
        (report (J.parse "{\"scale\": 0.1, \"engine\": {}}")))
     "a run of another scale is compared with a point"
 
+(* Host calibration: a headline that slowed down exactly as much as the
+   reference kernel did is the host, not the code; one that slowed down
+   while the kernel held steady is the code.  The engine rate, which
+   times the kernel's own loop, is judged raw. *)
+let check_calibration () =
+  let point ~kernel ~explore ~engine =
+    J.parse
+      (Printf.sprintf
+         "{\"scale\": 1, \"calibration\": {\"kernel_events_per_sec\": %g, \
+          \"kernel_events_per_sec_spread\": 0.02}, \"engine\": \
+          {\"events_per_sec\": %g, \"events_per_sec_spread\": 0.02}, \
+          \"mc_explore\": {\"schedules_per_sec\": %g, \
+          \"schedules_per_sec_spread\": 0.02}}"
+         kernel engine explore)
+  in
+  let before = point ~kernel:100. ~explore:100. ~engine:100. in
+  let warnings run =
+    let r =
+      Format.asprintf "%t" (fun ppf ->
+          Trajectory.report ppf ~run [ ("PR1", before) ])
+    in
+    List.filter
+      (fun l -> contains ~sub:"PERF WARNING (trajectory)" l)
+      (String.split_on_char '\n' r)
+  in
+  let warned_about sub run = List.exists (contains ~sub) (warnings run) in
+  expect
+    (not (warned_about "mc_explore" (point ~kernel:80. ~explore:80. ~engine:100.)))
+    "kernel and headline both 0.8x: warned";
+  expect
+    (warned_about "mc_explore" (point ~kernel:100. ~explore:80. ~engine:100.))
+    "headline 0.8x with the kernel unchanged: no warning";
+  expect
+    (warned_about "mc_explore" (point ~kernel:125. ~explore:100. ~engine:100.))
+    "headline unchanged on a 1.25x faster host: no warning";
+  expect
+    (warned_about "engine.events_per_sec"
+       (point ~kernel:80. ~explore:80. ~engine:80.))
+    "engine rate 0.8x on a 0.8x host: not judged raw";
+  expect
+    (warned_about "mc_explore" (point ~kernel:80. ~explore:60. ~engine:100.))
+    "headline 0.6x on a 0.8x host (0.75x calibrated): no warning"
+
 let engine_at label points =
   Option.bind (List.assoc_opt label points) (fun p ->
       Option.bind (J.member "engine" p) (J.member "events_per_sec"))
@@ -101,14 +144,15 @@ let () =
   let points = Trajectory.load root in
   let series = Trajectory.series Trajectory.engine_events_per_sec points in
   (match (engine_at "PR9" points, engine_at "PR10" points,
-          List.find_opt (fun (l, _, _) -> l = "PR10") series)
+          List.find_opt (fun (l, _, _, _) -> l = "PR10") series)
    with
-  | Some (J.Num v9), Some (J.Num v10), Some (_, Some v, Some ratio) ->
+  | Some (J.Num v9), Some (J.Num v10), Some (_, Some v, Some ratio, _) ->
       expect (v = v10) "fold reads PR10's engine rate as %g, not %g" v v10;
       expect (Float.abs (ratio -. (v10 /. v9)) < 1e-12)
         "fold's PR9 -> PR10 engine ratio is %g, not %g / %g" ratio v10 v9
   | _ -> expect false "PR9/PR10 engine.events_per_sec missing from the fold");
   check_band ();
+  check_calibration ();
   if !failures > 0 then exit 1;
   Printf.printf "trajectory: %d checked-in points well formed\n"
     (List.length files)

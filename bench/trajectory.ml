@@ -64,33 +64,64 @@ type better = Higher | Lower
 
 let engine_events_per_sec = [ Key "engine"; Key "events_per_sec" ]
 
+(* The host's reference kernel: the bare engine timer loop, best of 5
+   with its spread, which bench/main.exe records in every point.  Its
+   ratio between two points is how much faster the host ran, not the
+   code. *)
+let kernel = [ Key "calibration"; Key "kernel_events_per_sec" ]
+
+(* A headline is [calibrated] when its value is wall-clock time on the
+   host.  Two are judged raw: fig5's latency is simulated, and the engine
+   rate times the kernel's own loop, so calibrating it would hide an
+   engine regression. *)
+type headline = { steps : step list; better : better; calibrated : bool }
+
 let headlines =
+  let h ?(calibrated = true) better steps = { steps; better; calibrated } in
   let hier replicas leaf =
     [ Key "hier"; Key "sizes"; Where ("replicas", replicas); Key leaf ]
   in
   [
-    (engine_events_per_sec, Higher);
-    ([ Key "mc_explore"; Key "schedules_per_sec" ], Higher);
-    ( [ Key "explore_scaling"; Key "jobs"; Where ("jobs", 1.);
-        Key "schedules_per_sec" ],
-      Higher );
-    (hier 256. "rounds_per_wall_sec", Higher);
-    (hier 256. "formation_wall_s", Lower);
-    (hier 1024. "rounds_per_wall_sec", Higher);
-    (hier 1024. "formation_wall_s", Lower);
-    ([ Key "lint_typed"; Key "units_per_sec" ], Higher);
-    ([ Key "fig5"; Key "with_cts"; Key "mean_us" ], Lower);
+    h ~calibrated:false Higher engine_events_per_sec;
+    h Higher [ Key "mc_explore"; Key "schedules_per_sec" ];
+    h Higher
+      [ Key "explore_scaling"; Key "jobs"; Where ("jobs", 1.);
+        Key "schedules_per_sec" ];
+    h Higher (hier 256. "rounds_per_wall_sec");
+    h Lower (hier 256. "formation_wall_s");
+    h Higher (hier 1024. "rounds_per_wall_sec");
+    h Lower (hier 1024. "formation_wall_s");
+    h Higher [ Key "lint_typed"; Key "units_per_sec" ];
+    h ~calibrated:false Lower [ Key "fig5"; Key "with_cts"; Key "mean_us" ];
   ]
 
-(* The fold: each point's value at [steps] and its ratio to the latest
-   earlier point that has one. *)
+(* How much faster the host ran at [b] than at [a], when both points
+   carry the kernel. *)
+let host_speedup a b =
+  match (value kernel a, value kernel b) with
+  | Some ka, Some kb -> Some (kb /. ka)
+  | _ -> None
+
+(* A [better] metric's ratio with the host's speed-up [h] taken out. *)
+let calibrate better ratio h =
+  match better with Higher -> ratio /. h | Lower -> ratio *. h
+
+(* Worse is measured like a spread: the fraction by which the run took
+   longer per unit of work. *)
+let worse better ratio =
+  (match better with Higher -> 1. /. ratio | Lower -> ratio) -. 1.
+
+(* The fold: each point's value at [steps], its ratio to the latest
+   earlier point that has one, and the host speed-up between the two. *)
 let series steps points =
   let step (prev, rows) (label, json) =
     let v = value steps json in
-    let ratio =
-      match (prev, v) with Some p, Some x -> Some (x /. p) | _ -> None
+    let row =
+      match (prev, v) with
+      | Some (p, pjson), Some x -> (label, v, Some (x /. p), host_speedup pjson json)
+      | _ -> (label, v, None, None)
     in
-    ((if Option.is_some v then v else prev), (label, v, ratio) :: rows)
+    ((match v with Some x -> Some (x, json) | None -> prev), row :: rows)
   in
   List.rev (snd (List.fold_left step (None, []) points))
 
@@ -108,25 +139,41 @@ let cells fmt xs =
          | None -> String.make (width - 1) ' ' ^ "\u{2014}")
        xs)
 
+(* The larger of two points' spreads at [steps], when both have one. *)
+let band_of steps a b =
+  match (value (spread_of steps) a, value (spread_of steps) b) with
+  | Some x, Some y -> Some (Float.max x y)
+  | _ -> None
+
 (* The trajectory warning for one headline: [now] against the latest
-   checked-in point [(label, p)] that has it.  Worse is measured like a
-   spread — the fraction by which the run took longer per unit of work —
-   and warned about only beyond the larger of the two runs' spreads. *)
-let band ppf (steps, better) ~run ~now (label, p) =
-  let before = Option.get (value steps p) in
-  let worse =
-    (match better with Higher -> before /. now | Lower -> now /. before) -. 1.
+   checked-in point [(label, p)] that has it, warned about only beyond
+   the larger of the two runs' spreads.  When the two points' kernels
+   differ beyond their own spreads, the host changed speed, and a
+   calibrated headline is judged on its calibrated ratio alone, within
+   its band plus the kernel's. *)
+let band ppf { steps; better; calibrated } ~run ~now (label, p) =
+  let raw = now /. Option.get (value steps p) in
+  let kband = Option.value ~default:0. (band_of kernel run p) in
+  let judged, extra =
+    match host_speedup p run with
+    | Some h when calibrated && Float.max h (1. /. h) -. 1. > kband ->
+        (Some h, kband)
+    | _ -> (None, 0.)
   in
-  match (value (spread_of steps) run, value (spread_of steps) p) with
-  | Some a, Some b ->
-      let band = Float.max a b in
-      Format.fprintf ppf "  band %.1f%%@." (100. *. band);
-      if worse > band then
+  let ratio = Option.fold ~none:raw ~some:(calibrate better raw) judged in
+  match band_of steps run p with
+  | Some b ->
+      let band = b +. extra in
+      let kind = if Option.is_some judged then "calibrated" else "raw" in
+      Format.fprintf ppf "  band %.1f%%, %s ratio judged@." (100. *. band) kind;
+      if worse better ratio > band then
         Format.fprintf ppf
-          "PERF WARNING (trajectory): %s is %.2fx of %s's, worse by %.1f%% \
-           (band %.1f%%)@."
-          (name steps) (now /. before) label (100. *. worse) (100. *. band)
-  | _ -> Format.fprintf ppf "  no band@."
+          "PERF WARNING (trajectory): %s is %.2fx (%s) of %s's, worse by \
+           %.1f%% (band %.1f%%)@."
+          (name steps) ratio kind label
+          (100. *. worse better ratio)
+          (100. *. band)
+  | None -> Format.fprintf ppf "  no band@."
 
 let report ppf ~run points =
   let scale = Json.member "scale" run in
@@ -138,15 +185,31 @@ let report ppf ~run points =
       (Option.fold ~none:"none" ~some:Json.to_string scale)
   else begin
     let cols = same @ [ ("run", run) ] in
+    let rows steps =
+      let rows = series steps cols in
+      Format.fprintf ppf "  value%s@.  ratio%s@."
+        (cells (Printf.sprintf "%.4g") (List.map (fun (_, v, _, _) -> v) rows))
+        (cells (Printf.sprintf "%.2fx") (List.map (fun (_, _, r, _) -> r) rows));
+      rows
+    in
     Format.fprintf ppf "%7s%s@." ""
       (cells Fun.id (List.map (fun (label, _) -> Some label) cols));
+    Format.fprintf ppf "%s (host reference kernel; not judged)@." (name kernel);
+    ignore (rows kernel);
     List.iter
-      (fun ((steps, better) as headline) ->
-        let rows = series steps cols in
-        Format.fprintf ppf "%s (%s is better)@.  value%s@.  ratio%s" (name steps)
-          (match better with Higher -> "higher" | Lower -> "lower")
-          (cells (Printf.sprintf "%.4g") (List.map (fun (_, v, _) -> v) rows))
-          (cells (Printf.sprintf "%.2fx") (List.map (fun (_, _, r) -> r) rows));
+      (fun ({ steps; better; calibrated } as headline) ->
+        Format.fprintf ppf "%s (%s is better)@." (name steps)
+          (match better with Higher -> "higher" | Lower -> "lower");
+        let rows = rows steps in
+        if calibrated then
+          Format.fprintf ppf "   cal.%s@."
+            (cells (Printf.sprintf "%.2fx")
+               (List.map
+                  (fun (_, _, r, h) ->
+                    match (r, h) with
+                    | Some r, Some h -> Some (calibrate better r h)
+                    | _ -> None)
+                  rows));
         let latest =
           List.find_opt
             (fun (_, p) -> Option.is_some (value steps p))
@@ -154,6 +217,6 @@ let report ppf ~run points =
         in
         match (value steps run, latest) with
         | Some now, Some point -> band ppf headline ~run ~now point
-        | _ -> Format.fprintf ppf "@.")
+        | _ -> ())
       headlines
   end

@@ -474,7 +474,7 @@ let explore_cmd =
       }
     in
     let report =
-      Mc.Pool.explore ~strategy ~budget ~quantum_us
+      Mc.Explore.explore ~strategy ~budget ~quantum_us
         ~stop_at_first:(not keep_going) ~jobs cfg
     in
     Format.fprintf ppf "%a@." Mc.Explore.pp_report report;

@@ -5,8 +5,9 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 (* Fiber identity: set while a fiber's code runs (including after every
    resumption), cleared around it.  Fibers are cooperative, so a simple
    save/restore discipline is enough.  Both cells are domain-local: each
-   domain runs its own engine (Mc.Pool gives every worker domain a private
-   simulator), and fiber identity must not bleed between them. *)
+   domain runs its own engine (the explorer's runner, Mc.Pool, gives every
+   worker domain a private simulator), and fiber identity must not bleed
+   between them. *)
 let next_id_key = Domain.DLS.new_key (fun () -> ref 0)
 
 (* Stored as a plain int (0 = not in a fiber; real ids start at 1) so

@@ -49,9 +49,9 @@ let schedules_per_sec r =
 
 (* Reproduce a violating run deterministically from its applied deviation
    trace, delta-debug the trace down, and re-run the minimal schedule once
-   more with packet recording on.  Pure sequential — the parallel explorer
-   funnels every violation through here, in schedule order, so reports are
-   independent of domain count. *)
+   more with packet recording on.  Pure sequential — [explore] funnels
+   every violation through here on the calling domain, in schedule order,
+   so reports are independent of domain count. *)
 let build_violation ~quantum cfg ~seed ~first_invariant ~deviations =
   let cfg = { cfg with Harness.seed; record_packets = false } in
   let fails sched =
@@ -119,47 +119,61 @@ let trace_violation ?(quantum_us = 200) ?(capacity = 1_000_000) cfg
     Obs.Recorder.dropped recorder )
 
 let explore ?(strategy = Strategy.default_random) ?(budget = 500)
-    ?(quantum_us = 200) ?(stop_at_first = true) cfg =
+    ?(quantum_us = 200) ?(stop_at_first = true) ?(jobs = 1) cfg =
+  if jobs < 1 then invalid_arg "Mc.Explore.explore: jobs must be >= 1";
   let quantum = Span.of_us quantum_us in
-  let gen =
-    Strategy.generator strategy ~base_seed:cfg.Harness.seed ~quantum
-  in
-  let seen = Hashtbl.create (2 * budget) in
-  let violations = ref [] in
-  let runs = ref 0 in
-  let steps_total = ref 0 in
   let t0 = wall () in
   let c0 = cpu () in
-  (* One world snapshot amortized over the whole budget; run_reused is
-     result-identical to Harness.run.  Shrinking (build_violation) stays
-     on fresh construction — it is the cold path. *)
-  let reusable = Harness.reusable { cfg with Harness.record_packets = false } in
-  (try
-     while !runs < budget do
-       match gen.Strategy.next () with
-       | None -> raise Exit
-       | Some (seed, spec) ->
-           let cfg = { cfg with Harness.seed; record_packets = false } in
-           let outcome, info = Harness.run_reused reusable ~spec cfg in
-           incr runs;
-           steps_total := !steps_total + info.Harness.steps;
-           Hashtbl.replace seen info.Harness.fingerprint ();
-           gen.Strategy.feedback ~spec ~info;
-           (match Invariant.check_all outcome with
-           | [] -> ()
-           | (first_name, _) :: _ ->
-               violations :=
-                 build_violation ~quantum cfg ~seed ~first_invariant:first_name
-                   ~deviations:info.Harness.deviations
-                 :: !violations;
-               if stop_at_first then raise Exit)
-     done
-   with Exit -> ());
+  let run () =
+    match strategy with
+    | Strategy.Random { delay_prob; reorder_prob } ->
+        Pool.run_random ~jobs ~stop_at_first ~quantum ~delay_prob
+          ~reorder_prob cfg budget
+    | Strategy.Bounded { depth } ->
+        Pool.run_bounded ~jobs ~stop_at_first ~quantum ~depth cfg budget
+  in
+  (* With several domains every minor collection stops them all, so the
+     larger minor heap sized for the harness pays; it is set from the
+     calling domain (workers inherit it) and restored afterwards.  One
+     domain runs as fast on the default heap, and a short exploration
+     would only pay for reallocating it. *)
+  let executed =
+    if jobs > 1 then Dsim.Engine.with_gc_tuning run else run ()
+  in
+  (* Everything below reads the prefix that ends at the first violating
+     schedule (or the whole run when clean or [not stop_at_first]), so
+     the report does not depend on how far past it other domains raced;
+     every slot of that prefix is filled. *)
+  let cutoff =
+    let rec first_violation i =
+      if i = Array.length executed then i - 1
+      else
+        match executed.(i) with
+        | Some { Pool.violated = Some _; _ } when stop_at_first -> i
+        | _ -> first_violation (i + 1)
+    in
+    first_violation 0
+  in
+  let seen = Hashtbl.create 1024 in
+  let steps_total = ref 0 in
+  let violations = ref [] in
+  for i = 0 to cutoff do
+    let r = Option.get executed.(i) in
+    steps_total := !steps_total + r.Pool.steps;
+    Hashtbl.replace seen r.Pool.fingerprint ();
+    Option.iter
+      (fun (first_invariant, deviations) ->
+        violations :=
+          build_violation ~quantum cfg ~seed:r.Pool.seed ~first_invariant
+            ~deviations
+          :: !violations)
+      r.Pool.violated
+  done;
   {
     strategy = Format.asprintf "%a" Strategy.pp strategy;
     budget;
-    jobs = 1;
-    schedules = !runs;
+    jobs;
+    schedules = cutoff + 1;
     distinct = Hashtbl.length seen;
     steps_total = !steps_total;
     elapsed_s = wall () -. t0;

@@ -1,16 +1,17 @@
-(** Top-level exploration driver.
+(** Top-level exploration driver, and the only explorer.
 
     Runs the harness under a {!Strategy}, checking every registered
-    {!Invariant} after each schedule.  On a violation the applied
-    deviation trace is replayed to confirm determinism, delta-debugged
-    down to a minimal counterexample ({!Shrink}), and re-run once more
-    with a recorder on the stream so the report can show the packet log
-    alongside the minimal reorder trace.
-
-    This module is the sequential reference; {!Pool} fans the same
-    exploration out over worker domains and produces the same report
-    type (and, for a given strategy/budget/seed, the same violations and
-    distinct-schedule count). *)
+    {!Invariant} after each schedule.  The schedules themselves run on
+    {!Pool}'s index-sharded runner over [jobs] worker domains: the random
+    strategy as one batch of run indices, the bounded strategy one BFS
+    level at a time.  Results are merged in schedule order and the
+    report is cut at the first violation, so it is identical at any
+    [jobs].  Each reported violation is then, sequentially on the
+    calling domain, replayed from its applied deviation trace to confirm
+    determinism, delta-debugged down to a minimal counterexample
+    ({!Shrink}), and re-run once more with a recorder on the stream so
+    the report can show the packet log alongside the minimal reorder
+    trace. *)
 
 type violation = {
   invariant : string;  (** name of the first violated invariant *)
@@ -52,24 +53,17 @@ val explore :
   ?budget:int ->
   ?quantum_us:int ->
   ?stop_at_first:bool ->
+  ?jobs:int ->
   Harness.config ->
   report
-(** [explore cfg] drives [budget] (default 500) schedules.  [quantum_us]
-    (default 200) is the packet-delay quantum handed to the controller.
-    With [stop_at_first] (default [true]) exploration stops at the first
-    violation; otherwise it keeps going and accumulates them. *)
-
-val build_violation :
-  quantum:Dsim.Time.Span.t ->
-  Harness.config ->
-  seed:int64 ->
-  first_invariant:string ->
-  deviations:Schedule.t ->
-  violation
-(** Confirm, shrink and render one violating run (sequentially).  Shared
-    with {!Pool}, which performs discovery in parallel but always shrinks
-    on the calling domain, in schedule order, so its reports do not
-    depend on domain count. *)
+(** [explore cfg] drives at most [budget] (default 500) schedules.
+    [quantum_us] (default 200) is the packet-delay quantum handed to the
+    controller.  With [stop_at_first] (default [true]) the report ends at
+    the first violating schedule; otherwise exploration keeps going and
+    accumulates violations.  [jobs] (default 1: everything on the calling
+    domain, no domain spawned) is the number of worker domains; the
+    report is the same at any [jobs] except for its timing fields and
+    [jobs] itself.  Raises [Invalid_argument] if [jobs < 1]. *)
 
 val trace_violation :
   ?quantum_us:int ->

@@ -18,11 +18,6 @@ let of_string s =
   | "bounded" -> Some (Bounded { depth = 1 })
   | _ -> None
 
-type gen = {
-  next : unit -> (int64 * Controller.spec) option;
-  feedback : spec:Controller.spec -> info:Harness.info -> unit;
-}
-
 (* Mix a run index into the base seed (splitmix-style) so consecutive runs
    get uncorrelated engine and walk seeds. *)
 let derive base i salt =
@@ -34,7 +29,7 @@ let derive base i salt =
 (* The [i]-th run of the seed sweep + random walk: a fresh cluster seed
    and a fresh stream of random delay/reorder decisions, as a pure
    function of [i] — so the run space can be partitioned across domains
-   (Pool) as well as walked sequentially (the generator below). *)
+   (Pool) in any order. *)
 let random_run ~base_seed ~quantum ~delay_prob ~reorder_prob i =
   let harness_seed = derive base_seed i 0 in
   let walk_seed = derive base_seed i 1 in
@@ -44,15 +39,6 @@ let random_run ~base_seed ~quantum ~delay_prob ~reorder_prob i =
       random = Some { Controller.seed = walk_seed; delay_prob; reorder_prob };
       quantum;
     } )
-
-let random_gen ~base_seed ~quantum ~delay_prob ~reorder_prob =
-  let i = ref 0 in
-  let next () =
-    let run = !i in
-    incr i;
-    Some (random_run ~base_seed ~quantum ~delay_prob ~reorder_prob run)
-  in
-  { next; feedback = (fun ~spec:_ ~info:_ -> ()) }
 
 (* Bounded-reorder exhaustive search: starting from the default schedule
    on a fixed seed, enumerate every schedule that deviates in at most
@@ -86,32 +72,3 @@ let bounded_children ~quantum ~(parent : Controller.spec)
   List.map
     (fun forced -> { Controller.forced; random = None; quantum })
     (delays @ reorders)
-
-let bounded_gen ~base_seed ~quantum ~depth =
-  let pending : (int64 * Controller.spec) Queue.t = Queue.create () in
-  let spawned = Hashtbl.create 64 in
-  Queue.push (base_seed, { Controller.forced = []; random = None; quantum })
-    pending;
-  let next () =
-    match Queue.take_opt pending with
-    | None -> None
-    | Some run -> Some run
-  in
-  let feedback ~(spec : Controller.spec) ~(info : Harness.info) =
-    if Schedule.length spec.Controller.forced < depth then begin
-      let key = Hashtbl.hash spec.Controller.forced in
-      if not (Hashtbl.mem spawned key) then begin
-        Hashtbl.replace spawned key ();
-        List.iter
-          (fun child -> Queue.push (base_seed, child) pending)
-          (bounded_children ~quantum ~parent:spec ~info)
-      end
-    end
-  in
-  { next; feedback }
-
-let generator t ~base_seed ~quantum =
-  match t with
-  | Random { delay_prob; reorder_prob } ->
-      random_gen ~base_seed ~quantum ~delay_prob ~reorder_prob
-  | Bounded { depth } -> bounded_gen ~base_seed ~quantum ~depth

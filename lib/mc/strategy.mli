@@ -1,6 +1,6 @@
 (** Schedule-exploration strategies.
 
-    A strategy is a generator of [(seed, controller spec)] runs:
+    A strategy names the [(seed, controller spec)] runs to explore:
 
     - [Random]: seed sweep plus random walk — every run re-seeds the whole
       cluster (clock jitter, think times) and randomly delays packets /
@@ -22,16 +22,6 @@ val pp : Format.formatter -> t -> unit
 val of_string : string -> t option
 (** ["random"] or ["bounded"]. *)
 
-type gen = {
-  next : unit -> (int64 * Controller.spec) option;
-      (** The next run to execute, or [None] when the strategy is
-          exhausted. *)
-  feedback : spec:Controller.spec -> info:Harness.info -> unit;
-      (** Report a completed run so the strategy can derive follow-ups. *)
-}
-
-val generator : t -> base_seed:int64 -> quantum:Dsim.Time.Span.t -> gen
-
 val random_run :
   base_seed:int64 ->
   quantum:Dsim.Time.Span.t ->
@@ -40,8 +30,8 @@ val random_run :
   int ->
   int64 * Controller.spec
 (** The [i]-th run of the [Random] strategy, as a pure function of [i]:
-    run indices can be partitioned across worker domains ({!Mc.Pool}) and
-    still enumerate exactly the sequential generator's runs. *)
+    run indices can be partitioned across worker domains ({!Pool}) and
+    still enumerate the same runs. *)
 
 val bounded_children :
   quantum:Dsim.Time.Span.t ->
@@ -50,6 +40,6 @@ val bounded_children :
   Controller.spec list
 (** The one-deviation extensions of [parent] exposed by its run's
     branching structure ([info]) — the [Bounded] strategy's expansion
-    rule, shared by the sequential generator and the wave-parallel
-    explorer.  Depends only on [parent] and [info], so the BFS frontier
-    is deterministic however runs are scheduled. *)
+    rule, applied by {!Pool.run_bounded} to every result of one BFS level
+    to form the next.  Depends only on [parent] and [info], so the BFS
+    frontier is deterministic however runs are scheduled. *)

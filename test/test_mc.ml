@@ -544,7 +544,7 @@ let test_seeded_bug_random_walk_finds_it () =
     (r.Mc.Explore.violations <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Pool: parallel exploration must be indistinguishable from serial *)
+(* Pool: the report is the same at any number of worker domains *)
 
 (* Everything observable about a report except timing. *)
 let report_key (r : Mc.Explore.report) =
@@ -556,62 +556,72 @@ let report_key (r : Mc.Explore.report) =
         (v.Mc.Explore.invariant, v.Mc.Explore.seed, v.Mc.Explore.counterexample))
       r.Mc.Explore.violations )
 
-let test_pool_matches_serial_clean () =
-  let c = cfg 6 in
-  let serial = Mc.Explore.explore ~budget:60 c in
-  let pooled = Mc.Pool.explore ~budget:60 ~jobs:1 c in
-  check bool "pool jobs=1 = serial explore" true
-    (report_key serial = report_key pooled);
-  check int "distinct schedules" serial.Mc.Explore.distinct
-    pooled.Mc.Explore.distinct
-
 let test_pool_jobs_equivalence_random_clean () =
   let c = cfg 6 in
   let strategy = Mc.Strategy.Random { delay_prob = 0.02; reorder_prob = 0.3 } in
-  let j1 = Mc.Pool.explore ~strategy ~budget:60 ~jobs:1 c in
-  let j4 = Mc.Pool.explore ~strategy ~budget:60 ~jobs:4 c in
+  let j1 = Mc.Explore.explore ~strategy ~budget:60 ~jobs:1 c in
+  let j4 = Mc.Explore.explore ~strategy ~budget:60 ~jobs:4 c in
   check bool "jobs=1 = jobs=4 (random, clean)" true
     (report_key j1 = report_key j4);
   check int "all schedules ran" 60 j4.Mc.Explore.schedules
 
 let test_pool_jobs_equivalence_bounded_clean () =
-  (* clean bounded search: the work-stealing deques race the tree in an
-     arbitrary order, but the canonical replay must hand back the exact
-     sequential BFS prefix — schedule and distinct counts included *)
+  (* clean bounded search: each BFS level is raced over the shards in an
+     arbitrary order, but the merge hands back the exact FIFO prefix —
+     schedule and distinct counts included *)
   let c = cfg 6 in
   let strategy = Mc.Strategy.Bounded { depth = 1 } in
-  let serial = Mc.Explore.explore ~strategy ~budget:80 c in
-  let j1 = Mc.Pool.explore ~strategy ~budget:80 ~jobs:1 c in
-  let j4 = Mc.Pool.explore ~strategy ~budget:80 ~jobs:4 c in
+  let j1 = Mc.Explore.explore ~strategy ~budget:80 ~jobs:1 c in
+  let j4 = Mc.Explore.explore ~strategy ~budget:80 ~jobs:4 c in
   check bool "jobs=1 = jobs=4 (bounded, clean)" true
     (report_key j1 = report_key j4);
   check int "distinct matches" j1.Mc.Explore.distinct j4.Mc.Explore.distinct;
-  check int "steps match" j1.Mc.Explore.steps_total j4.Mc.Explore.steps_total;
-  check bool "pool = serial (bounded, clean)" true
-    (report_key serial = report_key j1);
-  check int "serial distinct" serial.Mc.Explore.distinct
-    j4.Mc.Explore.distinct
+  check int "steps match" j1.Mc.Explore.steps_total j4.Mc.Explore.steps_total
 
 let test_pool_jobs_equivalence_bounded_buggy () =
   (* the seeded bug: same violation (invariant, seed, shrunk
      counterexample), same schedule counts, whatever the domain count *)
   let strategy = Mc.Strategy.Bounded { depth = 1 } in
-  let j1 = Mc.Pool.explore ~strategy ~budget:300 ~jobs:1 buggy in
-  let j4 = Mc.Pool.explore ~strategy ~budget:300 ~jobs:4 buggy in
+  let j1 = Mc.Explore.explore ~strategy ~budget:300 ~jobs:1 buggy in
+  let j4 = Mc.Explore.explore ~strategy ~budget:300 ~jobs:4 buggy in
   check bool "violation found" true (j1.Mc.Explore.violations <> []);
   check bool "jobs=1 = jobs=4 (bounded, buggy)" true
-    (report_key j1 = report_key j4);
-  let serial = Mc.Explore.explore ~strategy ~budget:300 buggy in
-  check bool "pool = serial on the violation" true
-    (report_key serial = report_key j1)
+    (report_key j1 = report_key j4)
 
 let test_pool_jobs_equivalence_random_buggy () =
   let strategy = Mc.Strategy.Random { delay_prob = 0.08; reorder_prob = 0.3 } in
-  let j1 = Mc.Pool.explore ~strategy ~budget:400 ~jobs:1 buggy in
-  let j3 = Mc.Pool.explore ~strategy ~budget:400 ~jobs:3 buggy in
+  let j1 = Mc.Explore.explore ~strategy ~budget:400 ~jobs:1 buggy in
+  let j3 = Mc.Explore.explore ~strategy ~budget:400 ~jobs:3 buggy in
   check bool "violation found" true (j1.Mc.Explore.violations <> []);
   check bool "jobs=1 = jobs=3 (random, buggy)" true
     (report_key j1 = report_key j3)
+
+(* Depth-2 searches whose budget runs out inside a BFS level, pinned to
+   the values the sequential FIFO explorer produced: the level-by-level
+   runner must take exactly the FIFO's prefix of the level, at any jobs. *)
+let check_pinned name ~budget c expected =
+  let strategy = Mc.Strategy.Bounded { depth = 2 } in
+  List.iter
+    (fun jobs ->
+      check bool
+        (Printf.sprintf "%s, jobs=%d" name jobs)
+        true
+        (report_key (Mc.Explore.explore ~strategy ~budget ~jobs c) = expected))
+    [ 1; 2 ]
+
+let test_pool_pinned_bounded_clean () =
+  (* 1 root + 52 depth-1 children; the budget ends in depth 2 *)
+  check_pinned "clean depth 2, budget 150" ~budget:150 (cfg 6)
+    (150, 43, 11526, [])
+
+let test_pool_pinned_bounded_buggy () =
+  (* the first depth-1 child already violates; the budget would end
+     inside depth 1 *)
+  check_pinned "buggy depth 2, budget 40" ~budget:40 buggy
+    ( 2,
+      2,
+      174,
+      [ ("agreement", 1L, [ Mc.Schedule.Delay { packet = 0 } ]) ] )
 
 (* ------------------------------------------------------------------ *)
 
@@ -673,8 +683,6 @@ let suites =
       ] );
     ( "mc.pool",
       [
-        Alcotest.test_case "jobs=1 matches serial" `Quick
-          test_pool_matches_serial_clean;
         Alcotest.test_case "jobs equivalence (random, clean)" `Quick
           test_pool_jobs_equivalence_random_clean;
         Alcotest.test_case "jobs equivalence (bounded, clean)" `Quick
@@ -683,6 +691,10 @@ let suites =
           test_pool_jobs_equivalence_bounded_buggy;
         Alcotest.test_case "jobs equivalence (random, buggy)" `Quick
           test_pool_jobs_equivalence_random_buggy;
+        Alcotest.test_case "pinned order (bounded depth 2, clean)" `Quick
+          test_pool_pinned_bounded_clean;
+        Alcotest.test_case "pinned order (bounded depth 2, buggy)" `Quick
+          test_pool_pinned_bounded_buggy;
       ] );
     ( "mc.seeded_bug",
       [
