@@ -52,14 +52,14 @@ let points = Option.fold ~none:[] ~some:Trajectory.load root
    the seconds — the noise band the trajectory report compares with. *)
 let passes = 5
 
-let best_of f =
-  let runs =
-    List.sort
-      (fun (a, _) (b, _) -> Float.compare a b)
-      (List.init passes (fun _ -> f ()))
-  in
+let best runs =
+  let runs = List.sort (fun (a, _) (b, _) -> Float.compare a b) runs in
   let dt, x = List.hd runs in
-  (x, dt, (fst (List.nth runs (passes / 2)) /. dt) -. 1.)
+  (x, dt, (fst (List.nth runs (List.length runs / 2)) /. dt) -. 1.)
+
+let best_of f = best (List.init passes (fun _ -> f ()))
+
+let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
 
 let timed f =
   let t0 = Mc.Explore.wall () in
@@ -305,12 +305,16 @@ let bench_mc () =
    gets measured.  Both run under the engine's GC tuning (as the
    explorer does) and meter the GC, so the zero-allocation claim is a
    measured number: minor-heap bytes per scheduled+fired event, and the
-   minor collections a pass cost.  The bars: 0.0 bytes/event in both
-   passes; stream off within 5% of PR-3's engine throughput (20% on
+   minor collections a pass cost.  The off and on passes run as
+   [passes] interleaved pairs, alternating which side goes first, so a
+   stretch of host load slows both sides of a pair alike; the on/off
+   ratio is the median of the per-pair ratios.  The bars: 0.0
+   bytes/event in both passes (fastest pass of each side); stream off
+   (fastest pass) within 5% of PR-3's engine throughput (20% on
    scaled-down runs, whose short passes sit inside the box's load
-   noise); stream on within 5% of stream off from the same process (10%
-   scaled).  Any breach prints the one "PERF WARNING (obs)" marker,
-   which CI turns into a hard failure. *)
+   noise); median pair ratio on/off >= 0.95 (0.90 scaled).  Any breach
+   prints the one "PERF WARNING (obs)" marker, which CI turns into a
+   hard failure. *)
 let bench_engine () =
   section "MC2/OBS: raw engine event throughput, probe stream off vs on";
   let n = scaled 2_000_000 in
@@ -350,24 +354,40 @@ let bench_engine () =
         in
         (dt, (bytes, minors))
       in
-      let (bytes_off, minors_off), dt_off, spread_off = best_of (one_pass None) in
       let recorder = Obs.Recorder.create () in
       let sink = Obs.Sink.create () in
       Obs.Sink.set_recorder sink (Some recorder);
       Obs.Sink.set_steps sink true;
-      let (bytes_on, _), dt_on, spread_on = best_of (one_pass (Some sink)) in
+      let pairs =
+        List.init passes (fun i ->
+            if i mod 2 = 0 then
+              let off = one_pass None () in
+              (off, one_pass (Some sink) ())
+            else
+              let on = one_pass (Some sink) () in
+              (one_pass None (), on))
+      in
+      let (bytes_off, minors_off), dt_off, spread_off =
+        best (List.map fst pairs)
+      in
+      let (bytes_on, _), dt_on, spread_on = best (List.map snd pairs) in
       let per_sec_off = float_of_int n /. dt_off in
       let per_sec_on = float_of_int n /. dt_on in
-      let ratio = per_sec_on /. per_sec_off in
-      Format.fprintf ppf "(%d timer events per pass, best of %d passes)@." n
-        passes;
+      (* events/s on over events/s off = seconds off over seconds on *)
+      let ratio =
+        median (List.map (fun ((off, _), (on, _)) -> off /. on) pairs)
+      in
+      Format.fprintf ppf
+        "(%d timer events per pass, %d interleaved off/on pairs; rates are \
+         the fastest pass)@."
+        n passes;
       Format.fprintf ppf
         "stream off: %.2e events/s (spread %.1f%%), %.1f bytes/event, %d \
          minor collection(s)@."
         per_sec_off (100. *. spread_off) bytes_off minors_off;
       Format.fprintf ppf
         "stream on:  %.2e events/s (spread %.1f%%), %.1f bytes/event — %.2fx \
-         of stream off@."
+         of stream off (median pair)@."
         per_sec_on (100. *. spread_on) bytes_on ratio;
       Format.fprintf ppf
         "ring after the runs: %d record(s) held of %d emitted (%d \
@@ -402,7 +422,9 @@ let bench_engine () =
               floor);
       let on_tolerance = if scale >= 1. then 0.95 else 0.90 in
       if ratio < on_tolerance then
-        warn "stream-on throughput is %.2fx of stream off (must be >= %.2f)"
+        warn
+          "stream-on throughput is %.2fx of stream off in the median pair \
+           (must be >= %.2f)"
           ratio on_tolerance;
       json_add "engine"
         (Printf.sprintf

@@ -1,35 +1,34 @@
 exception No_context
 
-(* fiber id -> (service, thread); bindings are installed and removed by
-   [with_context] in a strict stack discipline per fiber *)
-let contexts : (int, Service.t * Thread_id.t) Hashtbl.t = Hashtbl.create 16
-
-let fiber_id () =
-  match Dsim.Fiber.current_id () with
-  | Some id -> id
-  | None -> raise No_context
-
-let context () =
-  match Dsim.Fiber.current_id () with
-  | None -> None
-  | Some id -> Hashtbl.find_opt contexts id
+(* The binding is not stored anywhere: [with_context] answers this effect
+   for the code it runs, so nesting, restoring on exit and surviving a
+   suspension all follow from handler scope (a suspended fiber's captured
+   continuation carries its handlers). *)
+type _ Effect.t += Context : (Service.t * Thread_id.t) Effect.t
 
 let with_context service ~thread f =
-  let id = fiber_id () in
-  let prev = Hashtbl.find_opt contexts id in
-  Hashtbl.replace contexts id (service, thread);
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some binding -> Hashtbl.replace contexts id binding
-      | None -> Hashtbl.remove contexts id)
-    f
+  let binding = (service, thread) in
+  Effect.Deep.try_with f ()
+    {
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | Context ->
+              Some
+                (fun (k : (b, _) Effect.Deep.continuation) ->
+                  Effect.Deep.continue k binding)
+          | _ -> None);
+    }
+
+let context () =
+  match Effect.perform Context with
+  | binding -> Some binding
+  | exception Effect.Unhandled _ -> None
 
 let call kind =
-  let id = fiber_id () in
-  match Hashtbl.find_opt contexts id with
-  | None -> raise No_context
+  match context () with
   | Some (service, thread) -> Service.clock_read service ~thread ~call:kind
+  | None -> raise No_context
 
 let gettimeofday () = call Call_type.Gettimeofday
 let time () = call Call_type.Time

@@ -241,11 +241,9 @@ let adopt_recovery_sync t (p : Ccs_msg.payload) =
 (* Wall-time attribution of CCS message reception.  [clock_read] is NOT
    bracketed: it suspends on a fiber condition mid-call, and an attribution
    region must stay within one engine callback. *)
-let at_on_message = Obs.Attrib.site ~sub:Obs.Subsystem.Ccs ~name:"on-message"
-
 let on_message t (msg : Gcs.Msg.t) =
   let sink = Dsim.Engine.obs t.eng in
-  Obs.Sink.attr_enter sink at_on_message;
+  Obs.Sink.attr_enter sink Obs.Attrib.Ccs_on_message;
   (match Ccs_msg.of_msg msg with
   | None -> ()
   | Some p -> (

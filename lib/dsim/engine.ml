@@ -21,6 +21,7 @@ type t = {
   mutable steps : int;
       (* events executed since creation: one plain increment per event,
          so event-rate accounting needs no obs sink *)
+  mutable fibers : int;  (* fibers spawned so far = the last fiber id *)
 }
 
 let unit_arg = Obj.repr ()
@@ -37,6 +38,7 @@ let create ?(seed = 1L) () =
     scheduler = None;
     obs = Obs.Sink.create ();
     steps = 0;
+    fibers = 0;
   }
 
 let now t = t.now
@@ -195,6 +197,11 @@ let with_gc_tuning ?(minor_heap_words = 1024 * 1024)
   Fun.protect ~finally:(fun () -> Gc.set saved) f
 
 let steps t = t.steps
+
+let fresh_fiber_id t =
+  t.fibers <- t.fibers + 1;
+  t.fibers
+
 let pending t = Event_queue.length t.queue
 let queue_high_water t = Event_queue.high_water t.queue
 let reset_queue_high_water t = Event_queue.reset_high_water t.queue

@@ -94,6 +94,11 @@ val steps : t -> int
     sink so event-rate accounting costs one increment even with no sink
     attached. *)
 
+val fresh_fiber_id : t -> int
+(** The next fiber identifier of this engine: 1 for its first fiber, then
+    2, 3, …  The counter is engine state, so a world rebuilt (or restored)
+    from the same seed numbers its fibers identically.  Used by {!Fiber}. *)
+
 val queue_high_water : t -> int
 (** Deepest the event queue has ever been during this engine's life (or
     since {!reset_queue_high_water}) — the backlog-pressure gauge behind

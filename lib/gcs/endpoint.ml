@@ -171,8 +171,6 @@ let on_app_deliver t (msg : Msg.t) ~from_node =
   | Some sub when sub.am_member -> sub.handler (Deliver { msg; from_node })
   | Some _ | None -> ()
 
-let at_ring_view = Obs.Attrib.site ~sub:Obs.Subsystem.Gcs ~name:"ring-view"
-
 let on_ring_view_inner t ~(ring : Totem.Ring_id.t) ~members =
   t.current_ring <- Some ring;
   t.buffered_ops <- [];
@@ -234,7 +232,7 @@ let on_ring_view_inner t ~(ring : Totem.Ring_id.t) ~members =
 
 let on_ring_view t ~ring ~members =
   let s = Dsim.Engine.obs t.eng in
-  Obs.Sink.attr_enter s at_ring_view;
+  Obs.Sink.attr_enter s Obs.Attrib.Gcs_ring_view;
   on_ring_view_inner t ~ring ~members;
   (* The hook observes after the view (and any snapshot re-announce) is
      fully applied; it must not mutate protocol state. *)

@@ -194,12 +194,10 @@ let open_round t =
                  acc;
                }))
 
-let at_tick = Obs.Attrib.site ~sub:Obs.Subsystem.Hier ~name:"tick"
-
 let rec tick t gen () =
   if (not t.crashed) && t.active && gen = t.gen then begin
     let s = Dsim.Engine.obs t.eng in
-    Obs.Sink.attr_enter s at_tick;
+    Obs.Sink.attr_enter s Obs.Attrib.Hier_tick;
     if i_coordinate t then open_round t;
     Dsim.Engine.schedule t.eng t.cfg.period (tick t gen);
     Obs.Sink.attr_leave s
@@ -208,11 +206,9 @@ let rec tick t gen () =
 (* ------------------------------------------------------------------ *)
 (* Bridge reception                                                    *)
 
-let at_bridge = Obs.Attrib.site ~sub:Obs.Subsystem.Hier ~name:"bridge"
-
 let rec on_bridge t ~src msg =
   let s = Dsim.Engine.obs t.eng in
-  Obs.Sink.attr_enter s at_bridge;
+  Obs.Sink.attr_enter s Obs.Attrib.Hier_bridge;
   on_bridge_inner t ~src msg;
   Obs.Sink.attr_leave s
 

@@ -73,22 +73,20 @@ let all =
       name = "domain-unsafe";
       summary =
         "module-level mutable state reachable from Mc.Pool worker code \
-         that is neither domain-local (DLS), lock-protected, nor \
-         annotated [@ctslint.domain_owned]";
+         unless domain-local (DLS) or lock-protected";
       allowed_in = [];
     };
     {
       name = "bad-suppression";
       summary =
-        "[@ctslint.allow]/[@ctslint.domain_owned] with a missing reason, \
-         malformed payload, or unknown rule name";
+        "[@ctslint.allow] with a missing reason, malformed payload, or \
+         unknown rule name; any other unknown [@ctslint.*] annotation";
       allowed_in = [];
     };
     {
       name = "unused-allow";
       summary =
-        "[@ctslint.allow] that suppresses nothing, or \
-         [@ctslint.domain_owned] state no pool worker reaches";
+        "[@ctslint.allow] that suppresses nothing";
       allowed_in = [];
     };
   ]

@@ -17,17 +17,11 @@
    printed by [ctslint --list-suppressions] is exactly the set of live,
    justified exceptions to the determinism contract.
 
-   Two sibling annotations ride the same machinery:
-
-     let stats = ref [] [@@ctslint.domain_owned "reason"]
-
-   declares module-level mutable state as intentionally shared (checked
-   by the domain-unsafe rule, and judged unused like an allow when no
-   pool worker reaches it), and [@@ctslint.hotpath] (no payload) marks a
-   function whose transitive call graph must be allocation-free. *)
+   A sibling annotation rides the same parser: [@@ctslint.hotpath] (no
+   payload) marks a function whose transitive call graph must be
+   allocation-free. *)
 
 type scope = File | Scoped
-type kind = Allow | Domain_owned
 
 type t = {
   s_file : string;
@@ -35,7 +29,6 @@ type t = {
   s_rule : string;
   s_reason : string;
   s_scope : scope;
-  s_kind : kind;
   mutable s_used : bool;
 }
 
@@ -44,7 +37,6 @@ type parsed =
   | Other  (* not a ctslint annotation *)
   | Hotpath
   | Allow of { rule : string; reason : string }
-  | Owned of string  (* domain_owned, with its reason *)
   | Bad of string  (* a bad-suppression, with the complaint *)
 
 let string_const (e : Parsetree.expression) =
@@ -93,28 +85,17 @@ let parse (attr : Parsetree.attribute) =
         `Expr e
     | _ -> `Other
   in
-  let owned_reason =
-    match expr with `Expr e -> string_const e | `Empty | `Other -> None
-  in
   match (attr.Parsetree.attr_name.Location.txt, expr) with
   | "ctslint.hotpath", `Empty -> Hotpath
   | "ctslint.hotpath", _ -> Bad "[@ctslint.hotpath] takes no payload"
   | "ctslint.allow", `Expr e -> parse_allow e
   | "ctslint.allow", _ -> malformed
-  | "ctslint.domain_owned", _ -> (
-      match owned_reason with
-      | Some reason when reason <> "" -> Owned reason
-      | _ ->
-          Bad
-            "[@ctslint.domain_owned] carries no reason; shared mutable \
-             state must say why it is safe across domains")
   | name, _ when String.starts_with ~prefix:"ctslint." name ->
       (* a typo must not pass silently for an annotation *)
       Bad (Printf.sprintf "unknown ctslint annotation %S" name)
   | _ -> Other
 
 let to_string t =
-  Printf.sprintf "%s:%d: %s %s — %s%s" t.s_file t.s_line
-    (match t.s_kind with Allow -> "allow" | Domain_owned -> "domain_owned")
-    t.s_rule t.s_reason
+  Printf.sprintf "%s:%d: allow %s — %s%s" t.s_file t.s_line t.s_rule
+    t.s_reason
     (match t.s_scope with File -> " (file-wide)" | Scoped -> "")

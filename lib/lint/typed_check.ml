@@ -20,8 +20,8 @@
    domain-unsafe — starting from every function defined in
    [Rules.domain_root_files] (the pool's worker code), walk the same
    resolved edges and flag reads/writes of module-level mutable state
-   that are not DLS-backed, not made inside a lock-taking function, and
-   not declared [@ctslint.domain_owned].
+   that are neither DLS-backed nor made inside a lock-taking function.
+   No declaration exempts a definition.
 
    Every consumed annotation is marked [s_used]; one that silenced
    nothing becomes an [unused-allow] finding. *)
@@ -222,28 +222,24 @@ let domain_check env (units : Typed_facts.unit_facts list) =
           | RGlob g -> (
               match g.Typed_facts.g_kind with
               | Typed_facts.Safe | Typed_facts.Other -> ()
-              | Typed_facts.Mutable what -> (
-                  match g.Typed_facts.g_owned with
-                  | Some s -> s.Suppress.s_used <- true
-                  | None ->
-                      if f.Typed_facts.f_locks then ()
-                        (* accessed by a lock-taking function: treated
-                           as a protected critical section *)
-                      else
-                        ignore
-                          (fault env ~file:f.Typed_facts.f_file
-                             ~loc:r.Typed_facts.r_loc ~rule:"domain-unsafe"
-                             ~supp:r.Typed_facts.r_supp_dom
-                             (Printf.sprintf
-                                "%s reaches %s (%s, defined at %s:%d) from \
-                                 pool worker code; make it DLS, guard it \
-                                 with a lock, or declare \
-                                 [@ctslint.domain_owned]"
-                                f.Typed_facts.f_canon g.Typed_facts.g_canon
-                                what g.Typed_facts.g_file
-                                g.Typed_facts.g_loc.Location.loc_start
-                                  .Lexing.pos_lnum)
-                            : bool)))
+              | Typed_facts.Mutable what ->
+                  if f.Typed_facts.f_locks then ()
+                    (* accessed by a lock-taking function: treated as a
+                       protected critical section *)
+                  else
+                    ignore
+                      (fault env ~file:f.Typed_facts.f_file
+                         ~loc:r.Typed_facts.r_loc ~rule:"domain-unsafe"
+                         ~supp:r.Typed_facts.r_supp_dom
+                         (Printf.sprintf
+                            "%s reaches %s (%s, defined at %s:%d) from pool \
+                             worker code; make it DLS or guard it with a \
+                             lock"
+                            f.Typed_facts.f_canon g.Typed_facts.g_canon what
+                            g.Typed_facts.g_file
+                            g.Typed_facts.g_loc.Location.loc_start
+                              .Lexing.pos_lnum)
+                        : bool))
           | RVar | RExtern _ -> ())
         f.Typed_facts.f_refs
     end
@@ -280,16 +276,13 @@ let unused_check env (units : Typed_facts.unit_facts list) =
                 col = 0;
                 rule = "unused-allow";
                 message =
-                  (match (s.Suppress.s_kind, s.Suppress.s_scope) with
-                  | Suppress.Domain_owned, _ ->
-                      "[@ctslint.domain_owned] state is never reached from \
-                       pool worker code; delete the declaration"
-                  | Suppress.Allow, Suppress.File ->
+                  (match s.Suppress.s_scope with
+                  | Suppress.File ->
                       Printf.sprintf
                         "file-level suppression of %S silences nothing; \
                          delete it"
                         s.Suppress.s_rule
-                  | Suppress.Allow, Suppress.Scoped ->
+                  | Suppress.Scoped ->
                       Printf.sprintf
                         "suppression of %S silences nothing; delete it"
                         s.Suppress.s_rule);

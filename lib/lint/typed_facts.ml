@@ -64,7 +64,6 @@ type global_def = {
   g_file : string;
   g_loc : Location.t;
   g_kind : global_kind;
-  g_owned : Suppress.t option;  (* [@ctslint.domain_owned "reason"] *)
 }
 
 type unit_facts = {
@@ -115,42 +114,35 @@ let site ctx ~loc ~rule msg =
   if not (Rules.exempt (Rules.find rule) ~file:ctx.file) then
     ctx.sites <- at ctx ~loc ~rule msg :: ctx.sites
 
-(* Register one attribute: allows and ownership declarations join the
-   inventory, malformed annotations become bad-suppression sites. *)
+(* Register one attribute: allows join the inventory, malformed
+   annotations become bad-suppression sites. *)
 let suppression_of_attr ctx ~scope (attr : Parsetree.attribute) =
-  let register rule reason kind =
-    let s =
-      {
-        Suppress.s_file = ctx.file;
-        s_line = attr.Parsetree.attr_loc.Location.loc_start.Lexing.pos_lnum;
-        s_rule = rule;
-        s_reason = reason;
-        s_scope = scope;
-        s_kind = kind;
-        s_used = false;
-      }
-    in
-    ctx.supps <- s :: ctx.supps;
-    Some s
-  in
   match Suppress.parse attr with
-  | Suppress.Allow { rule; reason } -> register rule reason Suppress.Allow
-  | Suppress.Owned reason ->
-      register "domain-unsafe" reason Suppress.Domain_owned
+  | Suppress.Allow { rule; reason } ->
+      let s =
+        {
+          Suppress.s_file = ctx.file;
+          s_line = attr.Parsetree.attr_loc.Location.loc_start.Lexing.pos_lnum;
+          s_rule = rule;
+          s_reason = reason;
+          s_scope = scope;
+          s_used = false;
+        }
+      in
+      ctx.supps <- s :: ctx.supps;
+      Some s
   | Suppress.Bad msg ->
       site ctx ~loc:attr.Parsetree.attr_loc ~rule:"bad-suppression" msg;
       None
   | Suppress.Other | Suppress.Hotpath -> None
 
-(* Registers [attrs] and returns them; the allows among them are active
-   until [pop_attrs]. *)
+(* Registers [attrs] and returns the allows among them, active until
+   [pop_attrs]. *)
 let push_attrs ctx attrs =
   let pushed =
     List.filter_map (suppression_of_attr ctx ~scope:Suppress.Scoped) attrs
   in
-  ctx.active <-
-    List.filter (fun s -> s.Suppress.s_kind = Suppress.Allow) pushed
-    @ ctx.active;
+  ctx.active <- pushed @ ctx.active;
   pushed
 
 let pop_attrs ctx pushed =
@@ -526,11 +518,6 @@ let walk_unit (u : Cmt_loader.unit_info) =
                   ctx.cur <- saved
                 end
                 else begin
-                  let owned =
-                    List.find_opt
-                      (fun s -> s.Suppress.s_kind = Suppress.Domain_owned)
-                      pushed
-                  in
                   ctx.globals <-
                     {
                       g_canon = canon;
@@ -538,7 +525,6 @@ let walk_unit (u : Cmt_loader.unit_info) =
                       g_file = ctx.file;
                       g_loc = vb.Typedtree.vb_loc;
                       g_kind = classify_global_rhs vb.Typedtree.vb_expr;
-                      g_owned = owned;
                     }
                     :: ctx.globals;
                   walk_expr ctx iter vb.Typedtree.vb_expr
@@ -581,9 +567,8 @@ let walk_unit (u : Cmt_loader.unit_info) =
       match si.Typedtree.str_desc with
       | Typedtree.Tstr_attribute a -> (
           match suppression_of_attr ctx ~scope:Suppress.File a with
-          | Some s when s.Suppress.s_kind = Suppress.Allow ->
-              ctx.active <- ctx.active @ [ s ]
-          | _ -> ())
+          | Some s -> ctx.active <- ctx.active @ [ s ]
+          | None -> ())
       | _ -> ())
     items;
   walk_items u.Cmt_loader.ui_modname items;

@@ -212,7 +212,7 @@ let pp_report ppf r =
   Format.fprintf ppf "invariants:         %s@,"
     (String.concat ", "
        (List.map (fun (i : Invariant.t) -> i.Invariant.name)
-          (Invariant.all ())));
+          Invariant.builtin));
   (match r.violations with
   | [] -> Format.fprintf ppf "violations:         none@]"
   | vs ->

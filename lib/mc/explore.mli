@@ -1,17 +1,17 @@
 (** Top-level exploration driver, and the only explorer.
 
-    Runs the harness under a {!Strategy}, checking every registered
-    {!Invariant} after each schedule.  The schedules themselves run on
-    {!Pool}'s index-sharded runner over [jobs] worker domains: the random
-    strategy as one batch of run indices, the bounded strategy one BFS
-    level at a time.  Results are merged in schedule order and the
-    report is cut at the first violation, so it is identical at any
-    [jobs].  Each reported violation is then, sequentially on the
-    calling domain, replayed from its applied deviation trace to confirm
-    determinism, delta-debugged down to a minimal counterexample
-    ({!Shrink}), and re-run once more with a recorder on the stream so
-    the report can show the packet log alongside the minimal reorder
-    trace. *)
+    Runs the harness under a {!Strategy}, checking the built-in
+    {!Invariant} set ({!Invariant.builtin}) after each schedule.  The
+    schedules themselves run on {!Pool}'s index-sharded runner over
+    [jobs] worker domains: the random strategy as one batch of run
+    indices, the bounded strategy one BFS level at a time.  Results are
+    merged in schedule order and the report is cut at the first
+    violation, so it is identical at any [jobs].  Each reported
+    violation is then, sequentially on the calling domain, replayed from
+    its applied deviation trace to confirm determinism, delta-debugged
+    down to a minimal counterexample ({!Shrink}), and re-run once more
+    with a recorder on the stream so the report can show the packet log
+    alongside the minimal reorder trace. *)
 
 type violation = {
   invariant : string;  (** name of the first violated invariant *)
@@ -24,7 +24,9 @@ type violation = {
   blackbox : string;
       (** flight-recorder window of the minimal replay, in
           {!Obs.Postmortem} dump format — every shrunk counterexample
-          ships its own black box *)
+          ships its own black box.  A function of the counterexample:
+          fiber ids are per engine, so the same violation dumps the same
+          bytes in any process and at any [jobs] *)
 }
 
 type report = {

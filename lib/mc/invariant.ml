@@ -181,13 +181,6 @@ let no_rollback =
   }
 
 let builtin = [ monotone; agreement; single_synchronizer; no_rollback ]
-let registered : t list ref = ref []
-[@@ctslint.domain_owned
-  "invariant registry: populated on the main domain while setting up a \
-   scenario, before Mc.Pool workers start; workers only read it (all)"]
-let register inv = registered := !registered @ [ inv ]
-let reset_registered () = registered := []
-let all () = builtin @ !registered
 
 let check_all outcome =
   List.filter_map
@@ -195,4 +188,4 @@ let check_all outcome =
       match inv.check outcome with
       | Ok () -> None
       | Error msg -> Some (inv.name, msg))
-    (all ())
+    builtin

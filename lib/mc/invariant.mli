@@ -1,4 +1,4 @@
-(** Invariant registry.
+(** The group clock's invariants.
 
     Encodes the paper's Section 3 correctness properties of the group
     clock as checks over an {!outcome} — the observations a harness run
@@ -12,7 +12,8 @@
     - [no-rollback]: zero roll-backs at every survivor, in particular
       across a failover.
 
-    Additional invariants can be {!register}ed (e.g. by tests). *)
+    {!builtin} is the closed set every harness run is judged by; a test
+    wanting another property checks it on the {!outcome} directly. *)
 
 type observation = {
   replica : int;  (** node index in the harness cluster *)
@@ -45,13 +46,8 @@ val single_synchronizer : t
 val no_rollback : t
 
 val builtin : t list
-
-val register : t -> unit
-(** Append a custom invariant to the registry. *)
-
-val reset_registered : unit -> unit
-val all : unit -> t list
+(** [[monotone; agreement; single_synchronizer; no_rollback]]. *)
 
 val check_all : outcome -> (string * string) list
 (** All violations as [(invariant name, detail)], empty when the outcome
-    satisfies every registered invariant. *)
+    satisfies every {!builtin} invariant. *)

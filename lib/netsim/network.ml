@@ -184,17 +184,6 @@ let detach t id =
 let attached t id = port_of t id <> None
 let nodes t = List.init t.n_members (fun i -> t.members.(i))
 
-(* Wall-time attribution sites (see [Obs.Attrib]): self time of packet
-   delivery, including the receive handler unless that handler is itself
-   an attributed region (then nesting subtracts it). *)
-let at_deliver = Obs.Attrib.site ~sub:Obs.Subsystem.Netsim ~name:"deliver"
-
-let at_deliver_batch =
-  Obs.Attrib.site ~sub:Obs.Subsystem.Netsim ~name:"deliver-batch"
-
-let at_bcast_many =
-  Obs.Attrib.site ~sub:Obs.Subsystem.Netsim ~name:"broadcast-many"
-
 (* The packet log: one stream record per send, delivery and drop, with
    the ints already in hand — gate inside, so a disabled call is the
    sink load plus one branch.  Drop reasons are 0 = loss, 1 =
@@ -278,7 +267,7 @@ let dcell_fire (c : 'a dcell) =
   let t = c.d_net in
   let src = c.d_src and dst = c.d_dst and payload = c.d_payload in
   let s = Dsim.Engine.obs t.eng in
-  Obs.Sink.attr_enter s at_deliver;
+  Obs.Sink.attr_enter s Obs.Attrib.Netsim_deliver;
   (* The destination may have crashed while the packet was in flight. *)
   (match port_of t dst with
   | None ->
@@ -367,7 +356,7 @@ let bcell_fire (b : 'a bcell) =
   let t = b.b_net in
   let src = b.b_src and dst = b.b_dst in
   let s = Dsim.Engine.obs t.eng in
-  Obs.Sink.attr_enter s at_deliver_batch;
+  Obs.Sink.attr_enter s Obs.Attrib.Netsim_deliver_batch;
   for i = 0 to b.b_n - 1 do
     let payload = Array.unsafe_get b.b_payloads i in
     (* Re-checked per message, and recorded per message: a handler that
@@ -390,7 +379,7 @@ let broadcast_many t ~src payloads ~n =
   if n = 1 then broadcast t ~src payloads.(0)
   else if n > 0 then begin
     let s = Dsim.Engine.obs t.eng in
-    Obs.Sink.attr_enter s at_bcast_many;
+    Obs.Sink.attr_enter s Obs.Attrib.Netsim_broadcast_many;
     for _ = 1 to n do
       bump_sent t src;
       rec_sent t ~src ~dst:(-1)

@@ -1,12 +1,12 @@
 (* Wall-time attribution: where do the real seconds of a big simulation
-   go?  Each instrumented region is a {e site} — a (subsystem, probe)
-   pair interned once at module-initialization time into a process-wide
-   registry — and an enabled recorder accumulates {e self} wall
-   nanoseconds per site: the time between [enter] and [leave] minus the
-   time spent in nested attributed regions.  Summing the self times of
-   every site therefore never double-counts, and the gap between a run's
-   total wall time and the attributed total is the un-instrumented
-   remainder (engine loop, GC, harness).
+   go?  Each instrumented region is a {e site} — one constructor of the
+   closed [site] variant, naming a (subsystem, probe) pair — and an
+   enabled recorder accumulates {e self} wall nanoseconds per site: the
+   time between [enter] and [leave] minus the time spent in nested
+   attributed regions.  Summing the self times of every site therefore
+   never double-counts, and the gap between a run's total wall time and
+   the attributed total is the un-instrumented remainder (engine loop,
+   GC, harness).
 
    The design constraints mirror the rest of [lib/obs]:
    - disabled (the default) costs one field load and one predictable
@@ -19,51 +19,87 @@
      plane: attribution answers "where do the 238 wall seconds go", a
      question simulated time cannot see. *)
 
-(* A site id: index into the process-wide registry below. *)
-type site = int
+type site =
+  | Netsim_deliver
+  | Netsim_deliver_batch
+  | Netsim_broadcast_many
+  | Totem_token
+  | Totem_regular
+  | Totem_join
+  | Totem_commit
+  | Totem_offer
+  | Totem_request
+  | Totem_done
+  | Totem_presence
+  | Gcs_ring_view
+  | Ccs_on_message
+  | Rpc_reply
+  | Repl_deliver
+  | Hier_tick
+  | Hier_bridge
+  | Scenario_form_poll
 
-let site_subs : Subsystem.t array ref = ref [||]
-let site_names : string array ref = ref [||]
+let sites =
+  [
+    Netsim_deliver;
+    Netsim_deliver_batch;
+    Netsim_broadcast_many;
+    Totem_token;
+    Totem_regular;
+    Totem_join;
+    Totem_commit;
+    Totem_offer;
+    Totem_request;
+    Totem_done;
+    Totem_presence;
+    Gcs_ring_view;
+    Ccs_on_message;
+    Rpc_reply;
+    Repl_deliver;
+    Hier_tick;
+    Hier_bridge;
+    Scenario_form_poll;
+  ]
 
-let n_sites = ref 0
-[@@ctslint.domain_owned
-  "append-only site registry, populated by module initializers before \
-   any pool worker starts; workers only read it (via ensure_sites)"]
+let n_sites = List.length sites
 
-let site ~sub ~name : site =
-  let rec find i =
-    if i >= !n_sites then -1
-    else if
-      !site_names.(i) = name
-      && Subsystem.to_int !site_subs.(i) = Subsystem.to_int sub
-    then i
-    else find (i + 1)
-  in
-  let existing = find 0 in
-  if existing >= 0 then existing
-  else begin
-    let n = !n_sites in
-    if n = Array.length !site_names then begin
-      let cap = if n = 0 then 16 else 2 * n in
-      let subs = Array.make cap Subsystem.Dsim in
-      let names = Array.make cap "" in
-      Array.blit !site_subs 0 subs 0 n;
-      Array.blit !site_names 0 names 0 n;
-      site_subs := subs;
-      site_names := names
-    end;
-    !site_subs.(n) <- sub;
-    !site_names.(n) <- name;
-    n_sites := n + 1;
-    n
-  end
+(* (index, subsystem, probe name); the indices are dense, in [sites]
+   order *)
+let info = function
+  | Netsim_deliver -> (0, Subsystem.Netsim, "deliver")
+  | Netsim_deliver_batch -> (1, Subsystem.Netsim, "deliver-batch")
+  | Netsim_broadcast_many -> (2, Subsystem.Netsim, "broadcast-many")
+  | Totem_token -> (3, Subsystem.Totem, "token")
+  | Totem_regular -> (4, Subsystem.Totem, "regular")
+  | Totem_join -> (5, Subsystem.Totem, "m-join")
+  | Totem_commit -> (6, Subsystem.Totem, "m-commit")
+  | Totem_offer -> (7, Subsystem.Totem, "m-offer")
+  | Totem_request -> (8, Subsystem.Totem, "m-request")
+  | Totem_done -> (9, Subsystem.Totem, "m-done")
+  | Totem_presence -> (10, Subsystem.Totem, "m-presence")
+  | Gcs_ring_view -> (11, Subsystem.Gcs, "ring-view")
+  | Ccs_on_message -> (12, Subsystem.Ccs, "on-message")
+  | Rpc_reply -> (13, Subsystem.Rpc, "reply")
+  | Repl_deliver -> (14, Subsystem.Repl, "deliver")
+  | Hier_tick -> (15, Subsystem.Hier, "tick")
+  | Hier_bridge -> (16, Subsystem.Hier, "bridge")
+  | Scenario_form_poll -> (17, Subsystem.Scenario, "form-poll")
 
-let site_subsystem (s : site) = !site_subs.(s)
-let site_name (s : site) = !site_names.(s)
+let index s =
+  let i, _, _ = info s in
+  i
+
+let sub s =
+  let _, sub, _ = info s in
+  sub
+
+let name s =
+  let _, _, name = info s in
+  name
 
 type t = {
-  mutable self_ns : float array; (* indexed by site id *)
-  mutable calls : int array;
+  self_ns : float array; (* indexed by [index site] *)
+  calls : int array;
   (* explicit region stack, parallel arrays so a push allocates nothing *)
   mutable fr_site : int array;
   mutable fr_t0 : int array; (* monotonic ns at enter *)
@@ -81,8 +117,8 @@ let now_ns () =
 
 let create () =
   {
-    self_ns = Array.make (max 1 !n_sites) 0.;
-    calls = Array.make (max 1 !n_sites) 0;
+    self_ns = Array.make n_sites 0.;
+    calls = Array.make n_sites 0;
     fr_site = Array.make 64 0;
     fr_t0 = Array.make 64 0;
     fr_child = Array.make 64 0;
@@ -94,15 +130,7 @@ let grow_int a len fill =
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-let ensure_sites t =
-  if Array.length t.self_ns < !n_sites then begin
-    let f = Array.make !n_sites 0. in
-    Array.blit t.self_ns 0 f 0 (Array.length t.self_ns);
-    t.self_ns <- f;
-    t.calls <- grow_int t.calls !n_sites 0
-  end
-
-let enter t (s : site) =
+let enter t s =
   let d = t.depth in
   if d = Array.length t.fr_site then begin
     let cap = 2 * d in
@@ -110,7 +138,7 @@ let enter t (s : site) =
     t.fr_t0 <- grow_int t.fr_t0 cap 0;
     t.fr_child <- grow_int t.fr_child cap 0
   end;
-  Array.unsafe_set t.fr_site d s;
+  Array.unsafe_set t.fr_site d (index s);
   Array.unsafe_set t.fr_child d 0;
   t.depth <- d + 1;
   (* read the clock last, so stack bookkeeping is not charged to us *)
@@ -123,7 +151,6 @@ let leave t =
   t.depth <- d;
   let s = Array.unsafe_get t.fr_site d in
   let el = stop - Array.unsafe_get t.fr_t0 d in
-  ensure_sites t;
   Array.unsafe_set t.self_ns s
     (Array.unsafe_get t.self_ns s
     +. float_of_int (el - Array.unsafe_get t.fr_child d));
@@ -139,21 +166,21 @@ type row = {
   self_ns : float;
 }
 
-let report t =
-  ensure_sites t;
-  let rows = ref [] in
-  for s = !n_sites - 1 downto 0 do
-    if t.calls.(s) > 0 then
-      rows :=
-        {
-          sub = site_subsystem s;
-          probe = site_name s;
-          calls = t.calls.(s);
-          self_ns = t.self_ns.(s);
-        }
-        :: !rows
-  done;
-  List.sort (fun a b -> Float.compare b.self_ns a.self_ns) !rows
+let report (t : t) =
+  List.filter_map
+    (fun s ->
+      let i = index s in
+      if t.calls.(i) > 0 then
+        Some
+          {
+            sub = sub s;
+            probe = name s;
+            calls = t.calls.(i);
+            self_ns = t.self_ns.(i);
+          }
+      else None)
+    sites
+  |> List.sort (fun a b -> Float.compare b.self_ns a.self_ns)
 
 let total_ns (t : t) = Array.fold_left ( +. ) 0. t.self_ns
 

@@ -1,10 +1,9 @@
 (** Wall-time attribution: per-(subsystem, probe) {e self} wall time in
     real nanoseconds, so a big run can say where its wall seconds went.
 
-    A {!site} is a (subsystem, probe-name) pair interned once, at module
-    initialization, into a process-wide registry; the accumulators live
-    in the per-recorder {!t}, so two concurrent recorders do not share
-    state.  Regions nest: [leave] charges the elapsed time minus the
+    A {!site} is one constructor of a closed variant, naming a
+    (subsystem, probe) pair; the accumulators live in the per-recorder
+    {!t}, so two concurrent recorders do not share state.  Regions nest: [leave] charges the elapsed time minus the
     time consumed by nested attributed regions, so summing every site's
     self time never double-counts.
 
@@ -14,14 +13,35 @@
     rest of [lib/obs].  Regions must be exited on every path; the helpers
     do not tolerate exceptions escaping an open region. *)
 
-type site = private int
+type site =
+  | Netsim_deliver
+  | Netsim_deliver_batch
+  | Netsim_broadcast_many
+  | Totem_token
+  | Totem_regular
+  | Totem_join
+  | Totem_commit
+  | Totem_offer
+  | Totem_request
+  | Totem_done
+  | Totem_presence
+  | Gcs_ring_view
+  | Ccs_on_message
+  | Rpc_reply
+  | Repl_deliver
+  | Hier_tick
+  | Hier_bridge
+  | Scenario_form_poll
 
-val site : sub:Subsystem.t -> name:string -> site
-(** Intern (and on repeat calls, find) a site.  Call once per probe at
-    module-initialization time, not on the hot path. *)
+val sites : site list
+(** Every site, in {!index} order. *)
 
-val site_subsystem : site -> Subsystem.t
-val site_name : site -> string
+val index : site -> int
+(** Dense: [index] maps {!sites} onto [0 .. List.length sites - 1]. *)
+
+val sub : site -> Subsystem.t
+val name : site -> string
+(** The probe name reported in {!row.probe}, e.g. ["m-join"]. *)
 
 type t
 

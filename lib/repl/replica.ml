@@ -241,11 +241,6 @@ let apply_state t ~(for_node : Nid.t) (c : Checkpoint.t) =
       held
   end
 
-(* Wall-time attribution of delivery routing.  [process_req] is not
-   bracketed: it runs on the processing fiber and suspends inside
-   [clock_read], and a region must stay within one engine callback. *)
-let at_deliver = Obs.Attrib.site ~sub:Obs.Subsystem.Repl ~name:"deliver"
-
 let on_deliver_inner t (msg : Gcs.Msg.t) =
   Cts.Service.on_message t.cts msg;
   match msg.body with
@@ -263,9 +258,12 @@ let on_deliver_inner t (msg : Gcs.Msg.t) =
   | Checkpoint.Periodic c -> apply_periodic t c
   | _ -> ()
 
+(* Wall-time attribution of delivery routing.  [process_req] is not
+   bracketed: it runs on the processing fiber and suspends inside
+   [clock_read], and a region must stay within one engine callback. *)
 let on_deliver t msg =
   let s = Dsim.Engine.obs t.eng in
-  Obs.Sink.attr_enter s at_deliver;
+  Obs.Sink.attr_enter s Obs.Attrib.Repl_deliver;
   on_deliver_inner t msg;
   Obs.Sink.attr_leave s
 

@@ -68,8 +68,6 @@ and arm t deadline =
     Dsim.Engine.schedule_call_at t.eng deadline watchdog t
   end
 
-let at_reply = Obs.Attrib.site ~sub:Obs.Subsystem.Rpc ~name:"reply"
-
 (* A reply fills its attempt only when delivered strictly before the
    deadline: at the deadline instant it loses to the watchdog whichever
    event runs first, so the tie never depends on queue order. *)
@@ -96,7 +94,7 @@ let on_event t = function
       match msg.Gcs.Msg.body with
       | Wire.Reply { result; ts; _ } ->
           let s = Dsim.Engine.obs t.eng in
-          Obs.Sink.attr_enter s at_reply;
+          Obs.Sink.attr_enter s Obs.Attrib.Rpc_reply;
           on_reply t ~seq:msg.Gcs.Msg.header.msg_seq ~result ~ts;
           Obs.Sink.attr_leave s
       | _ -> ())

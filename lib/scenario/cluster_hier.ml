@@ -179,9 +179,6 @@ let shard_formed t s =
          = List.length expect)
        expect
 
-let at_form_poll =
-  Obs.Attrib.site ~sub:Obs.Subsystem.Scenario ~name:"form-poll"
-
 (* Barrier over the cached per-shard values: exact predicates re-run for
    dirty shards only, then one integer comparison.  [exact t s] must
    depend only on state whose every mutation marks shard [s] dirty (ring
@@ -192,7 +189,7 @@ let form_pred t exact () =
   let shards = Hier.Topology.shards t.topo in
   if t.form_any_dirty then begin
     let s = Dsim.Engine.obs t.eng in
-    Obs.Sink.attr_enter s at_form_poll;
+    Obs.Sink.attr_enter s Obs.Attrib.Scenario_form_poll;
     for sh = 0 to shards - 1 do
       if t.form_dirty.(sh) then begin
         t.form_dirty.(sh) <- false;

@@ -918,49 +918,40 @@ and on_presence t ~p_sender ~p_ring =
    scale-out questions (steady-state cost vs which phase of formation
    churn), and the per-kind split is what exposed the join-storm cost at
    1000 replicas. *)
-let at_token = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"token"
-let at_regular = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"regular"
-let at_join = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"m-join"
-let at_commit = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"m-commit"
-let at_offer = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"m-offer"
-let at_request = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"m-request"
-let at_done = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"m-done"
-let at_presence = Obs.Attrib.site ~sub:Obs.Subsystem.Totem ~name:"m-presence"
-
 let dispatch t ~src:_ (msg : 'a Wire.t) =
   if not (crashed t) then begin
     let s = Dsim.Engine.obs t.eng in
     match msg with
     | Wire.Regular r ->
-        Obs.Sink.attr_enter s at_regular;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_regular;
         on_regular t r;
         Obs.Sink.attr_leave s
     | Wire.Token tok ->
-        Obs.Sink.attr_enter s at_token;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_token;
         handle_incoming_token t tok;
         Obs.Sink.attr_leave s
     | Wire.Join j ->
-        Obs.Sink.attr_enter s at_join;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_join;
         on_join t j;
         Obs.Sink.attr_leave s
     | Wire.Commit c ->
-        Obs.Sink.attr_enter s at_commit;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_commit;
         on_commit t c;
         Obs.Sink.attr_leave s
     | Wire.Recovery_offer { o_sender; new_ring; o_ring; held } ->
-        Obs.Sink.attr_enter s at_offer;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_offer;
         on_offer t ~o_sender ~new_ring ~o_ring ~held;
         Obs.Sink.attr_leave s
     | Wire.Recovery_request { r_sender = _; new_ring; r_ring; wanted } ->
-        Obs.Sink.attr_enter s at_request;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_request;
         on_request t ~new_ring ~r_ring ~wanted;
         Obs.Sink.attr_leave s
     | Wire.Recovery_done { d_sender; new_ring; nudge } ->
-        Obs.Sink.attr_enter s at_done;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_done;
         on_done t ~d_sender ~new_ring ~nudge;
         Obs.Sink.attr_leave s
     | Wire.Presence { p_sender; p_ring } ->
-        Obs.Sink.attr_enter s at_presence;
+        Obs.Sink.attr_enter s Obs.Attrib.Totem_presence;
         on_presence t ~p_sender ~p_ring;
         Obs.Sink.attr_leave s
   end

@@ -96,7 +96,8 @@ let test_transparent_app_gets_group_clock () =
         (Cts.Service.stats (Replica.service r)).Cts.Service.rollbacks)
     replicas
 
-let test_nested_context_restored () =
+(* One node hosting two groups' time services, joined and ready at 40 ms. *)
+let two_services () =
   let eng = Dsim.Engine.create () in
   let net = Netsim.Network.create eng Netsim.Network.default_config in
   let ep0 = Gcs.Endpoint.create eng net ~me:(Nid.of_int 0) ~bootstrap:true () in
@@ -116,6 +117,10 @@ let test_nested_context_restored () =
   in
   let sa = mk 5 and sb = mk 6 in
   Dsim.Engine.run ~until:(Time.of_ms 40) eng;
+  (eng, sa, sb)
+
+let test_nested_context_restored () =
+  let eng, sa, sb = two_services () in
   let thread = Cts.Thread_id.of_int 1 in
   let ok = ref false in
   Dsim.Fiber.spawn eng (fun () ->
@@ -156,6 +161,41 @@ let test_context_isolated_between_fibers () =
   check bool "no binding leaks across fibers" true
     (List.for_all snd !seen)
 
+(* Each fiber's binding survives a blocking read: both fibers park inside
+   [gettimeofday] (one CCS round per read), resume in turn while the other
+   is still parked, and each still sees its own service. *)
+let test_context_survives_blocking_read () =
+  let eng, sa, sb = two_services () in
+  let thread = Cts.Thread_id.of_int 1 in
+  let log = ref [] in
+  let reader name service =
+    Dsim.Fiber.spawn eng (fun () ->
+        Cts.Interpose.with_context service ~thread (fun () ->
+            for round = 1 to 2 do
+              let at = Printf.sprintf "%s%d " name round in
+              log := (at ^ "parked") :: !log;
+              ignore (Cts.Interpose.gettimeofday () : Time.t);
+              let own =
+                match Cts.Interpose.context () with
+                | Some (s, _) ->
+                    Gid.equal (Cts.Service.group s) (Cts.Service.group service)
+                | None -> false
+              in
+              log := (at ^ if own then "own" else "LEAKED") :: !log
+            done))
+  in
+  reader "a" sa;
+  reader "b" sb;
+  Dsim.Engine.run ~until:(Time.of_ms 80) eng;
+  check
+    (Alcotest.list str)
+    "interleaved resumptions, each with its own binding"
+    [
+      "a1 parked"; "b1 parked"; "a1 own"; "a2 parked"; "b1 own"; "b2 parked";
+      "a2 own"; "b2 own";
+    ]
+    (List.rev !log)
+
 let test_interposed_equals_explicit () =
   (* reading through the transparent API and through the explicit one
      produce the same group clock sequence *)
@@ -191,6 +231,8 @@ let suites =
           test_nested_context_restored;
         Alcotest.test_case "fiber isolation" `Quick
           test_context_isolated_between_fibers;
+        Alcotest.test_case "binding survives a blocking read" `Quick
+          test_context_survives_blocking_read;
         Alcotest.test_case "interposed = explicit plane" `Quick
           test_interposed_equals_explicit;
       ] );

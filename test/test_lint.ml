@@ -223,11 +223,7 @@ let test_live_annotations_load_bearing () =
   match (Lazy.force live, Lazy.force live_audit) with
   | Some normal, Some audit ->
       check int "clean under suppressions" 0 (List.length (findings normal));
-      let allows =
-        List.filter
-          (fun s -> s.Lint.Suppress.s_kind = Lint.Suppress.Allow)
-          normal.Lint.Typed_check.r_supps
-      in
+      let allows = normal.Lint.Typed_check.r_supps in
       check bool "allows present" true (List.length allows >= 15);
       let count pred l = List.length (List.filter pred l) in
       List.iter
@@ -247,8 +243,7 @@ let test_live_annotations_load_bearing () =
                (findings audit)
             >= count
                  (fun (s' : Lint.Suppress.t) ->
-                   s'.Lint.Suppress.s_kind = Lint.Suppress.Allow
-                   && same_site s'.Lint.Suppress.s_file s'.Lint.Suppress.s_rule)
+                   same_site s'.Lint.Suppress.s_file s'.Lint.Suppress.s_rule)
                  allows))
         allows;
       (* spot-check an annotated file: the snapshot's identity table is

@@ -145,20 +145,17 @@ let test_domain_lock_negative () =
   in
   check int "lock-protected access is fine" 0 (count_rule "domain-unsafe" r)
 
-let test_domain_owned_suppressed () =
+let test_domain_owned_rejected () =
+  (* no declaration exempts shared state: [domain_owned] is an unknown
+     annotation, so it is a bad-suppression and silences nothing *)
   let src =
     "let registry = ref 0\n\
      [@@ctslint.domain_owned \"fixture: populated before workers start\"]\n\
      let worker () = !registry\n"
   in
-  let r = analyze_fixture [ ("lib/mc/pool.ml", src) ] in
-  check int "declared ownership silences the finding" 0
-    (List.length (findings r));
-  match
-    supp_with r (fun s -> s.Lint.Suppress.s_kind = Lint.Suppress.Domain_owned)
-  with
-  | Some s -> check bool "consumed" true s.Lint.Suppress.s_used
-  | None -> Alcotest.fail "domain_owned sighting missing"
+  check (Alcotest.list string) "domain_owned is an unknown annotation"
+    [ "bad-suppression"; "domain-unsafe" ]
+    (rules_of (analyze_fixture [ ("lib/mc/pool.ml", src) ]))
 
 (* ------------------------------------------------------------------ *)
 (* runtime-boundary: host runtime calls are wall-clock findings         *)
@@ -220,38 +217,17 @@ let test_unused_typed_allow () =
   check bool "names the rule" true
     (contains ~sub:"hotpath-alloc" (List.hd (findings r)).Lint.Finding.message)
 
-let test_unused_domain_owned () =
-  (* an ownership declaration no pool worker reaches is judged like an
-     allow that silences nothing *)
-  let r =
-    analyze_fixture
-      [
-        ( "lib/mc/pool.ml",
-          "let registry = ref 0\n\
-           [@@ctslint.domain_owned \"fixture: never shared\"]\n" );
-      ]
-  in
-  check (Alcotest.list string) "unreached domain_owned is unused"
-    [ "unused-allow" ] (rules_of r)
-
 let test_syntactic_hygiene_of_typed_attrs () =
   (* attribute well-formedness, for every ctslint annotation *)
   let rules src = rules_of (analyze_fixture [ ("lib/mc/pool.ml", src) ]) in
   check (Alcotest.list string) "hotpath takes no payload"
     [ "bad-suppression" ]
     (rules "let f x = x [@@ctslint.hotpath \"why\"]\n");
-  check (Alcotest.list string) "domain_owned needs a reason"
-    [ "bad-suppression" ]
-    (rules "let r = ref 0 [@@ctslint.domain_owned]\n");
   check (Alcotest.list string) "unknown ctslint attribute"
     [ "bad-suppression" ]
     (rules "let g = 1 [@@ctslint.frobnicate \"a\" \"b\"]\n");
   check (Alcotest.list string) "well-formed hotpath is clean" []
-    (rules "let f x = x [@@ctslint.hotpath]\n");
-  check (Alcotest.list string) "well-formed domain_owned is clean" []
-    (rules
-       "let r = ref 0 [@@ctslint.domain_owned \"reason here\"]\n\
-        let worker () = !r\n")
+    (rules "let f x = x [@@ctslint.hotpath]\n")
 
 (* ------------------------------------------------------------------ *)
 (* Live-tree gates                                                     *)
@@ -455,14 +431,12 @@ let suites =
         Alcotest.test_case "domain-unsafe: lock negative" `Quick
           test_domain_lock_negative;
         Alcotest.test_case "domain-unsafe: domain_owned" `Quick
-          test_domain_owned_suppressed;
+          test_domain_owned_rejected;
         Alcotest.test_case "runtime-boundary: positive" `Quick
           test_runtime_positive;
         Alcotest.test_case "runtime-boundary: suppressed" `Quick
           test_runtime_suppressed;
         Alcotest.test_case "unused typed allow" `Quick test_unused_typed_allow;
-        Alcotest.test_case "unused domain_owned" `Quick
-          test_unused_domain_owned;
         Alcotest.test_case "syntactic hygiene of typed attributes" `Quick
           test_syntactic_hygiene_of_typed_attrs;
         Alcotest.test_case "live tree: typed gate" `Quick test_live_typed_gate;

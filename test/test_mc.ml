@@ -543,6 +543,59 @@ let test_seeded_bug_random_walk_finds_it () =
   check bool "random walk finds the bug too" true
     (r.Mc.Explore.violations <> [])
 
+(* The black box is a function of the counterexample: fiber ids are
+   per engine, so the dump is byte-identical across repeated explorations
+   in one process and at any domain count, and a restored world numbers
+   its fibers exactly like a freshly built one. *)
+let test_blackbox_replays () =
+  let c =
+    {
+      Mc.Harness.default with
+      Mc.Harness.rounds = 8;
+      bug = Some Mc.Harness.Ignore_buffered_winner;
+    }
+  in
+  let blackbox jobs =
+    let r =
+      Mc.Explore.explore ~strategy:Mc.Strategy.default_random ~budget:200
+        ~jobs c
+    in
+    match r.Mc.Explore.violations with
+    | [] -> Alcotest.failf "jobs=%d: the seeded bug was not found" jobs
+    | v :: _ -> v.Mc.Explore.blackbox
+  in
+  let first = blackbox 1 in
+  check bool "black box attached" true (first <> "");
+  List.iter
+    (fun (what, jobs) ->
+      check Alcotest.string (what ^ ": same black box") first (blackbox jobs))
+    [ ("second call, jobs=1", 1); ("jobs=2", 2); ("jobs=3", 3) ];
+  let stream run =
+    let recorder = Obs.Recorder.create () in
+    let sink = Obs.Sink.create () in
+    Obs.Sink.set_recorder sink (Some recorder);
+    ignore (run { c with Mc.Harness.sink = Some sink } : _ * _);
+    let records = ref [] in
+    Obs.Recorder.iter recorder (fun ~kind ~ts_us ~node ~a ~b ->
+        records := (kind, ts_us, node, a, b) :: !records);
+    List.rev !records
+  in
+  let fresh = stream (fun cfg -> Mc.Harness.run cfg) in
+  let r = Mc.Harness.reusable c in
+  (* dirty the reusable world first, so the reset has state to rewind *)
+  ignore (Mc.Harness.run_reused r c : _ * _);
+  check bool "reset available" true (Mc.Harness.reset r c);
+  let reused = stream (fun cfg -> Mc.Harness.run_reused r cfg) in
+  check bool "restored world = fresh world, fiber ids included" true
+    (fresh = reused);
+  match
+    List.find_opt
+      (fun (kind, _, _, _, _) -> kind = Obs.Recorder.k_fiber_spawn)
+      fresh
+  with
+  | Some (_, _, _, id, _) -> check int "first fiber id" 1 id
+  | None -> Alcotest.fail "no fiber-spawn record"
+
 (* ------------------------------------------------------------------ *)
 (* Pool: the report is the same at any number of worker domains *)
 
@@ -704,5 +757,6 @@ let suites =
           test_seeded_bug_found_and_shrunk;
         Alcotest.test_case "random walk finds it" `Quick
           test_seeded_bug_random_walk_finds_it;
+        Alcotest.test_case "black box replays" `Quick test_blackbox_replays;
       ] );
   ]

@@ -470,6 +470,28 @@ let test_trace_violation () =
       | Ok _ -> ()
       | Error e -> Alcotest.fail ("counterexample trace invalid: " ^ e))
 
+(* [Attrib.index] is written out by hand: it must number [sites] densely
+   in order, and no two sites may share a report row. *)
+let test_attrib_sites () =
+  List.iteri
+    (fun i s -> check int (Obs.Attrib.name s) i (Obs.Attrib.index s))
+    Obs.Attrib.sites;
+  let rows =
+    List.map
+      (fun s -> (Obs.Subsystem.name (Obs.Attrib.sub s), Obs.Attrib.name s))
+      Obs.Attrib.sites
+  in
+  check int "distinct (subsystem, probe) rows" (List.length rows)
+    (List.length (List.sort_uniq compare rows));
+  let a = Obs.Attrib.create () in
+  Obs.Attrib.enter a Obs.Attrib.Totem_join;
+  Obs.Attrib.leave a;
+  match Obs.Attrib.report a with
+  | [ r ] ->
+      check Alcotest.string "probe" "m-join" r.Obs.Attrib.probe;
+      check int "calls" 1 r.Obs.Attrib.calls
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
 let suites =
   [
     ( "obs",
@@ -499,5 +521,6 @@ let suites =
           test_wrapped_ring_exports_valid_trace;
         Alcotest.test_case "counterexample span trace" `Quick
           test_trace_violation;
+        Alcotest.test_case "attrib sites" `Quick test_attrib_sites;
       ] );
   ]
