@@ -7,11 +7,10 @@
    of the same scale (bench/trajectory.ml).
 
    The sections that guard an invariant print a "PERF WARNING (<tier>)"
-   marker that CI turns into a hard failure: MC1 (explore) when the
-   explorer's world restore falls back to fresh construction, MC2/OBS
-   (obs) when the compiled-in probes allocate or cost throughput with
-   the record stream off or on, MC3 (explore-scaling) when 4 explorer
-   domains lose to 1 on a host with 4 cores, HIER1 (hier, scale) when
+   marker that CI turns into a hard failure: MC2/OBS (obs) when the
+   compiled-in probes allocate or cost throughput with the record
+   stream off or on, MC3 (explore-scaling) when 4 explorer domains lose
+   to 1 on a host with 4 cores, HIER1 (hier, scale) when
    the hierarchical service misses its skew bound or 256-replica
    formation its budget, and LINT2 (lint) when ctslint reports a finding
    or the hot path loses its zero-alloc certificate.  SCALE1 attributes
@@ -272,17 +271,14 @@ let bench_mc () =
   (* Which world-reset mechanism the harness settled on for this config:
      `Diff is the dirty-set restore; `Fresh means the restore
      verification probe rejected it and every schedule rebuilt its world
-     from scratch — an order of magnitude slower, so it is loud. *)
+     from scratch.  test_mc's "diff mode engaged" pins `Diff on this
+     config in `dune runtest`. *)
   let mode =
     match Mc.Harness.reuse_mode (Mc.Harness.reusable cfg) with
     | `Diff -> "diff"
     | `Fresh -> "fresh"
   in
   Format.fprintf ppf "world reset mechanism: %s@." mode;
-  if mode <> "diff" then
-    Format.fprintf ppf
-      "PERF WARNING (explore): the Snap restore probe failed; every \
-       schedule pays fresh world construction@.";
   json_add "mc_explore"
     (Printf.sprintf
        "{\"schedules\": %d, \"distinct\": %d, \"schedules_per_sec\": %.1f, \

@@ -41,7 +41,7 @@ let dump_on_exit =
      (postmortem dump, read with $(b,ctsim postmortem)) and \
      $(docv).flight.json (Chrome trace, check with $(b,ctsim \
      trace-check)).  Without this flag the window is flushed only when \
-     the health monitor raised an incident.  The window is the run's \
+     the run's check raised a verdict.  The window is the run's \
      record stream: the last --trace-capacity records for $(b,run), the \
      last 1,000,000 for $(b,hier) with --trace or --metrics, else the \
      last 65,536."
@@ -71,24 +71,23 @@ let print_attrib_opt = function
   | None -> ()
 
 (* The always-on black box: every run of these subcommands carries a
-   recorder and health monitor (the cost bench/main.ml's OBS section
-   measures), and the window hits disk when the operator asked for it or
-   when the monitor saw something wrong. *)
-let flush_flight ~prefix recorder health =
-  let incidents = Obs.Health.incidents health in
-  (match incidents with
-  | [] -> Format.fprintf ppf "health: no incidents@."
-  | is ->
-      Format.fprintf ppf "health: %d incident kind(s):@." (List.length is);
-      List.iter
-        (fun i -> Format.fprintf ppf "  %a@." Obs.Health.pp_incident i)
-        is);
-  match (prefix, incidents) with
+   recorder and a check (the cost bench/main.ml's OBS section measures),
+   and the window hits disk when the operator asked for it or when the
+   check saw something wrong. *)
+let flush_flight ~prefix recorder check =
+  Obs.Check.finish check;
+  let verdicts = Obs.Check.verdicts check in
+  (match verdicts with
+  | [] -> Format.fprintf ppf "check: no verdicts@."
+  | vs ->
+      Format.fprintf ppf "check: %d verdict(s):@." (List.length vs);
+      List.iter (fun v -> Format.fprintf ppf "  %a@." Obs.Check.pp_verdict v) vs);
+  match (prefix, verdicts) with
   | None, [] -> ()
   | _ ->
       let prefix = Option.value prefix ~default:"incident" in
       let txt = prefix ^ ".flight.txt" and json = prefix ^ ".flight.json" in
-      Obs.Postmortem.dump_file recorder incidents txt;
+      Obs.Postmortem.dump_file recorder verdicts txt;
       Obs.Trace.write_chrome_file (Obs.Recorder.to_trace recorder) json;
       Format.fprintf ppf
         "wrote %s and %s: flight window, %d record(s) held of %d emitted \
@@ -275,10 +274,10 @@ let run_cmd =
   let run seed replicas rounds trace_file metrics_file steps capacity attrib
       dump =
     let recorder = Obs.Recorder.create ~capacity () in
-    let health = Obs.Health.create () in
+    let check = Obs.Check.create () in
     let sink = Obs.Sink.create () in
     Obs.Sink.set_recorder sink (Some recorder);
-    Obs.Sink.set_health sink (Some health);
+    Obs.Sink.set_check sink (Some check);
     Obs.Sink.set_steps sink steps;
     let attrib = if attrib then Some (Obs.Attrib.create ()) else None in
     Obs.Sink.set_attrib sink attrib;
@@ -319,14 +318,14 @@ let run_cmd =
     Format.fprintf ppf "engine: event-queue high water %d@." hwm;
     write_metrics_opt metrics metrics_file;
     print_attrib_opt attrib;
-    flush_flight ~prefix:dump recorder health
+    flush_flight ~prefix:dump recorder check
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Run the clock-sequence experiment with a recorder on the record \
           stream and dump a Perfetto-loadable trace plus a metrics \
-          snapshot, both read from that stream; the health monitor rides \
+          snapshot, both read from that stream; the check rides \
           along (see --dump-on-exit)")
     Term.(
       const run $ seed $ replicas $ rounds_arg 200 $ trace_file
@@ -517,9 +516,9 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Model-check the group clock: drive many event interleavings \
-          through the simulator and validate the CCS invariants \
-          (monotonicity, agreement, single synchronizer, no rollback) \
-          after each")
+          through the simulator and judge each with the stream's check \
+          (monotonicity, agreement, single synchronizer, liveness and \
+          membership)")
     Term.(
       const run $ seed $ replicas $ strategy $ budget $ depth $ rounds_arg 12
       $ crash $ quantum_us $ delay_prob $ reorder_prob $ keep_going $ jobs
@@ -557,15 +556,15 @@ let hier_cmd =
       if traced then Obs.Recorder.create ~capacity:1_000_000 ()
       else Obs.Recorder.create ()
     in
-    (* Generations are per shard ring, so the membership check would
-       compare unrelated rings — off in hier runs. *)
-    let health =
-      Obs.Health.create
-        ~config:{ Obs.Health.default_config with membership_check = false }
+    (* Generations and rounds are per shard ring, so the per-ring
+       properties would compare unrelated rings — off in hier runs. *)
+    let check =
+      Obs.Check.create
+        ~config:{ Obs.Check.default_config with one_ring = false }
         ()
     in
     Obs.Sink.set_recorder sink (Some recorder);
-    Obs.Sink.set_health sink (Some health);
+    Obs.Sink.set_check sink (Some check);
     let attrib = if attrib then Some (Obs.Attrib.create ()) else None in
     Obs.Sink.set_attrib sink attrib;
     let t =
@@ -660,7 +659,7 @@ let hier_cmd =
       write_metrics_opt m metrics_file
     end;
     print_attrib_opt attrib;
-    flush_flight ~prefix:dump recorder health
+    flush_flight ~prefix:dump recorder check
   in
   let trace_file =
     let doc =
@@ -707,7 +706,7 @@ let postmortem_cmd =
   let file =
     let doc =
       "Flight-recorder dump to diagnose (the .flight.txt written by \
-       --dump-on-exit, an incident flush, or explore --flight)."
+       --dump-on-exit, a verdict flush, or explore --flight)."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
@@ -725,10 +724,10 @@ let postmortem_cmd =
   Cmd.v
     (Cmd.info "postmortem"
        ~doc:
-         "Reconstruct what led into an incident from a dumped \
+         "Reconstruct what led into a verdict from a dumped \
           flight-recorder window: decode the record timeline, match \
           deliveries and drops back to their sends (per-path FIFO \
-          lineage), and name the suspect hop for each health incident")
+          lineage), and name the suspect hop for each verdict")
     Term.(const run $ file $ tail)
 
 let main =

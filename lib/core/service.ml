@@ -166,6 +166,13 @@ let probe_suppress t round =
 let send_ccs t payload =
   if may_send t then begin
     t.s_sent <- t.s_sent + 1;
+    (let s = Dsim.Engine.obs t.eng in
+     if s.Obs.Sink.active then
+       Obs.Sink.rec_event s ~kind:Obs.Recorder.k_ccs_propose
+         ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+         ~node:(Netsim.Node_id.to_int (me t))
+         ~a:payload.Ccs_msg.round
+         ~b:(Time.to_ns payload.Ccs_msg.proposal));
     (* Token-level duplicate suppression (§4.3): if the winner's CCS message
        for this round is delivered before the token reaches us, the queued
        message is discarded instead of multicast. *)
@@ -319,7 +326,7 @@ let record_reading t ~thread value =
    end);
   t.last_per_thread.(key) <- value_ns;
   (* Every settled clock read feeds the stream one group-clock sample —
-     the raw pre-truncation value, so the health monitor judges §3
+     the raw pre-truncation value, so [Obs.Check] judges §3
      monotonicity on what the service actually agreed. *)
   let s = Dsim.Engine.obs t.eng in
   if s.Obs.Sink.active then

@@ -26,8 +26,8 @@ val rng : t -> Rng.t
 
 val obs : t -> Obs.Sink.t
 (** The engine's observability sink — inactive (and therefore free apart
-    from one load + branch per probe) until a recorder or health monitor
-    is attached with {!Obs.Sink.set_recorder} / {!Obs.Sink.set_health}.
+    from one load + branch per probe) until a recorder or a check is
+    attached with {!Obs.Sink.set_recorder} / {!Obs.Sink.set_check}.
     Every instrumented layer reads the sink through its engine at each
     probe site rather than caching it, so attaching after construction
     (or after [Mc.Harness] restores a world) takes effect immediately. *)

@@ -63,23 +63,25 @@ let build_violation ~quantum cfg ~seed ~first_invariant ~deviations =
     if fails deviations then Shrink.minimize ~fails deviations
     else (deviations, 0)
   in
-  (* The confirming re-run carries the flight recorder and health
-     monitor, so every shrunk counterexample ships its own black box:
-     the dumped window travels in the report and feeds
-     [ctsim postmortem] directly. *)
+  (* The confirming re-run carries the flight recorder beside the
+     harness's check, so every shrunk counterexample ships its own black
+     box, verdicts included: the dumped window travels in the report and
+     feeds [ctsim postmortem] directly. *)
   let recorder = Obs.Recorder.create ~capacity:8192 () in
-  let health = Obs.Health.create () in
   let bb_sink = Obs.Sink.create () in
   Obs.Sink.set_recorder bb_sink (Some recorder);
-  Obs.Sink.set_health bb_sink (Some health);
   let final_outcome, _ =
     Harness.run
       ~spec:(Controller.replay_spec ~quantum counterexample)
       { cfg with Harness.record_packets = true; sink = Some bb_sink }
   in
+  let verdicts = Invariant.check_all final_outcome in
   let invariant, detail =
-    match Invariant.check_all final_outcome with
-    | (n, d) :: _ -> (n, d)
+    match verdicts with
+    | v :: _ ->
+        ( v.Obs.Check.inv,
+          Printf.sprintf "worst %d at node %d, first at %d us (record %d)"
+            v.worst v.node v.first_us v.at )
     | [] -> (first_invariant, "not reproducible after shrinking")
   in
   {
@@ -90,7 +92,7 @@ let build_violation ~quantum cfg ~seed ~first_invariant ~deviations =
     original_deviations = Schedule.length deviations;
     shrink_runs;
     packet_log = final_outcome.Invariant.packet_log;
-    blackbox = Obs.Postmortem.dump_string recorder (Obs.Health.incidents health);
+    blackbox = Obs.Postmortem.dump_string recorder verdicts;
   }
 
 (* Replay the minimal counterexample once more with a recorder on the
@@ -210,9 +212,7 @@ let pp_report ppf r =
     "elapsed:            %.2f s wall, %.2f s cpu (%.1f schedules/s)@,"
     r.elapsed_s r.cpu_s (schedules_per_sec r);
   Format.fprintf ppf "invariants:         %s@,"
-    (String.concat ", "
-       (List.map (fun (i : Invariant.t) -> i.Invariant.name)
-          Invariant.builtin));
+    (String.concat ", " Obs.Check.properties);
   (match r.violations with
   | [] -> Format.fprintf ppf "violations:         none@]"
   | vs ->

@@ -1,7 +1,7 @@
 (** Top-level exploration driver, and the only explorer.
 
-    Runs the harness under a {!Strategy}, checking the built-in
-    {!Invariant} set ({!Invariant.builtin}) after each schedule.  The
+    Runs the harness under a {!Strategy}; every schedule is judged by
+    the {!Obs.Check} the harness attaches to its run.  The
     schedules themselves run on {!Pool}'s index-sharded runner over
     [jobs] worker domains: the random strategy as one batch of run
     indices, the bounded strategy one BFS level at a time.  Results are
@@ -11,11 +11,11 @@
     its applied deviation trace to confirm determinism, delta-debugged
     down to a minimal counterexample ({!Shrink}), and re-run once more
     with a recorder on the stream so the report can show the packet log
-    alongside the minimal reorder trace. *)
+    and the black box alongside the minimal reorder trace. *)
 
 type violation = {
-  invariant : string;  (** name of the first violated invariant *)
-  detail : string;
+  invariant : string;  (** the first verdict's property *)
+  detail : string;  (** the first verdict's worst value, node and witness *)
   seed : int64;  (** harness seed of the failing run *)
   counterexample : Schedule.t;  (** minimal failing deviation trace *)
   original_deviations : int;  (** trace length before shrinking *)
@@ -24,7 +24,8 @@ type violation = {
   blackbox : string;
       (** flight-recorder window of the minimal replay, in
           {!Obs.Postmortem} dump format — every shrunk counterexample
-          ships its own black box.  A function of the counterexample:
+          ships its own black box, whose verdict lines are the failing
+          run's check.  A function of the counterexample:
           fiber ids are per engine, so the same violation dumps the same
           bytes in any process and at any [jobs] *)
 }

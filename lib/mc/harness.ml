@@ -43,15 +43,16 @@ type info = {
   fingerprint : int;
 }
 
-let fingerprint observations =
+(* The fingerprint hashes every read [(replica, round, group clock)],
+   replica by replica, each in completion order: [acc * p + n] folded over
+   the sequence.  Each replica folds its own reads ([hash]) and keeps
+   [p ^ length] ([scale]); chaining the replicas in index order gives
+   the hash of the whole sequence. *)
+let fingerprint_prime = 1_000_003
+
+let fingerprint ~hash ~scale =
   let acc = ref 0 in
-  let combine n = acc := (!acc * 1_000_003) + (n land max_int) in
-  Array.iter
-    (List.iter (fun (o : Invariant.observation) ->
-         combine o.replica;
-         combine o.round;
-         combine (Time.to_ns o.gc)))
-    observations;
+  Array.iteri (fun i h -> acc := (!acc * scale.(i)) + h) hash;
   !acc
 
 (* ------------------------------------------------------------------ *)
@@ -150,29 +151,24 @@ let measure ((cluster, services) : world) ~spec cfg =
   let net = cluster.Cluster.net in
   (* Adopt an external obs sink on this world's engine (a restored world
      rewinds the engine's sink with everything else, so the sink must be
-     re-adopted per measurement).  Exploration leaves this [None]; it is
-     used to capture the record stream of a counterexample. *)
+     re-adopted per measurement); without one the world's own sink
+     carries the run. *)
   (match cfg.sink with Some s -> Dsim.Engine.set_obs eng s | None -> ());
-  (* The packet log reads the sink's recorder; a sink without one (or no
-     sink) gets a private recorder for this measurement only. *)
-  let prev_obs = Dsim.Engine.obs eng in
+  let sink = Dsim.Engine.obs eng in
+  (* Every measurement is judged by a fresh check on the sink's stream,
+     and the packet log reads the sink's recorder, lent for this
+     measurement only when the sink has none. *)
+  let check = Obs.Check.create () in
+  Obs.Sink.set_check sink (Some check);
   let packets, lent =
-    if not cfg.record_packets then (None, None)
+    if not cfg.record_packets then (None, false)
     else
-      match Option.bind cfg.sink Obs.Sink.recorder with
-      | Some r -> (Some r, None)
+      match Obs.Sink.recorder sink with
+      | Some r -> (Some r, false)
       | None ->
           let r = Obs.Recorder.create () in
-          let s =
-            match cfg.sink with
-            | Some s -> s
-            | None ->
-                let s = Obs.Sink.create () in
-                Dsim.Engine.set_obs eng s;
-                s
-          in
-          Obs.Sink.set_recorder s (Some r);
-          (Some r, Some s)
+          Obs.Sink.set_recorder sink (Some r);
+          (Some r, true)
   in
   (* Per-replica think-time streams, split in a fixed order before the
      controller is installed: a replica's stream does not depend on the
@@ -180,9 +176,9 @@ let measure ((cluster, services) : world) ~spec cfg =
   let rngs =
     Array.init cfg.replicas (fun _ -> Dsim.Rng.split (Dsim.Engine.rng eng))
   in
-  let obs = Array.make cfg.replicas [] in
+  let hash = Array.make cfg.replicas 0 in
+  let scale = Array.make cfg.replicas 1 in
   let finished = ref 0 in
-  let crashed = ref None in
   let thread = Cts.Thread_id.of_int 1 in
   let ctrl = Controller.create eng spec in
   Controller.install ctrl net;
@@ -192,6 +188,10 @@ let measure ((cluster, services) : world) ~spec cfg =
           let service = services.(i) in
           let think =
             cfg.think_us + if i = 0 then 0 else cfg.straggle_us
+          in
+          let combine v =
+            hash.(i) <- (hash.(i) * fingerprint_prime) + (v land max_int);
+            scale.(i) <- scale.(i) * fingerprint_prime
           in
           (try
              for round = 1 to cfg.rounds do
@@ -224,18 +224,19 @@ let measure ((cluster, services) : world) ~spec cfg =
                      Time.add pc offset_before
                  | _ -> gc
                in
-               obs.(i) <-
-                 {
-                   Invariant.replica = i;
-                   round;
-                   gc;
-                   pc;
-                   at = Dsim.Engine.now eng;
-                 }
-                 :: obs.(i);
+               (* The bug lives in the application, so the application
+                  reports the value it uses. *)
+               (let s = Dsim.Engine.obs eng in
+                if s.Obs.Sink.active then
+                  Obs.Sink.rec_event s ~kind:Obs.Recorder.k_read
+                    ~ts_us:(Time.to_ns (Dsim.Engine.now eng) / 1000)
+                    ~node:(Netsim.Node_id.to_int n.Cluster.id)
+                    ~a:(Time.to_ns gc) ~b:round);
+               combine i;
+               combine round;
+               combine (Time.to_ns gc);
                match cfg.crash_at_round with
                | Some k when round = k && i = cfg.replicas - 1 ->
-                   crashed := Some i;
                    Gcs.Endpoint.crash n.Cluster.endpoint;
                    raise Exit
                | _ -> ()
@@ -246,22 +247,16 @@ let measure ((cluster, services) : world) ~spec cfg =
   Cluster.run_until ~limit:(Span.of_sec 600) cluster (fun () ->
       !finished = cfg.replicas);
   Controller.uninstall ctrl net;
-  (match lent with
-  | Some s ->
-      Obs.Sink.set_recorder s None;
-      if Option.is_none cfg.sink then Dsim.Engine.set_obs eng prev_obs
-  | None -> ());
+  Obs.Check.finish check;
+  Obs.Sink.set_check sink None;
+  if lent then Obs.Sink.set_recorder sink None;
   let packet_log =
     match packets with Some r -> Format.asprintf "%a" pp_packets r | None -> ""
   in
-  let observations = Array.map List.rev obs in
   let outcome =
     {
-      Invariant.replicas = cfg.replicas;
-      rounds = cfg.rounds;
-      observations;
-      stats = Array.map Cts.Service.stats services;
-      crashed = !crashed;
+      Invariant.stats = Array.map Cts.Service.stats services;
+      verdicts = Obs.Check.verdicts check;
       packet_log;
     }
   in
@@ -271,7 +266,7 @@ let measure ((cluster, services) : world) ~spec cfg =
       steps = Controller.steps ctrl;
       packets = Controller.packets ctrl;
       ties = Controller.tie_steps ctrl;
-      fingerprint = fingerprint observations;
+      fingerprint = fingerprint ~hash ~scale;
     }
   in
   (outcome, info)

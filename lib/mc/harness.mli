@@ -4,9 +4,10 @@
     time service per node, lets every replica perform [rounds] group clock
     reads separated by think time, and drives the whole simulation under a
     {!Controller.spec} — so the same configuration replayed with the same
-    deviation trace is bit-identical.  Returns the {!Invariant.outcome} to
-    check plus an {!info} describing the schedule that was actually
-    executed. *)
+    deviation trace is bit-identical.  Each application read is a [read]
+    record on the world's stream, and a fresh {!Obs.Check} on that stream
+    judges the run; the {!Invariant.outcome} carries its verdicts, and an
+    {!info} describes the schedule that was actually executed. *)
 
 type bug = Ignore_buffered_winner
     (** Test-only seeded reordering bug: replica 0 ignores a winner that
@@ -33,16 +34,15 @@ type config = {
   record_packets : bool;
       (** render the last 256 send / deliver / drop records of the
           measurement's stream into the outcome's [packet_log], reading
-          them from [sink]'s recorder.  Without a sink, or with one that
-          carries no recorder, the measurement lends itself a private
-          recorder. *)
+          them from the sink's recorder, or from a recorder lent to the
+          sink for this measurement when it carries none. *)
   sink : Obs.Sink.t option;
       (** observability sink adopted by the world's engine for the
           measurement (re-adopted after every restore, so it works with
-          the reuse path too).  [None] for exploration; used by
-          {!Explore.trace_violation} to capture the record stream of a
-          counterexample.  Attaching a sink never perturbs the run: the
-          probes only read simulation state. *)
+          the reuse path too); [None] keeps the world's own.  The run's
+          check rides on it either way: the measurement attaches a fresh
+          one and detaches it at the end.  Attaching a sink never
+          perturbs the run: the probes only read simulation state. *)
 }
 
 val default : config
@@ -54,7 +54,7 @@ type info = {
   steps : int;  (** engine choice points seen *)
   packets : int;  (** network packets seen *)
   ties : (int * int) list;  (** [(step, ready)] branching points *)
-  fingerprint : int;  (** hash of all observations — schedule identity *)
+  fingerprint : int;  (** hash of all reads — schedule identity *)
 }
 
 val run : ?spec:Controller.spec -> config -> Invariant.outcome * info

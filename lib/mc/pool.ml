@@ -20,7 +20,7 @@ let exec ~reusable ~children cfg (seed, spec) =
   let violated =
     match Invariant.check_all outcome with
     | [] -> None
-    | (name, _) :: _ -> Some (name, info.Harness.deviations)
+    | v :: _ -> Some (v.Obs.Check.inv, info.Harness.deviations)
   in
   {
     seed;

@@ -1,0 +1,98 @@
+(** One checker over the record stream.
+
+    The paper's §3 guarantees and the online monitors are one fold over
+    the [(kind, ts_us, node, a, b)] records of {!Recorder}, written in
+    the shape of a TLA+ specification: the state variables are plain
+    per-node and per-round tables, {!step} is one action per record
+    kind, and a violation is a {!verdict} naming the first record that
+    witnessed it.  The same fold runs in three places:
+
+    - online, attached to a {!Sink} beside (or instead of) a recorder;
+    - on every schedule the model checker explores: its harness attaches
+      a fresh check to each measured run and reads {!verdicts} after
+      {!finish};
+    - in the black box: a dump carries the verdicts, and each verdict's
+      [at] locates its witness in the dumped window.
+
+    Properties:
+
+    - [monotone]: per (node, thread), the group clock samples
+      ([gc-sample]) never decrease (§3); worst = largest regression, µs.
+    - [agreement]: every application [read] of one round carries the
+      same value (§3); worst = largest difference, ns; node = the reader
+      that disagreed with the round's first read.
+    - [single-synchronizer]: judged by {!finish} (§4.3).  For every node
+      that read and did not [crash]: its reads run rounds 1, 2, 3, …, and
+      it made exactly one send-or-suppress decision per round read (a
+      [ccs-propose], or a [ccs-suppress] that names no round; one naming
+      a round retracts the node's proposal of it).  Over all nodes, the
+      proposals not retracted are at least the distinct rounds read.
+      worst = how far a count is off (0 for a sequence break); node =
+      [-1] for the global count.
+    - [skew-envelope]: the spread of [(group clock - simulated time)]
+      offsets across live (non-stale) nodes stays within a configured
+      bound (the §3 bounded-skew guarantee); worst = largest spread, µs.
+    - [token-liveness]: once a first token has been sighted, tokens keep
+      being sighted within [token_timeout_us] (the liveness the §12
+      watchdogs restore); worst = silent gap, µs.  The alarm re-arms on
+      the next token, so one loss episode is one occurrence however many
+      records elapse inside it.
+    - [membership-agreement]: every node reaching operational state in
+      a ring generation reports the same member count; worst =
+      member-count difference.
+
+    [agreement] and [single-synchronizer] read only [read] records, so
+    they are silent on runs whose application does not emit them.
+    Each property has at most one verdict, updated in place. *)
+
+type verdict = {
+  inv : string;  (** property name, e.g. ["token-liveness"] *)
+  at : int;
+      (** index of the first witnessing record among the records this
+          check has stepped (0 = the first); equal to the record's index
+          in a {!Recorder} attached to the same sink from the start *)
+  mutable first_us : int;
+  mutable last_us : int;
+  mutable count : int;
+  mutable worst : int;
+  mutable node : int;  (** node of the worst observation *)
+}
+
+type config = {
+  skew_bound_us : int;  (** <= 0 disables [skew-envelope] *)
+  token_timeout_us : int;  (** <= 0 disables [token-liveness] *)
+  staleness_us : int;
+      (** nodes whose last sample is older than this are excluded from
+          the skew envelope *)
+  one_ring : bool;
+      (** the stream comes from one ring and one CCS group.  Ring
+          generations and CCS rounds are only comparable within one, so a
+          check fed by several at once ([lib/hier] clusters) must turn
+          this off; it gates [membership-agreement], [agreement] and
+          [single-synchronizer] *)
+}
+
+val default_config : config
+(** Skew check disabled (the bound is scenario-specific), 10 ms token
+    timeout, 5 ms staleness, one ring. *)
+
+val properties : string list
+(** Every property name, in the order listed above. *)
+
+type t
+
+val create : ?config:config -> unit -> t
+
+val step : t -> kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit
+(** Fold one record (same encoding as {!Recorder.emit}).  Allocates only
+    when a node, round or thread is first seen or a verdict is first
+    raised. *)
+
+val finish : t -> unit
+(** Judge the end-of-run counts ([single-synchronizer]).  Call once,
+    after the last {!step}. *)
+
+val verdicts : t -> verdict list
+(** In first-raised order. *)
+
+val pp_verdict : Format.formatter -> verdict -> unit

@@ -3,25 +3,26 @@
    The on-disk format is a line-oriented text file meant to survive in
    a bug report:
 
-     # ctsim flight recorder v1
+     # ctsim flight recorder v2
      # total <n> dropped <n>
      R <kind> <ts_us> <node> <a> <b>        one line per record
-     I <inv> <first_us> <last_us> <count> <worst> <node>
+     I <inv> <first_us> <last_us> <count> <worst> <node> <at>
 
    [report] decodes the window into a human-readable causal timeline:
    records are printed oldest-to-newest with their kind's payload
    names, deliveries and drops are matched back to their send (per
    (src, dst) FIFO order — the same in-order delivery contract
-   [Netsim.Network] enforces), and each incident is traced back to a
-   suspect: for a token-liveness incident, the last accepted token
+   [Netsim.Network] enforces), and each verdict is traced back to a
+   suspect: for a token-liveness verdict, the last accepted token
    fixes the node that held the token when the ring went quiet, and
-   the first drop sourced at that node names the faulted hop. *)
+   the first drop sourced at that node names the faulted hop.  A
+   verdict whose witnessing record is inside the window marks it. *)
 
 type record = { kind : int; ts_us : int; node : int; a : int; b : int }
 
 type window = {
   records : record array; (* oldest first *)
-  incidents : Health.incident list;
+  verdicts : Check.verdict list;
   w_total : int; (* records ever emitted, pre-wrap *)
   w_dropped : int; (* records lost to wrap *)
 }
@@ -29,10 +30,9 @@ type window = {
 (* ------------------------------------------------------------------ *)
 (* Dump / load                                                         *)
 
-let header = "# ctsim flight recorder v1"
+let header = "# ctsim flight recorder v2"
 
-let write_window buf (recorder : Recorder.t) (incidents : Health.incident list)
-    =
+let write_window buf (recorder : Recorder.t) (verdicts : Check.verdict list) =
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
   Buffer.add_string buf
@@ -42,22 +42,22 @@ let write_window buf (recorder : Recorder.t) (incidents : Health.incident list)
       Buffer.add_string buf
         (Printf.sprintf "R %d %d %d %d %d\n" kind ts_us node a b));
   List.iter
-    (fun (i : Health.incident) ->
+    (fun (v : Check.verdict) ->
       Buffer.add_string buf
-        (Printf.sprintf "I %s %d %d %d %d %d\n" i.inv i.first_us i.last_us
-           i.count i.worst i.node))
-    incidents
+        (Printf.sprintf "I %s %d %d %d %d %d %d\n" v.inv v.first_us v.last_us
+           v.count v.worst v.node v.at))
+    verdicts
 
-let dump_string recorder incidents =
+let dump_string recorder verdicts =
   let buf = Buffer.create 4096 in
-  write_window buf recorder incidents;
+  write_window buf recorder verdicts;
   Buffer.contents buf
 
-let dump_file recorder incidents path =
+let dump_file recorder verdicts path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (dump_string recorder incidents))
+    (fun () -> output_string oc (dump_string recorder verdicts))
 
 let parse_error line msg =
   Error (Printf.sprintf "flight window parse error, line %d: %s" line msg)
@@ -66,7 +66,7 @@ let load_string s =
   let lines = String.split_on_char '\n' s in
   match lines with
   | first :: rest when String.trim first = header ->
-      let records = ref [] and incidents = ref [] in
+      let records = ref [] and verdicts = ref [] in
       let total = ref 0 and dropped = ref 0 in
       let err = ref None in
       List.iteri
@@ -75,31 +75,18 @@ let load_string s =
           let line = String.trim line in
           if !err = None && line <> "" then
             match String.split_on_char ' ' line with
-            | "R" :: [ k; ts; n; a; b ] -> (
-                match
-                  ( int_of_string_opt k,
-                    int_of_string_opt ts,
-                    int_of_string_opt n,
-                    int_of_string_opt a,
-                    int_of_string_opt b )
-                with
-                | Some kind, Some ts_us, Some node, Some a, Some b ->
+            | "R" :: fields -> (
+                match List.map int_of_string_opt fields with
+                | [ Some kind; Some ts_us; Some node; Some a; Some b ] ->
                     records := { kind; ts_us; node; a; b } :: !records
                 | _ -> err := Some (lineno, "malformed R record"))
-            | "I" :: [ inv; f; l; c; w; n ] -> (
-                match
-                  ( int_of_string_opt f,
-                    int_of_string_opt l,
-                    int_of_string_opt c,
-                    int_of_string_opt w,
-                    int_of_string_opt n )
-                with
-                | Some first_us, Some last_us, Some count, Some worst, Some node
-                  ->
-                    incidents :=
-                      ({ Health.inv; first_us; last_us; count; worst; node }
-                        : Health.incident)
-                      :: !incidents
+            | "I" :: inv :: fields -> (
+                match List.map int_of_string_opt fields with
+                | [ Some first_us; Some last_us; Some count; Some worst;
+                    Some node; Some at ] ->
+                    verdicts :=
+                      { Check.inv; at; first_us; last_us; count; worst; node }
+                      :: !verdicts
                 | _ -> err := Some (lineno, "malformed I record"))
             | "#" :: "total" :: [ t; "dropped"; d ] ->
                 total := Option.value ~default:0 (int_of_string_opt t);
@@ -115,7 +102,7 @@ let load_string s =
           Ok
             {
               records;
-              incidents = List.rev !incidents;
+              verdicts = List.rev !verdicts;
               w_total = total;
               w_dropped = !dropped;
             })
@@ -201,112 +188,65 @@ let find_first w ?(after = min_int) p =
     w.records;
   !found
 
-let suspect_of_incident w (inc : Health.incident) =
-  match inc.inv with
-  | "token-liveness" -> (
-      (* the node that last held the token is where the ring went
-         quiet; the first drop sourced there names the hop *)
-      match
-        find_last w ~before:inc.first_us (fun r -> r.kind = Recorder.k_token)
-      with
-      | None ->
-          {
-            s_inv = inc.inv;
-            s_desc =
-              Printf.sprintf
-                "no token in the window; ring was silent for %d us" inc.worst;
-            s_record = None;
-          }
-      | Some ti -> (
-          let t = w.records.(ti) in
-          match
-            find_first w ~after:t.ts_us (fun r ->
-                r.kind = Recorder.k_drop && r.a = t.node)
-          with
-          | Some di ->
-              let d = w.records.(di) in
-              {
-                s_inv = inc.inv;
-                s_desc =
-                  Printf.sprintf
-                    "token last accepted by node %d (seq %d) at %d us; next \
-                     hop %d -> %d dropped (%s) at %d us"
-                    t.node t.a t.ts_us t.node d.node
-                    (Recorder.drop_reason_name d.b)
-                    d.ts_us;
-                s_record = Some di;
-              }
-          | None ->
-              {
-                s_inv = inc.inv;
-                s_desc =
-                  Printf.sprintf
-                    "token last accepted by node %d (seq %d) at %d us; no \
-                     onward delivery recorded"
-                    t.node t.a t.ts_us;
-                s_record = Some ti;
-              }))
-  | "gc-monotonic" | "skew-envelope" -> (
-      match
-        find_last w ~before:inc.last_us (fun r ->
-            r.kind = Recorder.k_ccs_settle && r.node = inc.node)
-      with
-      | Some ci ->
-          let c = w.records.(ci) in
-          {
-            s_inv = inc.inv;
-            s_desc =
-              Printf.sprintf
-                "worst offender node %d; nearest preceding CCS settle: round \
-                 %d, adjustment %d us at %d us"
-                inc.node c.a c.b c.ts_us;
-            s_record = Some ci;
-          }
-      | None ->
-          {
-            s_inv = inc.inv;
-            s_desc =
-              Printf.sprintf "worst offender node %d; no CCS settle in window"
-                inc.node;
-            s_record = None;
-          })
-  | "membership-agreement" -> (
-      match
-        find_first w (fun r ->
-            r.kind = Recorder.k_operational && r.node = inc.node)
-      with
-      | Some oi ->
-          let o = w.records.(oi) in
-          {
-            s_inv = inc.inv;
-            s_desc =
-              Printf.sprintf
-                "node %d reached operational in gen %d with %d member(s), \
-                 disagreeing with an earlier report for the same gen"
-                o.node o.a o.b;
-            s_record = Some oi;
-          }
-      | None ->
-          {
-            s_inv = inc.inv;
-            s_desc = Printf.sprintf "disagreeing node %d" inc.node;
-            s_record = None;
-          })
-  | inv ->
-      {
-        s_inv = inv;
-        s_desc = Printf.sprintf "worst value %d at node %d" inc.worst inc.node;
-        s_record = None;
-      }
+(* The window position of a verdict's witnessing record, when the
+   window still holds it: its first record is number [w_dropped]. *)
+let witness w (v : Check.verdict) =
+  let i = v.at - w.w_dropped in
+  if i >= 0 && i < Array.length w.records then Some i else None
 
-let suspects w = List.map (suspect_of_incident w) w.incidents
+(* A verdict's witness is marked in the timeline.  Only a token-liveness
+   verdict needs a search: its witness is merely the first record after
+   the silence, while the node that last accepted the token is where the
+   ring went quiet, and the first drop sourced there names the hop. *)
+let suspect_of_verdict w (v : Check.verdict) =
+  let suspect s_desc s_record = { s_inv = v.inv; s_desc; s_record } in
+  if v.inv <> "token-liveness" then
+    suspect
+      (Printf.sprintf "worst %d at node %d; witness: record %d%s" v.worst
+         v.node v.at
+         (if witness w v = None then " (not in the window)" else ""))
+      None
+  else
+    match
+      find_last w ~before:v.first_us (fun r -> r.kind = Recorder.k_token)
+    with
+    | None ->
+        suspect
+          (Printf.sprintf "no token in the window; ring was silent for %d us"
+             v.worst)
+          None
+    | Some ti -> (
+        let t = w.records.(ti) in
+        match
+          find_first w ~after:t.ts_us (fun r ->
+              r.kind = Recorder.k_drop && r.a = t.node)
+        with
+        | Some di ->
+            let d = w.records.(di) in
+            suspect
+              (Printf.sprintf
+                 "token last accepted by node %d (seq %d) at %d us; next hop \
+                  %d -> %d dropped (%s) at %d us"
+                 t.node t.a t.ts_us t.node d.node
+                 (Recorder.drop_reason_name d.b)
+                 d.ts_us)
+              (Some di)
+        | None ->
+            suspect
+              (Printf.sprintf
+                 "token last accepted by node %d (seq %d) at %d us; no \
+                  onward delivery recorded"
+                 t.node t.a t.ts_us)
+              (Some ti))
+
+let suspects w = List.map (suspect_of_verdict w) w.verdicts
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 
-let pp_record ppf w sent marks i =
+let pp_record ppf w sent ~suspect ~verdict i =
   let r = w.records.(i) in
-  Format.fprintf ppf "%10d us  node %-3d %-7s %-13s" r.ts_us r.node
+  Format.fprintf ppf "%10d us  node %-3d %-8s %-13s" r.ts_us r.node
     (Subsystem.name (Recorder.kind_sub r.kind))
     (Recorder.kind_name r.kind);
   List.iter
@@ -319,37 +259,37 @@ let pp_record ppf w sent marks i =
     Format.fprintf ppf "  [sent %d us ago by node %d]" (r.ts_us - s.ts_us)
       s.node
   end;
-  if List.mem i marks then Format.fprintf ppf "   <-- suspect"
+  if List.mem i verdict then Format.fprintf ppf "   <-- verdict";
+  if List.mem i suspect then Format.fprintf ppf "   <-- suspect"
 
 let report ?(tail = 40) ppf w =
   let n = Array.length w.records in
   let sent = sent_at w in
   let sus = suspects w in
-  let marks = List.filter_map (fun s -> s.s_record) sus in
+  let suspect = List.filter_map (fun s -> s.s_record) sus in
+  let verdict = List.filter_map (witness w) w.verdicts in
   Format.fprintf ppf "flight window: %d record(s) held, %d emitted, %d lost \
                       to wrap@."
     n w.w_total w.w_dropped;
-  (match w.incidents with
-  | [] -> Format.fprintf ppf "incidents: none@."
-  | is ->
-      Format.fprintf ppf "incidents:@.";
-      List.iter
-        (fun i -> Format.fprintf ppf "  %a@." Health.pp_incident i)
-        is);
+  (match w.verdicts with
+  | [] -> Format.fprintf ppf "verdicts: none@."
+  | vs ->
+      Format.fprintf ppf "verdicts:@.";
+      List.iter (fun v -> Format.fprintf ppf "  %a@." Check.pp_verdict v) vs);
   List.iter
     (fun s -> Format.fprintf ppf "suspect [%s]: %s@." s.s_inv s.s_desc)
     sus;
-  (* print suspect records that fall before the tail, then the tail *)
+  (* print marked records that fall before the tail, then the tail *)
   let first_tail = max 0 (n - tail) in
   let early_marks =
-    List.filter (fun i -> i < first_tail) (List.sort_uniq compare marks)
+    List.filter (fun i -> i < first_tail)
+      (List.sort_uniq Int.compare (suspect @ verdict))
   in
+  let pp_at ppf i = pp_record ppf w sent ~suspect ~verdict i in
   Format.fprintf ppf "timeline (last %d of %d record(s)):@." (n - first_tail)
     n;
-  List.iter
-    (fun i -> Format.fprintf ppf "  %a@." (fun ppf -> pp_record ppf w sent marks) i)
-    early_marks;
+  List.iter (fun i -> Format.fprintf ppf "  %a@." pp_at i) early_marks;
   if first_tail > 0 then Format.fprintf ppf "  ...@.";
   for i = first_tail to n - 1 do
-    Format.fprintf ppf "  %a@." (fun ppf -> pp_record ppf w sent marks) i
+    Format.fprintf ppf "  %a@." pp_at i
   done

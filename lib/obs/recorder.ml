@@ -71,7 +71,10 @@ let k_repl_request = 21
 let k_repl_checkpoint = 22
 let k_bridge_open = 23
 let k_bridge_close = 24
-let kind_count = 25
+let k_read = 25
+let k_ccs_propose = 26
+let k_crash = 27
+let kind_count = 28
 
 let kind_name = function
   | 0 -> "step"
@@ -99,14 +102,17 @@ let kind_name = function
   | 22 -> "repl-checkpoint"
   | 23 -> "bridge-open"
   | 24 -> "bridge-close"
+  | 25 -> "read"
+  | 26 -> "ccs-propose"
+  | 27 -> "crash"
   | _ -> "?"
 
 let kind_sub = function
   | 0 | 1 | 2 -> Subsystem.Dsim
   | 3 | 4 | 5 -> Subsystem.Netsim
-  | 6 | 7 | 8 -> Subsystem.Totem
+  | 6 | 7 | 8 | 27 -> Subsystem.Totem
   | 9 -> Subsystem.Gcs
-  | 10 | 11 | 12 | 13 | 14 | 18 -> Subsystem.Ccs
+  | 10 | 11 | 12 | 13 | 14 | 18 | 26 -> Subsystem.Ccs
   | 15 | 16 | 17 | 23 | 24 -> Subsystem.Hier
   | 19 | 20 -> Subsystem.Rpc
   | 21 | 22 -> Subsystem.Repl
@@ -139,6 +145,9 @@ let arg_names = function
   | 22 -> ("upto", "applied")
   | 23 -> ("round", "")
   | 24 -> ("round", "offers")
+  | 25 -> ("value_ns", "round")
+  | 26 -> ("round", "proposal_ns")
+  | 27 -> ("", "")
   | _ -> ("a", "b")
 
 (* Span boundaries: each Begin kind is closed by one End kind of the
@@ -173,7 +182,7 @@ let args ~kind ~a ~b =
     if pos < 0 then common else common @ [ ("pos", pos) ]
   else
     let an, bn = arg_names kind in
-    if bn = "" then [ (an, a) ] else [ (an, a); (bn, b) ]
+    List.filter (fun (name, _) -> name <> "") [ (an, a); (bn, b) ]
 
 let iter t f =
   let n = length t in

@@ -7,7 +7,7 @@
     integer stores and two field writes: no boxing, no branch on
     capacity growth, nothing for the GC.  Every other view reads this
     stream: the Chrome trace ({!to_trace}), the metrics registry
-    ([Metrics.of_recorder]), the health monitor (fed the same records
+    ([Metrics.of_recorder]), the {!Check} fold (fed the same records
     online) and the model checker's packet log.
 
     The record layout is an internal encoding; decode through
@@ -105,6 +105,21 @@ val k_bridge_open : int
 val k_bridge_close : int
 (** A star-mode bridge round opened / closed by its coordinator
     ([round], [offers]). *)
+
+val k_read : int
+(** The application's group-clock read ([value_ns], [round]), emitted by
+    the application itself (the model checker's harness) — the value it
+    actually uses, which a buggy application may not have taken from the
+    service. *)
+
+val k_ccs_propose : int
+(** A CCS message queued for multicast ([round], [proposal_ns]); the
+    record's node is the would-be synchronizer.  A later [k_ccs_suppress]
+    naming the same round retracts it (token-level duplicate
+    suppression). *)
+
+val k_crash : int
+(** A node crashed (no payload). *)
 
 val kind_count : int
 

@@ -2,40 +2,40 @@ type t = {
   mutable active : bool;
   mutable steps : bool;
   mutable recorder : Recorder.t option;
-  mutable health : Health.t option;
+  mutable check : Check.t option;
   mutable attrib : Attrib.t option;
 }
 
 let create () =
-  { active = false; steps = false; recorder = None; health = None; attrib = None }
+  { active = false; steps = false; recorder = None; check = None; attrib = None }
 
-let refresh t = t.active <- t.recorder <> None || t.health <> None
+let refresh t = t.active <- t.recorder <> None || t.check <> None
 
 let set_recorder t r =
   t.recorder <- r;
   refresh t
 
-let set_health t h =
-  t.health <- h;
+let set_check t c =
+  t.check <- c;
   refresh t
 
 let is_active t = t.active
 let recorder t = t.recorder
-let health t = t.health
 let set_steps t v = t.steps <- v
 
 let rec_event t ~kind ~ts_us ~node ~a ~b =
   (match t.recorder with
   | Some r -> Recorder.emit r ~kind ~ts_us ~node ~a ~b
   | None -> ());
-  match t.health with
-  | Some h ->
-      (Health.observe h ~kind ~ts_us ~node ~a ~b
+  match t.check with
+  | Some c ->
+      (Check.step c ~kind ~ts_us ~node ~a ~b
       [@ctslint.allow
         "hotpath-alloc"
-          "the health monitor's invariant checks walk hashtables; \
-           attaching a monitor deliberately trades the zero-alloc \
-           guarantee of the recorder for diagnosis"])
+          "the check grows its tables on first sight of a node, round or \
+           thread and walks a hashtable per ring generation; attaching a \
+           check deliberately trades the zero-alloc guarantee of the \
+           recorder for judging the run"])
   | None -> ()
 
 (* Wall-time attribution keeps its own gate: it brackets regions of

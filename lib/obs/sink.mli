@@ -17,7 +17,7 @@
     the only emit path: the Chrome trace ({!Recorder.to_trace}), the
     metrics registry ({!Metrics.of_recorder}) and the model checker's
     packet log are all read from the attached recorder afterwards, and
-    the {!Health} monitor consumes the same records online.
+    the {!Check} fold judges the same records online.
 
     Components must read the sink through the engine at each probe
     rather than caching it at construction time, so a sink attached
@@ -25,13 +25,13 @@
 
 type t = {
   mutable active : bool;
-      (** true iff a recorder or health monitor is attached — the one
+      (** true iff a recorder or a check is attached — the one
           gate probe sites check before calling {!rec_event} *)
   mutable steps : bool;
       (** also emit one [k_step] record per engine callback (very hot;
           off by default even when recording) *)
   mutable recorder : Recorder.t option;
-  mutable health : Health.t option;
+  mutable check : Check.t option;
   mutable attrib : Attrib.t option;
       (** wall-time attribution; gated separately (see {!attr_enter}) *)
 }
@@ -40,16 +40,15 @@ val create : unit -> t
 (** An inactive sink: nothing attached. *)
 
 val set_recorder : t -> Recorder.t option -> unit
-val set_health : t -> Health.t option -> unit
+val set_check : t -> Check.t option -> unit
 (** Attach or detach a consumer and recompute [active]. *)
 
 val is_active : t -> bool
 val recorder : t -> Recorder.t option
-val health : t -> Health.t option
 val set_steps : t -> bool -> unit
 
 val rec_event : t -> kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit
-(** Feed one record to whichever of recorder / health is attached.
+(** Feed one record to whichever of recorder / check is attached.
     Callers are expected to have checked [active].  Record kinds and
     payload meanings are defined by {!Recorder}. *)
 

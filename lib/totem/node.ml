@@ -539,28 +539,24 @@ and install_ring t (c : Wire.commit) =
   in
   t.state <- Recover rs;
   send_offers t rs;
-  recovery_tick t rs;
+  recovery_tick t;
   after t t.cfg.recovery_timeout (fun () ->
       match t.state with
-      | Recover rs'
-        when (rs' == rs)
-             [@ctslint.allow
-               "phys-equality"
-                 "generation check: timer validity is attempt identity"] ->
+      | Recover _ ->
           Log.debug (fun m -> m "%a: recovery timeout" Nid.pp t.me);
           enter_gather t ~candidates:(Bits.of_list c.members)
             ~prefail:Bits.empty
       | _ -> ());
   check_my_done t rs
 
-and recovery_tick t rs =
+(* Like the gather timers, the recovery timers take the attempt from
+   [t.state]: every attempt starts a new epoch ([install_ring]), and every
+   way out of [Recover] bumps it, so a timer that passes [after]'s epoch
+   check belongs to the current attempt. *)
+and recovery_tick t =
   after t t.cfg.recovery_retry (fun () ->
       match t.state with
-      | Recover rs'
-        when (rs' == rs)
-             [@ctslint.allow
-               "phys-equality"
-                 "generation check: timer validity is attempt identity"] ->
+      | Recover rs ->
           send_offers t rs;
           request_missing t rs;
           if rs.my_done_sent then
@@ -571,7 +567,7 @@ and recovery_tick t rs =
              missed it. *)
           if Nid.equal rs.commit.new_ring.rep t.me then
             bcast t (Wire.Commit rs.commit);
-          recovery_tick t rs
+          recovery_tick t
       | _ -> ())
 
 and presence_tick t =
@@ -1009,5 +1005,10 @@ let crash t =
   if not (crashed t) then begin
     t.epoch <- t.epoch + 1;
     t.state <- Crashed;
-    Netsim.Network.detach t.net t.me
+    Netsim.Network.detach t.net t.me;
+    let s = Dsim.Engine.obs t.eng in
+    if s.Obs.Sink.active then
+      Obs.Sink.rec_event s ~kind:Obs.Recorder.k_crash
+        ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+        ~node:(Nid.to_int t.me) ~a:0 ~b:0
   end

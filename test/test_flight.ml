@@ -2,10 +2,10 @@
    behaviour (exactly full, off-by-one, records straddling the wrap
    surviving a dump/load round-trip), the zero-allocation emit loop,
    [Stats.Histogram.quantile] and the metrics percentiles built on it,
-   [Obs.Health] incident dedup / watchdog re-arm / membership
+   [Obs.Check] verdict dedup / watchdog re-arm / membership
    agreement, the [Obs.Postmortem] dump format, and the seeded
    end-to-end token-loss run: partition the ring mid-rotation, watch
-   Health raise the liveness incident, and check the postmortem names
+   the check raise the liveness verdict, and check the postmortem names
    the dropped hop. *)
 
 module Span = Dsim.Time.Span
@@ -172,105 +172,105 @@ let test_metrics_json_percentiles () =
   check bool "histogram json has p99" true (has "\"p99\"")
 
 (* ------------------------------------------------------------------ *)
-(* Health monitor                                                      *)
+(* Check: the online monitors                                         *)
 
 let test_health_dedup () =
-  let h = Obs.Health.create () in
+  let h = Obs.Check.create () in
   (* three regressions of the same invariant on two nodes: one incident,
      count 3, worst value and its node retained *)
-  Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:100 ~node:1 ~a:500 ~b:0;
-  Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:200 ~node:1 ~a:400 ~b:0;
-  Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:300 ~node:1 ~a:390 ~b:0;
-  Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:400 ~node:2 ~a:900 ~b:0;
-  Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:500 ~node:2 ~a:100 ~b:0;
-  match Obs.Health.incidents h with
+  Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:100 ~node:1 ~a:500 ~b:0;
+  Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:200 ~node:1 ~a:400 ~b:0;
+  Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:300 ~node:1 ~a:390 ~b:0;
+  Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:400 ~node:2 ~a:900 ~b:0;
+  Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:500 ~node:2 ~a:100 ~b:0;
+  match Obs.Check.verdicts h with
   | [ i ] ->
-      check string "invariant" "gc-monotonic" i.Obs.Health.inv;
-      check int "count" 3 i.Obs.Health.count;
-      check int "first" 200 i.Obs.Health.first_us;
-      check int "last" 500 i.Obs.Health.last_us;
-      check int "worst regression" 800 i.Obs.Health.worst;
-      check int "worst node" 2 i.Obs.Health.node
+      check string "invariant" "monotone" i.Obs.Check.inv;
+      check int "count" 3 i.Obs.Check.count;
+      check int "first" 200 i.Obs.Check.first_us;
+      check int "last" 500 i.Obs.Check.last_us;
+      check int "worst regression" 800 i.Obs.Check.worst;
+      check int "worst node" 2 i.Obs.Check.node
   | is -> Alcotest.failf "expected 1 incident, got %d" (List.length is)
 
 let test_health_token_rearm () =
   let config =
-    { Obs.Health.default_config with Obs.Health.token_timeout_us = 1000 }
+    { Obs.Check.default_config with Obs.Check.token_timeout_us = 1000 }
   in
-  let h = Obs.Health.create ~config () in
+  let h = Obs.Check.create ~config () in
   let token ts node =
-    Obs.Health.observe h ~kind:Rec.k_token ~ts_us:ts ~node ~a:0 ~b:0
+    Obs.Check.step h ~kind:Rec.k_token ~ts_us:ts ~node ~a:0 ~b:0
   in
   let tick ts =
     (* any record ticks the watchdog *)
-    Obs.Health.observe h ~kind:Rec.k_send ~ts_us:ts ~node:0 ~a:1 ~b:0
+    Obs.Check.step h ~kind:Rec.k_send ~ts_us:ts ~node:0 ~a:1 ~b:0
   in
   token 0 3;
   tick 500;
-  check int "within timeout: quiet" 0 (Obs.Health.incident_count h);
+  check int "within timeout: quiet" 0 (List.length (Obs.Check.verdicts h));
   tick 1500;
   tick 1600;
   tick 2000;
-  (match Obs.Health.incidents h with
+  (match Obs.Check.verdicts h with
   | [ i ] ->
-      check string "invariant" "token-liveness" i.Obs.Health.inv;
-      check int "one alarm per episode" 1 i.Obs.Health.count;
-      check int "names last holder" 3 i.Obs.Health.node
+      check string "invariant" "token-liveness" i.Obs.Check.inv;
+      check int "one alarm per episode" 1 i.Obs.Check.count;
+      check int "names last holder" 3 i.Obs.Check.node
   | is -> Alcotest.failf "expected 1 incident, got %d" (List.length is));
   (* token resumes: watchdog re-arms, a second silence is a new alarm
      on the same (deduplicated) incident *)
   token 2500 0;
   tick 4000;
-  match Obs.Health.incidents h with
-  | [ i ] -> check int "second episode counted" 2 i.Obs.Health.count
+  match Obs.Check.verdicts h with
+  | [ i ] -> check int "second episode counted" 2 i.Obs.Check.count
   | is -> Alcotest.failf "expected 1 incident, got %d" (List.length is)
 
 let test_health_membership () =
-  let h = Obs.Health.create () in
+  let h = Obs.Check.create () in
   let op ts node gen members =
-    Obs.Health.observe h ~kind:Rec.k_operational ~ts_us:ts ~node ~a:gen
+    Obs.Check.step h ~kind:Rec.k_operational ~ts_us:ts ~node ~a:gen
       ~b:members
   in
   op 100 0 7 4;
   op 110 1 7 4;
   op 120 2 8 3;
-  check int "agreeing views: quiet" 0 (Obs.Health.incident_count h);
+  check int "agreeing views: quiet" 0 (List.length (Obs.Check.verdicts h));
   op 130 3 7 3;
-  (match Obs.Health.incidents h with
+  (match Obs.Check.verdicts h with
   | [ i ] ->
-      check string "invariant" "membership-agreement" i.Obs.Health.inv;
-      check int "member-count difference" 1 i.Obs.Health.worst;
-      check int "disagreeing node" 3 i.Obs.Health.node
+      check string "invariant" "membership-agreement" i.Obs.Check.inv;
+      check int "member-count difference" 1 i.Obs.Check.worst;
+      check int "disagreeing node" 3 i.Obs.Check.node
   | is -> Alcotest.failf "expected 1 incident, got %d" (List.length is));
   (* the check is per-ring: a monitor configured for multi-ring input
      must stay quiet on the same stream *)
   let config =
-    { Obs.Health.default_config with Obs.Health.membership_check = false }
+    { Obs.Check.default_config with Obs.Check.one_ring = false }
   in
-  let h2 = Obs.Health.create ~config () in
-  Obs.Health.observe h2 ~kind:Rec.k_operational ~ts_us:100 ~node:0 ~a:7 ~b:4;
-  Obs.Health.observe h2 ~kind:Rec.k_operational ~ts_us:130 ~node:3 ~a:7 ~b:3;
-  check int "membership check disabled" 0 (Obs.Health.incident_count h2)
+  let h2 = Obs.Check.create ~config () in
+  Obs.Check.step h2 ~kind:Rec.k_operational ~ts_us:100 ~node:0 ~a:7 ~b:4;
+  Obs.Check.step h2 ~kind:Rec.k_operational ~ts_us:130 ~node:3 ~a:7 ~b:3;
+  check int "membership check disabled" 0 (List.length (Obs.Check.verdicts h2))
 
 let test_health_skew_envelope () =
   let config =
-    { Obs.Health.default_config with Obs.Health.skew_bound_us = 100 }
+    { Obs.Check.default_config with Obs.Check.skew_bound_us = 100 }
   in
-  let h = Obs.Health.create ~config () in
+  let h = Obs.Check.create ~config () in
   let gc ts node v =
-    Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:ts ~node ~a:v ~b:0
+    Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:ts ~node ~a:v ~b:0
   in
   (* offsets (gc - sim time): node 0 at +0, node 1 at +50 — inside *)
   gc 1000 0 1000;
   gc 1000 1 1050;
-  check int "inside the envelope" 0 (Obs.Health.incident_count h);
+  check int "inside the envelope" 0 (List.length (Obs.Check.verdicts h));
   (* node 2 at +300: spread 300 > 100 *)
   gc 1010 2 1310;
-  match Obs.Health.incidents h with
+  match Obs.Check.verdicts h with
   | [ i ] ->
-      check string "invariant" "skew-envelope" i.Obs.Health.inv;
-      check int "spread" 300 i.Obs.Health.worst;
-      check int "worst node" 2 i.Obs.Health.node
+      check string "invariant" "skew-envelope" i.Obs.Check.inv;
+      check int "spread" 300 i.Obs.Check.worst;
+      check int "worst node" 2 i.Obs.Check.node
   | is -> Alcotest.failf "expected 1 incident, got %d" (List.length is)
 
 (* ------------------------------------------------------------------ *)
@@ -279,18 +279,19 @@ let test_health_skew_envelope () =
 let test_dump_roundtrip_incidents () =
   let r = Rec.create ~capacity:16 () in
   fill r 4;
-  let h = Obs.Health.create () in
-  Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:100 ~node:1 ~a:500 ~b:0;
-  Obs.Health.observe h ~kind:Rec.k_gc_sample ~ts_us:200 ~node:1 ~a:400 ~b:0;
-  let s = Obs.Postmortem.dump_string r (Obs.Health.incidents h) in
+  let h = Obs.Check.create () in
+  Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:100 ~node:1 ~a:500 ~b:0;
+  Obs.Check.step h ~kind:Rec.k_gc_sample ~ts_us:200 ~node:1 ~a:400 ~b:0;
+  let s = Obs.Postmortem.dump_string r (Obs.Check.verdicts h) in
   match Obs.Postmortem.load_string s with
   | Error e -> Alcotest.failf "load_string: %s" e
   | Ok w -> (
-      match w.Obs.Postmortem.incidents with
+      match w.Obs.Postmortem.verdicts with
       | [ i ] ->
-          check string "invariant survives" "gc-monotonic" i.Obs.Health.inv;
-          check int "count survives" 1 i.Obs.Health.count;
-          check int "worst survives" 100 i.Obs.Health.worst
+          check string "invariant survives" "monotone" i.Obs.Check.inv;
+          check int "count survives" 1 i.Obs.Check.count;
+          check int "worst survives" 100 i.Obs.Check.worst;
+          check int "witness index survives" 1 i.Obs.Check.at
       | is -> Alcotest.failf "expected 1 incident, got %d" (List.length is))
 
 (* ------------------------------------------------------------------ *)
@@ -299,24 +300,24 @@ let test_dump_roundtrip_incidents () =
 let test_token_loss_e2e () =
   let recorder = Rec.create ~capacity:16_384 () in
   let health =
-    Obs.Health.create
+    Obs.Check.create
       ~config:
         {
-          Obs.Health.default_config with
+          Obs.Check.default_config with
           (* totem's token-loss timeout is 3 ms and ring recovery takes
              a few more, so a 2 ms watchdog fires inside the outage
              window — before the ring heals itself *)
-          Obs.Health.token_timeout_us = 2_000;
+          Obs.Check.token_timeout_us = 2_000;
           (* the partition forms a 3-node ring while the 4-node view is
              still on the books; that disagreement is the fault being
              injected, not the one under test *)
-          Obs.Health.membership_check = false;
+          Obs.Check.one_ring = false;
         }
       ()
   in
   let sink = Obs.Sink.create () in
   Obs.Sink.set_recorder sink (Some recorder);
-  Obs.Sink.set_health sink (Some health);
+  Obs.Sink.set_check sink (Some health);
   let cluster = Cluster.create ~seed:97L ~obs:sink ~nodes:4 () in
   Cluster.start_all cluster;
   Cluster.run_until cluster (fun () ->
@@ -324,29 +325,29 @@ let test_token_loss_e2e () =
   (* let the token rotate a while so the window has steady-state
      traffic before the fault *)
   Cluster.run_for cluster (Span.of_ms 20);
-  check int "healthy run: no incidents" 0 (Obs.Health.incident_count health);
+  check int "healthy run: no incidents" 0 (List.length (Obs.Check.verdicts health));
   (* partition node 3 away: the next token hop into (or out of) it is
      dropped with reason [Partitioned], and the ring falls silent until
      totem's own loss timeout rebuilds it as a 3-node ring *)
   Net.partition cluster.Cluster.net
     [ List.map Nid.of_int [ 0; 1; 2 ]; [ Nid.of_int 3 ] ];
   Cluster.run_until ~limit:(Span.of_sec 5) cluster (fun () ->
-      Obs.Health.incident_count health > 0);
+      List.length (Obs.Check.verdicts health) > 0);
   let incident =
-    match Obs.Health.incidents health with
+    match Obs.Check.verdicts health with
     | i :: _ -> i
     | [] -> Alcotest.fail "no incident raised"
   in
-  check string "liveness incident" "token-liveness" incident.Obs.Health.inv;
+  check string "liveness incident" "token-liveness" incident.Obs.Check.inv;
   check bool "silent gap at least the timeout" true
-    (incident.Obs.Health.worst >= 2_000);
+    (incident.Obs.Check.worst >= 2_000);
   (* heal and confirm the survivors re-form: the incident is a recorded
      episode, not a wedged monitor *)
   Net.heal cluster.Cluster.net;
   Cluster.run_until ~limit:(Span.of_sec 10) cluster (fun () ->
       Cluster.ring_stable cluster ~on_nodes:[ 0; 1; 2; 3 ]);
   (* the black box: dump, reload, and ask the postmortem who did it *)
-  let dump = Obs.Postmortem.dump_string recorder (Obs.Health.incidents health) in
+  let dump = Obs.Postmortem.dump_string recorder (Obs.Check.verdicts health) in
   let w =
     match Obs.Postmortem.load_string dump with
     | Ok w -> w

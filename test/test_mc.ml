@@ -11,6 +11,7 @@ module Engine = Dsim.Engine
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+let string = Alcotest.string
 
 (* ------------------------------------------------------------------ *)
 (* Event queue choice points *)
@@ -128,7 +129,7 @@ let test_harness_deterministic () =
   check int "same steps" i1.Mc.Harness.steps i2.Mc.Harness.steps;
   let o, _ = Mc.Harness.run (cfg 8) in
   check int "all rounds observed" 8
-    (List.length o.Mc.Invariant.observations.(0))
+    o.Mc.Invariant.stats.(0).Cts.Service.rounds_completed
 
 (* [record_packets] works whether or not the caller's sink carries a
    recorder: the measurement lends itself one, gives it back, and the
@@ -354,76 +355,71 @@ let test_diff_mode_every_shape () =
     shapes
 
 (* ------------------------------------------------------------------ *)
-(* Invariant checks on hand-built outcomes *)
+(* The §3 properties over hand-built record streams *)
 
-let obs replica round gc_us =
-  {
-    Mc.Invariant.replica;
-    round;
-    gc = Time.of_us gc_us;
-    pc = Time.of_us gc_us;
-    at = Time.of_us (100 * round);
-  }
+module Rec = Obs.Recorder
 
-let stats ?(sent = 0) ?(suppressed = 0) ?(rollbacks = 0) rounds =
-  {
-    Cts.Service.rounds_completed = rounds;
-    ccs_sent = sent;
-    ccs_received = 0;
-    suppressed;
-    rollbacks;
-    max_rollback = Span.zero;
-    last_value = None;
-  }
+(* One CCS round of two replicas reading the group clock on thread 1:
+   replica 0 proposes and replica 1 suppresses, then each service
+   samples the group clock (µs) and each application reads it (ns). *)
+let round ?(propose = true) r v0 v1 =
+  (if propose then [ (Rec.k_ccs_propose, 100 * r, 0, r, v0 * 1000) ] else [])
+  @ [
+      (Rec.k_ccs_suppress, 100 * r, 1, -1, 0);
+      (Rec.k_gc_sample, (100 * r) + 10, 0, v0, 1);
+      (Rec.k_read, (100 * r) + 10, 0, v0 * 1000, r);
+      (Rec.k_gc_sample, (100 * r) + 20, 1, v1, 1);
+      (Rec.k_read, (100 * r) + 20, 1, v1 * 1000, r);
+    ]
 
-let outcome observations stats =
-  {
-    Mc.Invariant.replicas = Array.length observations;
-    rounds = 2;
-    observations;
-    stats;
-    crashed = None;
-    packet_log = "";
-  }
+let judge records =
+  let c = Obs.Check.create () in
+  List.iter
+    (fun (kind, ts_us, node, a, b) -> Obs.Check.step c ~kind ~ts_us ~node ~a ~b)
+    records;
+  Obs.Check.finish c;
+  Obs.Check.verdicts c
+
+let names records = List.map (fun v -> v.Obs.Check.inv) (judge records)
 
 let test_invariants_catch_violations () =
-  let names o = List.map fst (Mc.Invariant.check_all o) in
-  (* healthy: two replicas agreeing, monotone, one send + one suppress *)
-  let healthy =
-    outcome
-      [| [ obs 0 1 100; obs 0 2 200 ]; [ obs 1 1 100; obs 1 2 200 ] |]
-      [| stats ~sent:2 2; stats ~suppressed:2 2 |]
+  let caught what stream =
+    check bool (what ^ " caught") true (List.mem what (names stream))
   in
-  check Alcotest.(list string) "healthy passes" [] (names healthy);
-  (* group clock runs backwards at replica 0 *)
-  let backwards =
-    outcome
-      [| [ obs 0 1 200; obs 0 2 100 ]; [ obs 1 1 200; obs 1 2 100 ] |]
-      [| stats ~sent:2 2; stats ~suppressed:2 2 |]
+  check Alcotest.(list string) "healthy passes" []
+    (names (round 1 100 100 @ round 2 200 200));
+  (* the group clock runs backwards at both replicas *)
+  caught "monotone" (round 1 200 200 @ round 2 100 100);
+  (* the replicas disagree on round 2; the verdict names the read that
+     disagreed (record 11: each round is six records, and the read of
+     replica 1 is a round's last) *)
+  (match judge (round 1 100 100 @ round 2 200 250) with
+  | [ v ] ->
+      check string "agreement caught" "agreement" v.Obs.Check.inv;
+      check int "witness" 11 v.Obs.Check.at;
+      check int "disagreeing reader" 1 v.Obs.Check.node;
+      check int "difference, ns" 50_000 v.Obs.Check.worst
+  | vs -> Alcotest.failf "expected 1 verdict, got %d" (List.length vs));
+  (* a round with neither send nor suppress at replica 0 *)
+  caught "single-synchronizer" (round 1 100 100 @ round ~propose:false 2 200 200);
+  (* a second decision at replica 0 after its last read: caught, and
+     excused once replica 0 crashed, since only survivors are counted *)
+  let twice =
+    round 1 100 100 @ round 2 200 200 @ [ (Rec.k_ccs_suppress, 250, 0, -1, 0) ]
   in
-  check bool "monotone caught" true (List.mem "monotone" (names backwards));
-  (* replicas disagree on round 2 *)
-  let split =
-    outcome
-      [| [ obs 0 1 100; obs 0 2 200 ]; [ obs 1 1 100; obs 1 2 250 ] |]
-      [| stats ~sent:2 2; stats ~suppressed:2 2 |]
-  in
-  check bool "agreement caught" true (List.mem "agreement" (names split));
-  (* accounting broken: a round with neither send nor suppress *)
-  let lost =
-    outcome
-      [| [ obs 0 1 100; obs 0 2 200 ]; [ obs 1 1 100; obs 1 2 200 ] |]
-      [| stats ~sent:1 2; stats ~suppressed:2 2 |]
-  in
-  check bool "single-synchronizer caught" true
-    (List.mem "single-synchronizer" (names lost));
-  (* a rollback was recorded *)
+  caught "single-synchronizer" twice;
+  check Alcotest.(list string) "crashed replica excused" []
+    (names (twice @ [ (Rec.k_crash, 300, 0, 0, 0) ]));
+  (* the service's clock rolls back on thread 1 of replica 0 while the
+     reads stay healthy; a lower sample on another thread is no
+     roll-back *)
   let rolled =
-    outcome
-      [| [ obs 0 1 100; obs 0 2 200 ]; [ obs 1 1 100; obs 1 2 200 ] |]
-      [| stats ~sent:2 ~rollbacks:1 2; stats ~suppressed:2 2 |]
+    round 1 100 100
+    @ [ (Rec.k_gc_sample, 150, 0, 50, 2) ]
+    @ round 2 200 200
   in
-  check bool "no-rollback caught" true (List.mem "no-rollback" (names rolled))
+  check Alcotest.(list string) "threads are judged apart" [] (names rolled);
+  caught "monotone" (rolled @ [ (Rec.k_gc_sample, 400, 0, 150, 1) ])
 
 (* ------------------------------------------------------------------ *)
 (* Shrinker on a synthetic predicate *)
@@ -501,7 +497,7 @@ let buggy =
 let test_seeded_bug_dormant_by_default () =
   let o, info = Mc.Harness.run buggy in
   check Alcotest.(list string) "default schedule passes" []
-    (List.map fst (Mc.Invariant.check_all o));
+    (List.map (fun v -> v.Obs.Check.inv) (Mc.Invariant.check_all o));
   check bool "no deviations applied" true (info.Mc.Harness.deviations = [])
 
 let test_seeded_bug_found_and_shrunk () =
@@ -530,9 +526,22 @@ let test_seeded_bug_found_and_shrunk () =
       check bool "flight window attached" true (v.Mc.Explore.blackbox <> "");
       (match Obs.Postmortem.load_string v.Mc.Explore.blackbox with
       | Error e -> Alcotest.failf "blackbox does not parse: %s" e
-      | Ok w ->
+      | Ok w -> (
           check bool "blackbox has records" true
-            (Array.length w.Obs.Postmortem.records > 0))
+            (Array.length w.Obs.Postmortem.records > 0);
+          (* ... and names the violation that failed the run, with its
+             witnessing record inside the window *)
+          match w.Obs.Postmortem.verdicts with
+          | [ verdict ] ->
+              check string "black box verdict" "agreement"
+                verdict.Obs.Check.inv;
+              let first = w.Obs.Postmortem.w_dropped in
+              check bool "witness inside the window" true
+                (verdict.Obs.Check.at >= first
+                && verdict.Obs.Check.at
+                   < first + Array.length w.Obs.Postmortem.records)
+          | vs ->
+              Alcotest.failf "expected 1 verdict line, got %d" (List.length vs)))
 
 let test_seeded_bug_random_walk_finds_it () =
   let r =
