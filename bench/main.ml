@@ -10,10 +10,11 @@
    marker that CI turns into a hard failure: MC2/OBS (obs) when the
    compiled-in probes allocate or cost throughput with the record
    stream off or on, MC3 (explore-scaling) when 4 explorer domains lose
-   to 1 on a host with 4 cores, HIER1 (hier, scale) when
-   the hierarchical service misses its skew bound or 256-replica
-   formation its budget, and LINT2 (lint) when ctslint reports a finding
-   or the hot path loses its zero-alloc certificate.  SCALE1 attributes
+   to 1 on a host with 4 cores, HIER1 (scale) when 256-replica
+   formation misses its budget, and LINT2 (lint) when ctslint reports a
+   finding or the hot path loses its zero-alloc certificate.  HIER1's
+   skew bound and regression count are deterministic facts, judged by
+   test_hier's "scaling bound" test rather than here.  SCALE1 attributes
    the largest HIER1 point's wall time to (subsystem, probe) sites.
 
    Run with: dune exec bench/main.exe
@@ -520,10 +521,10 @@ let bench_mc_scaling () =
    shard's clocks skewed 1 ms per shard index, forms the rings, runs the
    readers and the bridge for a fixed window of simulated time, and
    reports the distinct bridge rounds agreed, their rate in wall and
-   simulated seconds, and the converged cross-shard skew.  A point whose
-   skew ends outside the bound, or that clamps a global-clock
-   regression, emits a "PERF WARNING (hier)" marker that CI turns into a
-   hard failure.
+   simulated seconds, and the converged cross-shard skew.  The skew
+   bound and the absence of global-clock regressions are tier-1 facts:
+   test_hier's "scaling bound" test runs the same points (to 16x16, seed
+   11) and judges them with [Obs.Check]; this section only reports them.
 
    The 256-replica point also guards PR 7's superlinear-cost
    elimination: a "PERF WARNING (scale)" marker, also a hard CI failure,
@@ -610,16 +611,6 @@ let bench_hier () =
           replicas shards rounds per_wall
           (Printf.sprintf "%.1f%%" (100. *. spread))
           per_sim events_per_wall skew_us hwm form_s;
-        if skew_us >= bound_us then
-          Format.fprintf ppf
-            "PERF WARNING (hier): %d-replica cross-shard skew %d us ended \
-             outside the %d us bound@."
-            replicas skew_us bound_us;
-        if regr > 0 then
-          Format.fprintf ppf
-            "PERF WARNING (hier): %d-replica run clamped %d global-clock \
-             regression(s)@."
-            replicas regr;
         if replicas = 256 && form_s > form_budget_s then
           Format.fprintf ppf
             "PERF WARNING (scale): 256-replica formation took %.2f s, over \

@@ -556,11 +556,12 @@ let hier_cmd =
       if traced then Obs.Recorder.create ~capacity:1_000_000 ()
       else Obs.Recorder.create ()
     in
-    (* Generations and rounds are per shard ring, so the per-ring
-       properties would compare unrelated rings — off in hier runs. *)
+    (* CCS rounds are numbered per shard ring, so the check judges each
+       shard as its own ring. *)
     let check =
       Obs.Check.create
-        ~config:{ Obs.Check.default_config with one_ring = false }
+        ~config:
+          { Obs.Check.default_config with rings = Hier.Topology.rings topo }
         ()
     in
     Obs.Sink.set_recorder sink (Some recorder);

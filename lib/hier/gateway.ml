@@ -343,7 +343,7 @@ let create eng bridge ~topology ~shard ~me ~service ~clock
     service;
     clock;
     cfg = config;
-    gclock = Global_clock.create ();
+    gclock = Global_clock.create eng ~me;
     last_heard = Array.make (Topology.shards topology) (Dsim.Engine.now eng);
     active = false;
     crashed = false;

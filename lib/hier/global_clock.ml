@@ -1,11 +1,22 @@
 type t = {
+  eng : Dsim.Engine.t;
+  me : int;
   mutable value : Dsim.Time.t option;
   mutable round : int;
   mutable updates : int;
   mutable regressions : int;
 }
 
-let create () = { value = None; round = 0; updates = 0; regressions = 0 }
+let create eng ~me =
+  {
+    eng;
+    me = Netsim.Node_id.to_int me;
+    value = None;
+    round = 0;
+    updates = 0;
+    regressions = 0;
+  }
+
 let value t = t.value
 let round t = t.round
 let updates t = t.updates
@@ -33,6 +44,12 @@ let observe t ~round ~time =
       t.round <- round;
       if Dsim.Time.(time < v) then begin
         t.regressions <- t.regressions + 1;
+        (let s = Dsim.Engine.obs t.eng in
+         if s.Obs.Sink.active then
+           Obs.Sink.rec_event s ~kind:Obs.Recorder.k_hier_clamp
+             ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+             ~node:t.me ~a:round
+             ~b:(Dsim.Time.Span.to_us (Dsim.Time.diff v time)));
         v
       end
       else begin

@@ -11,7 +11,9 @@
 
 type t
 
-val create : unit -> t
+val create : Dsim.Engine.t -> me:Netsim.Node_id.t -> t
+(** The global clock of agent [me]; a clamped observation is a
+    [hier-clamp] record on the engine's stream. *)
 
 val value : t -> Dsim.Time.t option
 (** Last agreed global clock value, if any round has completed. *)

@@ -15,6 +15,8 @@ let shard_of t node =
     invalid_arg "Hier.Topology.shard_of: node outside the layout";
   n / t.size
 
+let rings t = Array.init (replicas t) (fun n -> n / t.size)
+
 let rank_of t node =
   let n = Netsim.Node_id.to_int node in
   if n < 0 || n >= replicas t then

@@ -21,6 +21,10 @@ val replicas : t -> int
 val shard_of : t -> Netsim.Node_id.t -> int
 (** Raises [Invalid_argument] for ids outside the layout. *)
 
+val rings : t -> int array
+(** [shard_of] of every replica, by node id: the ring partition an
+    {!Obs.Check} judges a hierarchy's stream by. *)
+
 val rank_of : t -> Netsim.Node_id.t -> int
 
 val node : t -> shard:int -> rank:int -> Netsim.Node_id.t

@@ -108,15 +108,15 @@ let on_packet t ~src:_ ~dst:_ =
   end
   else Span.zero
 
-let install t net =
-  Dsim.Engine.set_scheduler t.eng (Some (fun ~ready -> on_step t ~ready));
+let install t =
+  Dsim.Engine.set_scheduler t.eng (Some (fun ~ready -> on_step t ~ready))
+
+let watch t net =
   Netsim.Network.set_delay_hook net
     (Some (fun ~src ~dst -> on_packet t ~src ~dst))
 
-let uninstall t net =
-  Dsim.Engine.set_scheduler t.eng None;
-  Netsim.Network.set_delay_hook net None
-
+let uninstall t = Dsim.Engine.set_scheduler t.eng None
+let unwatch net = Netsim.Network.set_delay_hook net None
 let applied t = List.rev t.applied
 let steps t = t.steps
 let packets t = t.packets

@@ -2,7 +2,7 @@
 
     Owns both choice-point hooks of one simulation run — the engine's
     same-timestamp tie-breaker ({!Dsim.Engine.set_scheduler}) and the
-    network's per-packet delay perturbation
+    networks' per-packet delay perturbation
     ({!Netsim.Network.set_delay_hook}) — and drives them from a {!spec}:
     forced deviations (replaying or exploring a specific schedule), an
     optional seeded random walk on top, or neither (the default schedule).
@@ -34,11 +34,15 @@ type t
 
 val create : Dsim.Engine.t -> spec -> t
 
-val install : t -> 'a Netsim.Network.t -> unit
-(** Install both hooks.  Choice-point counting starts here: engine step 0
-    and packet 0 are the first step/packet after installation. *)
+val install : t -> unit
+(** Install the engine hook: engine step 0 is the first step after. *)
 
-val uninstall : t -> 'a Netsim.Network.t -> unit
+val watch : t -> 'a Netsim.Network.t -> unit
+(** Install the packet hook on one network; the networks a controller
+    watches share one packet count. *)
+
+val uninstall : t -> unit
+val unwatch : 'a Netsim.Network.t -> unit
 
 val applied : t -> Schedule.t
 (** Deviations applied so far, in chronological order. *)

@@ -1,7 +1,8 @@
 (** Top-level exploration driver, and the only explorer.
 
-    Runs the harness under a {!Strategy}; every schedule is judged by
-    the {!Obs.Check} the harness attaches to its run.  The
+    Runs a world ({!World.RUN}: the CTS {!Harness} or the
+    {!Hier_harness} hierarchy) under a {!Strategy}; every schedule is
+    judged by the {!Obs.Check} the world attaches to its run.  The
     schedules themselves run on {!Pool}'s index-sharded runner over
     [jobs] worker domains: the random strategy as one batch of run
     indices, the bounded strategy one BFS level at a time.  Results are
@@ -32,6 +33,7 @@ type violation = {
 
 type report = {
   strategy : string;
+  invariants : string list;  (** the properties the world's check judges *)
   budget : int;
   jobs : int;  (** worker domains that executed the schedules (1 = serial) *)
   schedules : int;  (** schedules actually executed *)
@@ -51,38 +53,40 @@ val wall : unit -> float
 val cpu : unit -> float
 (** Process CPU time in seconds, summed over every running domain. *)
 
-val explore :
-  ?strategy:Strategy.t ->
-  ?budget:int ->
-  ?quantum_us:int ->
-  ?stop_at_first:bool ->
-  ?jobs:int ->
-  Harness.config ->
-  report
-(** [explore cfg] drives at most [budget] (default 500) schedules.
-    [quantum_us] (default 200) is the packet-delay quantum handed to the
-    controller.  With [stop_at_first] (default [true]) the report ends at
-    the first violating schedule; otherwise exploration keeps going and
-    accumulates violations.  [jobs] (default 1: everything on the calling
-    domain, no domain spawned) is the number of worker domains; the
-    report is the same at any [jobs] except for its timing fields and
-    [jobs] itself.  Raises [Invalid_argument] if [jobs < 1]. *)
+(** The explorer over any world. *)
+module Make (R : World.RUN) : sig
+  val explore :
+    ?strategy:Strategy.t ->
+    ?budget:int ->
+    ?quantum_us:int ->
+    ?stop_at_first:bool ->
+    ?jobs:int ->
+    R.config ->
+    report
+  (** [explore cfg] drives at most [budget] (default 500) schedules, with
+      a [quantum_us] (default 200) packet-delay quantum.  With
+      [stop_at_first] (default [true]) the report ends at the first
+      violating schedule, else it accumulates violations.  [jobs]
+      (default 1: no domain spawned) worker domains run the schedules;
+      the report is the same at any [jobs] but for its timing fields and
+      [jobs].  Raises [Invalid_argument] if [jobs < 1]. *)
 
-val trace_violation :
-  ?quantum_us:int ->
-  ?capacity:int ->
-  Harness.config ->
-  violation ->
-  Obs.Trace.t * Obs.Metrics.t * int
-(** Replay the violation's minimal counterexample once more with a
-    recorder of [capacity] records (default 1,000,000) on the replayed
-    world's stream, returning its Chrome trace and metrics fold — the
-    cross-layer companion to the [packet_log] — and the number of
-    records the ring overwrote (0 unless the replay outgrew [capacity];
-    trace and metrics then cover only the last [capacity] records).
-    [quantum_us] must match the value
-    the violation was explored with (default 200).  Probes never perturb
-    a run, so the replay still reproduces the violation. *)
+  val trace_violation :
+    ?quantum_us:int ->
+    ?capacity:int ->
+    R.config ->
+    violation ->
+    Obs.Trace.t * Obs.Metrics.t * int
+  (** Replay the violation's minimal counterexample with a recorder of
+      [capacity] records (default 1,000,000) on its stream: its Chrome
+      trace, its metrics fold, and the number of records the ring
+      overwrote (0 unless the replay outgrew [capacity]).  [quantum_us]
+      must match the exploration's (default 200).  Probes never perturb
+      a run, so the replay reproduces the violation. *)
+end
+
+include module type of Make (Harness)
+(** The explorer over the CTS world ({!Harness}). *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

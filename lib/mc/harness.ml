@@ -35,25 +35,13 @@ let default =
     sink = None;
   }
 
-type info = {
+type info = World.info = {
   deviations : Schedule.t;
   steps : int;
   packets : int;
   ties : (int * int) list;
   fingerprint : int;
 }
-
-(* The fingerprint hashes every read [(replica, round, group clock)],
-   replica by replica, each in completion order: [acc * p + n] folded over
-   the sequence.  Each replica folds its own reads ([hash]) and keeps
-   [p ^ length] ([scale]); chaining the replicas in index order gives
-   the hash of the whole sequence. *)
-let fingerprint_prime = 1_000_003
-
-let fingerprint ~hash ~scale =
-  let acc = ref 0 in
-  Array.iteri (fun i h -> acc := (!acc * scale.(i)) + h) hash;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* World construction (the expensive part: ring formation + membership) *)
@@ -106,92 +94,29 @@ let build_world cfg : world =
   (cluster, services)
 
 (* ------------------------------------------------------------------ *)
-(* Packet log: the netsim records of the world's stream                *)
-
-let packet_log_len = 256
-
-(* The last [packet_log_len] send / deliver / drop records, one line
-   each, oldest first. *)
-let pp_packets ppf r =
-  let is_packet kind =
-    kind = Obs.Recorder.k_send || kind = Obs.Recorder.k_deliver
-    || kind = Obs.Recorder.k_drop
-  in
-  let total = ref 0 in
-  Obs.Recorder.iter r (fun ~kind ~ts_us:_ ~node:_ ~a:_ ~b:_ ->
-      if is_packet kind then incr total);
-  let skip = ref (!total - packet_log_len) in
-  let node n = Netsim.Node_id.of_int n in
-  Obs.Recorder.iter r (fun ~kind ~ts_us ~node:n ~a ~b ->
-      if is_packet kind then
-        if !skip > 0 then decr skip
-        else
-          let at = Time.of_us ts_us in
-          if kind = Obs.Recorder.k_send then
-            if a < 0 then
-              Format.fprintf ppf "%a %a -> *@." Time.pp at Netsim.Node_id.pp
-                (node n)
-            else
-              Format.fprintf ppf "%a %a -> %a@." Time.pp at Netsim.Node_id.pp
-                (node n) Netsim.Node_id.pp (node a)
-          else if kind = Obs.Recorder.k_deliver then
-            Format.fprintf ppf "%a %a => %a@." Time.pp at Netsim.Node_id.pp
-              (node a) Netsim.Node_id.pp (node n)
-          else
-            Format.fprintf ppf "%a %a -x %a (%s)@." Time.pp at
-              Netsim.Node_id.pp (node a) Netsim.Node_id.pp (node n)
-              (Obs.Recorder.drop_reason_name b))
-
-(* ------------------------------------------------------------------ *)
 (* Measurement (the controlled part, driven by the spec)               *)
 
 let measure ((cluster, services) : world) ~spec cfg =
   if cfg.rounds < 1 then invalid_arg "Mc.Harness.run: need >= 1 round";
   let eng = cluster.Cluster.eng in
   let net = cluster.Cluster.net in
-  (* Adopt an external obs sink on this world's engine (a restored world
-     rewinds the engine's sink with everything else, so the sink must be
-     re-adopted per measurement); without one the world's own sink
-     carries the run. *)
-  (match cfg.sink with Some s -> Dsim.Engine.set_obs eng s | None -> ());
-  let sink = Dsim.Engine.obs eng in
-  (* Every measurement is judged by a fresh check on the sink's stream,
-     and the packet log reads the sink's recorder, lent for this
-     measurement only when the sink has none. *)
-  let check = Obs.Check.create () in
-  Obs.Sink.set_check sink (Some check);
-  let packets, lent =
-    if not cfg.record_packets then (None, false)
-    else
-      match Obs.Sink.recorder sink with
-      | Some r -> (Some r, false)
-      | None ->
-          let r = Obs.Recorder.create () in
-          Obs.Sink.set_recorder sink (Some r);
-          (Some r, true)
-  in
-  (* Per-replica think-time streams, split in a fixed order before the
-     controller is installed: a replica's stream does not depend on the
-     schedule, so a replayed run draws identical delays. *)
+  World.observe eng ~spec ~sink:cfg.sink ~packets:cfg.record_packets ~rings:[||]
+  @@ fun ctrl ->
+  (* Per-replica think-time streams, split in a fixed order before
+     anything runs: a replica's stream does not depend on the schedule,
+     so a replayed run draws identical delays. *)
   let rngs =
     Array.init cfg.replicas (fun _ -> Dsim.Rng.split (Dsim.Engine.rng eng))
   in
-  let hash = Array.make cfg.replicas 0 in
-  let scale = Array.make cfg.replicas 1 in
   let finished = ref 0 in
   let thread = Cts.Thread_id.of_int 1 in
-  let ctrl = Controller.create eng spec in
-  Controller.install ctrl net;
+  Controller.watch ctrl net;
   Array.iteri
     (fun i (n : Cluster.node) ->
       Dsim.Fiber.spawn eng (fun () ->
           let service = services.(i) in
           let think =
             cfg.think_us + if i = 0 then 0 else cfg.straggle_us
-          in
-          let combine v =
-            hash.(i) <- (hash.(i) * fingerprint_prime) + (v land max_int);
-            scale.(i) <- scale.(i) * fingerprint_prime
           in
           (try
              for round = 1 to cfg.rounds do
@@ -232,9 +157,6 @@ let measure ((cluster, services) : world) ~spec cfg =
                     ~ts_us:(Time.to_ns (Dsim.Engine.now eng) / 1000)
                     ~node:(Netsim.Node_id.to_int n.Cluster.id)
                     ~a:(Time.to_ns gc) ~b:round);
-               combine i;
-               combine round;
-               combine (Time.to_ns gc);
                match cfg.crash_at_round with
                | Some k when round = k && i = cfg.replicas - 1 ->
                    Gcs.Endpoint.crash n.Cluster.endpoint;
@@ -246,166 +168,79 @@ let measure ((cluster, services) : world) ~spec cfg =
     cluster.Cluster.nodes;
   Cluster.run_until ~limit:(Span.of_sec 600) cluster (fun () ->
       !finished = cfg.replicas);
-  Controller.uninstall ctrl net;
-  Obs.Check.finish check;
-  Obs.Sink.set_check sink None;
-  if lent then Obs.Sink.set_recorder sink None;
-  let packet_log =
-    match packets with Some r -> Format.asprintf "%a" pp_packets r | None -> ""
-  in
-  let outcome =
-    {
-      Invariant.stats = Array.map Cts.Service.stats services;
-      verdicts = Obs.Check.verdicts check;
-      packet_log;
-    }
-  in
-  let info =
-    {
-      deviations = Controller.applied ctrl;
-      steps = Controller.steps ctrl;
-      packets = Controller.packets ctrl;
-      ties = Controller.tie_steps ctrl;
-      fingerprint = fingerprint ~hash ~scale;
-    }
-  in
-  (outcome, info)
-
-let run ?(spec = Controller.default_spec) cfg =
-  measure (build_world cfg) ~spec cfg
+  Controller.unwatch net;
+  Array.map Cts.Service.stats services
 
 (* ------------------------------------------------------------------ *)
 (* Harness reuse                                                       *)
 
-(* The pristine post-startup world is seed-independent except for the RNG
-   streams: startup uses a constant-latency, lossless network and
-   jitterless clocks, so no stream is ever {e drawn} from before the
-   measurement phase — construction only {e splits} the engine stream, in
-   a fixed order (network first, then one clock per node).  [reset] relies
-   on this: it rewinds the live world to its pristine snapshot and the
-   streams to the states fresh construction under the new seed would have
-   produced.  The invariant is verified once per world by replaying the
-   split order against the freshly built world; on any mismatch the
-   reusable falls back to fresh construction, trading speed for
-   unconditional correctness. *)
+module Run = World.Make (struct
+  type nonrec config = config
+  type t = world
 
-type projection = { p_replicas : int; p_latency_us : int; p_skew : bool }
+  let properties =
+    [ "monotone"; "agreement"; "single-synchronizer"; "skew-envelope";
+      "token-liveness"; "membership-agreement" ]
 
-type reusable = {
-  mutable diff : (world * Snap.t) option;
-      (* live world + dirty-set snapshot.  [None] = the world holds state
-         [Snap] cannot rewind (the probe said so): runs are fresh *)
-  mutable proj : projection;
-}
+  let seed cfg = cfg.seed
 
-let projection cfg =
-  {
-    p_replicas = cfg.replicas;
-    p_latency_us = cfg.latency_us;
-    p_skew = cfg.skew_clocks;
-  }
+  let prepare ?sink ~seed ~packets cfg =
+    let sink = match sink with Some _ -> sink | None -> cfg.sink in
+    { cfg with seed; record_packets = packets; sink }
 
-(* Check that the built world's streams are exactly those of the canonical
-   split order under [cfg.seed] — i.e. that startup made no draws and no
-   extra splits.  Any future component that draws or splits during startup
-   makes this fail, which disables reuse instead of corrupting runs. *)
-let split_order_holds cfg ((cluster, _) : world) =
-  let scratch = Dsim.Rng.create cfg.seed in
-  let expect () = Dsim.Rng.state (Dsim.Rng.split scratch) in
-  Dsim.Rng.state (Netsim.Network.rng cluster.Cluster.net) = expect ()
-  && Array.for_all
-       (fun (n : Cluster.node) ->
-         Dsim.Rng.state (Clock.Hwclock.rng n.Cluster.clock) = expect ())
-       cluster.Cluster.nodes
-  && Dsim.Rng.state (Dsim.Engine.rng cluster.Cluster.eng)
-     = Dsim.Rng.state scratch
+  let build = build_world
+  let measure = measure
 
-(* Rewind every pre-measurement stream to what fresh construction under
-   [cfg.seed] would hold, replaying the canonical split order. *)
-let reseed ((cluster, _) : world) cfg =
-  let er = Dsim.Engine.rng cluster.Cluster.eng in
-  Dsim.Rng.set_state er cfg.seed;
-  Dsim.Rng.set_state
-    (Netsim.Network.rng cluster.Cluster.net)
-    (Dsim.Rng.state (Dsim.Rng.split er));
-  Array.iter
-    (fun (n : Cluster.node) ->
-      Dsim.Rng.set_state
-        (Clock.Hwclock.rng n.Cluster.clock)
-        (Dsim.Rng.state (Dsim.Rng.split er)))
-    cluster.Cluster.nodes
-
-(* Diff-based reuse: keep ONE live world and rewind it between runs with
-   [Snap.restore] instead of rebuilding it.  The snapshot layer cannot
-   rewind every block (Bigarray RNG customs above all — those go through
-   [reseed] — but also any mutable state it does not know how to walk),
-   so a snapshot is only trusted after a verification probe: run a short
-   measurement on the pristine world, restore + reseed, run it again, and
-   demand bit-identical fingerprints.  A world whose restore is lossy
-   fails the probe and drops to fresh construction; correctness never
-   depends on [Snap] completeness. *)
-
-let probe_cfg cfg =
-  {
-    cfg with
-    rounds = 2;
-    crash_at_round = None;
-    bug = None;
-    record_packets = false;
-    sink = None;
-  }
-
-let make_diff cfg =
-  (try
-     let world = build_world cfg in
-     if not (split_order_holds cfg world) then None
-     else begin
-       let snap = Snap.capture world in
-       let pcfg = probe_cfg cfg in
-       reseed world pcfg;
-       let _, fresh = measure world ~spec:Controller.default_spec pcfg in
-       ignore (Snap.restore snap : int);
-       reseed world pcfg;
-       let _, again = measure world ~spec:Controller.default_spec pcfg in
-       if
-         fresh.fingerprint = again.fingerprint
-         && fresh.steps = again.steps
-         && fresh.packets = again.packets
-       then begin
-         (* leave the world pristine for its first real run *)
-         ignore (Snap.restore snap : int);
-         Some (world, snap)
-       end
-       else None
-     end
-   with _ -> None)
-  [@ctslint.allow
-    "exn-swallow"
-      "a world the snapshot layer cannot capture or replay only disables \
-       the diff fast path; fresh construction is the result-identical \
-       fallback"]
-
-let reusable cfg = { diff = make_diff cfg; proj = projection cfg }
-let reuse_mode r = match r.diff with Some _ -> `Diff | None -> `Fresh
-
-let same_projection a b =
   (* Monomorphic on purpose: checked once per run. *)
-  a.p_replicas = b.p_replicas
-  && a.p_latency_us = b.p_latency_us
-  && a.p_skew = b.p_skew
+  let same_startup a b =
+    a.replicas = b.replicas
+    && a.latency_us = b.latency_us
+    && a.skew_clocks = b.skew_clocks
 
-let reset r cfg =
-  if not (same_projection (projection cfg) r.proj) then begin
-    r.proj <- projection cfg;
-    r.diff <- make_diff cfg
-  end;
-  r.diff <> None
+  (* The pristine post-startup world is seed-independent except for the
+     RNG streams: startup uses a constant-latency, lossless network and
+     jitterless clocks, so it never draws from a stream, it only splits
+     the engine's, in a fixed order (network first, then one clock per
+     node).  This checks that the built world's streams are exactly
+     those of that split order under [cfg.seed]: a future component that
+     draws or splits during startup disables reuse instead of corrupting
+     runs. *)
+  let reseedable cfg ((cluster, _) : world) =
+    let scratch = Dsim.Rng.create cfg.seed in
+    let expect () = Dsim.Rng.state (Dsim.Rng.split scratch) in
+    if
+      Dsim.Rng.state (Netsim.Network.rng cluster.Cluster.net) = expect ()
+      && Array.for_all
+           (fun (n : Cluster.node) ->
+             Dsim.Rng.state (Clock.Hwclock.rng n.Cluster.clock) = expect ())
+           cluster.Cluster.nodes
+      && Dsim.Rng.state (Dsim.Engine.rng cluster.Cluster.eng)
+         = Dsim.Rng.state scratch
+    then Ok ()
+    else Error "startup drew from a random stream"
 
-let run_reused r ?(spec = Controller.default_spec) cfg =
-  ignore (reset r cfg : bool);
-  match r.diff with
-  | Some (world, snap) ->
-      ignore (Snap.restore snap : int);
-      reseed world cfg;
-      measure world ~spec cfg
-  | None -> run ~spec cfg
+  (* Rewind every pre-measurement stream to what fresh construction
+     under [cfg.seed] would hold, replaying the canonical split order. *)
+  let reseed ((cluster, _) : world) cfg =
+    let er = Dsim.Engine.rng cluster.Cluster.eng in
+    Dsim.Rng.set_state er cfg.seed;
+    Dsim.Rng.set_state
+      (Netsim.Network.rng cluster.Cluster.net)
+      (Dsim.Rng.state (Dsim.Rng.split er));
+    Array.iter
+      (fun (n : Cluster.node) ->
+        Dsim.Rng.set_state
+          (Clock.Hwclock.rng n.Cluster.clock)
+          (Dsim.Rng.state (Dsim.Rng.split er)))
+      cluster.Cluster.nodes
+
+  let probe cfg =
+    { cfg with rounds = 2; crash_at_round = None; bug = None;
+      record_packets = false; sink = None }
+
+  let rewind = Ok { World.same_startup; reseedable; reseed; probe }
+end)
+
+include (Run : World.RUN with type config := config)
+
+let reuse_mode r = match reuse r with Ok () -> `Diff | Error _ -> `Fresh

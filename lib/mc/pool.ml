@@ -14,18 +14,24 @@ type run_result = {
   children : Controller.spec list;  (* the next BFS level's share *)
 }
 
-let exec ~reusable ~children cfg (seed, spec) =
-  let rcfg = { cfg with Harness.seed = seed; record_packets = false } in
-  let outcome, info = Harness.run_reused reusable ~spec rcfg in
+(* A world with its reusable type exposed, so a worker slot can hold
+   one. *)
+type ('c, 'r) world =
+  (module World.RUN with type config = 'c and type reusable = 'r)
+
+let exec (type c r) ((module R) : (c, r) world) ~reusable ~children cfg
+    (seed, spec) =
+  let rcfg = R.prepare ~seed ~packets:false cfg in
+  let outcome, info = R.run_reused reusable ~spec rcfg in
   let violated =
     match Invariant.check_all outcome with
     | [] -> None
-    | v :: _ -> Some (v.Obs.Check.inv, info.Harness.deviations)
+    | v :: _ -> Some (v.Obs.Check.inv, info.World.deviations)
   in
   {
     seed;
-    steps = info.Harness.steps;
-    fingerprint = info.Harness.fingerprint;
+    steps = info.World.steps;
+    fingerprint = info.World.fingerprint;
     violated;
     children = children spec info;
   }
@@ -87,7 +93,8 @@ let pick_victim shards self =
     shards;
   !best
 
-let run_indexed ~jobs ~stop_at_first ~worlds ~children cfg n task =
+let run_indexed (type c r) (((module R) : (c, r) world) as world) ~jobs
+    ~stop_at_first ~worlds ~children cfg n task =
   let results = Array.make n None in
   if n > 0 then begin
     let jobs = min jobs n in
@@ -106,7 +113,7 @@ let run_indexed ~jobs ~stop_at_first ~worlds ~children cfg n task =
         | Some r -> r
         | None ->
             let r =
-              Harness.reusable { cfg with Harness.record_packets = false }
+              R.reusable (R.prepare ~seed:(R.seed cfg) ~packets:false cfg)
             in
             worlds.(k) <- Some r;
             r
@@ -118,7 +125,7 @@ let run_indexed ~jobs ~stop_at_first ~worlds ~children cfg n task =
         if got > 0 then
           for i = lo to lo + got - 1 do
             if not (stop_at_first && i > Atomic.get min_viol) then begin
-              let r = exec ~reusable ~children cfg (task i) in
+              let r = exec world ~reusable ~children cfg (task i) in
               if r.violated <> None then note_violation min_viol i;
               results.(i) <- Some r
             end
@@ -147,15 +154,6 @@ let run_indexed ~jobs ~stop_at_first ~worlds ~children cfg n task =
   end;
   results
 
-let run_random ~jobs ~stop_at_first ~quantum ~delay_prob ~reorder_prob cfg
-    budget =
-  let base_seed = cfg.Harness.seed in
-  run_indexed ~jobs ~stop_at_first ~worlds:(Array.make jobs None)
-    ~children:(fun _ _ -> [])
-    cfg budget
-    (fun i ->
-      Strategy.random_run ~base_seed ~quantum ~delay_prob ~reorder_prob i)
-
 (* The bounded-reorder tree, breadth first, one batch per level.  Level
    [l] holds every spec with [l] deviations, in the order a FIFO frontier
    would reach it, cut to the budget that remains; level [l + 1] is the
@@ -163,8 +161,9 @@ let run_random ~jobs ~stop_at_first ~quantum ~delay_prob ~reorder_prob cfg
    index order.  The concatenated results are therefore exactly the runs
    a FIFO frontier takes, in its order.  With [stop_at_first], a level
    that holds a violation is the last. *)
-let run_bounded ~jobs ~stop_at_first ~quantum ~depth cfg budget =
-  let seed = cfg.Harness.seed in
+let run_bounded (type c) (module R : World.RUN with type config = c) ~jobs
+    ~stop_at_first ~quantum ~depth cfg budget =
+  let seed = R.seed cfg in
   let worlds = Array.make jobs None in
   let rec level l specs left acc =
     let specs = Array.sub specs 0 (min left (Array.length specs)) in
@@ -174,7 +173,7 @@ let run_bounded ~jobs ~stop_at_first ~quantum ~depth cfg budget =
       else Strategy.bounded_children ~quantum ~parent ~info
     in
     let results =
-      run_indexed ~jobs ~stop_at_first ~worlds ~children cfg
+      run_indexed (module R) ~jobs ~stop_at_first ~worlds ~children cfg
         (Array.length specs) (fun i -> (seed, specs.(i)))
     in
     let acc = results :: acc in
@@ -192,3 +191,15 @@ let run_bounded ~jobs ~stop_at_first ~quantum ~depth cfg budget =
   in
   let root = { Controller.forced = []; random = None; quantum } in
   Array.concat (List.rev (level 0 [| root |] budget []))
+
+let run (type c) (module R : World.RUN with type config = c) ~jobs
+    ~stop_at_first ~quantum strategy cfg budget =
+  match strategy with
+  | Strategy.Random { delay_prob; reorder_prob } ->
+      let base_seed = R.seed cfg in
+      run_indexed (module R) ~jobs ~stop_at_first
+        ~worlds:(Array.make jobs None) ~children:(fun _ _ -> []) cfg budget
+        (fun i ->
+          Strategy.random_run ~base_seed ~quantum ~delay_prob ~reorder_prob i)
+  | Strategy.Bounded { depth } ->
+      run_bounded (module R) ~jobs ~stop_at_first ~quantum ~depth cfg budget

@@ -1,12 +1,12 @@
 (** The explorer's runner: executes an indexed batch of schedules over
     [jobs] worker domains (OCaml 5 [Domain]s).
 
-    Every harness run is a pure function of its seed and controller spec,
-    and each worker builds its own {!Harness.reusable} world, so workers
-    share nothing but the index shards and the result array, whose slots
-    are written by exactly one worker each.  The index space [0, n) is
-    split into one contiguous shard per domain; a worker eats its own
-    shard from the front and steals the back half of the fullest
+    Every run of a world ({!World.RUN}) is a pure function of its seed
+    and controller spec, and each worker builds its own reusable world,
+    so workers share nothing but the index shards and the result array,
+    whose slots are written by exactly one worker each.  The index space
+    [0, n) is split into one contiguous shard per domain; a worker eats
+    its own shard from the front and steals the back half of the fullest
     survivor when it runs dry, so the common case takes only its own
     uncontended lock.
 
@@ -22,38 +22,26 @@ type run_result = {
   violated : (string * Schedule.t) option;
       (** the first broken invariant and the run's applied deviations *)
   children : Controller.spec list;
-      (** the run's {!Strategy.bounded_children} when {!run_bounded}
+      (** the run's {!Strategy.bounded_children} when a bounded search
           needs the next level; otherwise empty *)
 }
 
-val run_random :
+val run :
+  (module World.RUN with type config = 'c) ->
   jobs:int ->
   stop_at_first:bool ->
   quantum:Dsim.Time.Span.t ->
-  delay_prob:float ->
-  reorder_prob:float ->
-  Harness.config ->
+  Strategy.t ->
+  'c ->
   int ->
   run_result option array
-(** [run_random ... cfg n] runs {!Strategy.random_run} [0] to [n - 1]
-    from [cfg]'s seed.  Slot [i] holds run [i]'s result.  With
+(** [run world ... strategy cfg budget] runs at most [budget] schedules
+    of [strategy] from [cfg]'s seed; slot [i] holds the [i]-th run's
+    result.  [Random] runs {!Strategy.random_run} [0] to [budget - 1]
+    as one batch.  [Bounded] runs breadth first, one batch per level:
+    level [l + 1] is the {!Strategy.bounded_children} of level [l]'s
+    results in index order, the last level cut to the budget left, so
+    the slots are the runs of a FIFO frontier in its order.  With
     [stop_at_first], slots past the first violating index may be [None]
-    (workers stop spending time there); every slot up to it is filled.
-    Without it, every slot is filled. *)
-
-val run_bounded :
-  jobs:int ->
-  stop_at_first:bool ->
-  quantum:Dsim.Time.Span.t ->
-  depth:int ->
-  Harness.config ->
-  int ->
-  run_result option array
-(** [run_bounded ... cfg budget] runs the bounded-reorder search on
-    [cfg]'s seed breadth first, one batch per level: level [l + 1] is the
-    {!Strategy.bounded_children} of level [l]'s results in index order,
-    and the last level is cut to the budget left.  The slots are the
-    runs of a FIFO frontier, in its order, filled as for {!run_random};
-    with [stop_at_first], the level holding the first violation is the
-    last one run.  Each worker builds its {!Harness.reusable} world once
-    and keeps it across levels. *)
+    (and no level past its level is run); every slot up to it is
+    filled.  Each worker builds its reusable world once. *)

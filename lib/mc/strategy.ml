@@ -47,7 +47,7 @@ let random_run ~base_seed ~quantum ~delay_prob ~reorder_prob i =
    later deviation.  Packet delays come first — they displace whole
    protocol exchanges and are the higher-yield perturbation. *)
 let bounded_children ~quantum ~(parent : Controller.spec)
-    ~(info : Harness.info) =
+    ~(info : World.info) =
   let parent = parent.Controller.forced in
   let last_packet, last_step =
     List.fold_left
@@ -58,12 +58,12 @@ let bounded_children ~quantum ~(parent : Controller.spec)
       (-1, -1) parent
   in
   let delays =
-    List.init info.Harness.packets Fun.id
+    List.init info.World.packets Fun.id
     |> List.filter (fun p -> p > last_packet)
     |> List.map (fun packet -> parent @ [ Schedule.Delay { packet } ])
   in
   let reorders =
-    info.Harness.ties
+    info.World.ties
     |> List.filter (fun (step, _) -> step > last_step)
     |> List.concat_map (fun (step, ready) ->
            List.init (ready - 1) (fun j ->

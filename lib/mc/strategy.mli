@@ -36,10 +36,10 @@ val random_run :
 val bounded_children :
   quantum:Dsim.Time.Span.t ->
   parent:Controller.spec ->
-  info:Harness.info ->
+  info:World.info ->
   Controller.spec list
 (** The one-deviation extensions of [parent] exposed by its run's
     branching structure ([info]) — the [Bounded] strategy's expansion
-    rule, applied by {!Pool.run_bounded} to every result of one BFS level
+    rule, applied by {!Pool.run} to every result of one BFS level
     to form the next.  Depends only on [parent] and [info], so the BFS
     frontier is deterministic however runs are scheduled. *)

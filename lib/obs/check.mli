@@ -18,17 +18,17 @@
 
     - [monotone]: per (node, thread), the group clock samples
       ([gc-sample]) never decrease (§3); worst = largest regression, µs.
-    - [agreement]: every application [read] of one round carries the
-      same value (§3); worst = largest difference, ns; node = the reader
-      that disagreed with the round's first read.
-    - [single-synchronizer]: judged by {!finish} (§4.3).  For every node
-      that read and did not [crash]: its reads run rounds 1, 2, 3, …, and
-      it made exactly one send-or-suppress decision per round read (a
-      [ccs-propose], or a [ccs-suppress] that names no round; one naming
-      a round retracts the node's proposal of it).  Over all nodes, the
-      proposals not retracted are at least the distinct rounds read.
-      worst = how far a count is off (0 for a sequence break); node =
-      [-1] for the global count.
+    - [agreement]: every application [read] of one round of one ring
+      carries the same value (§3); worst = largest difference, ns; node
+      = the reader that disagreed with the round's first read.
+    - [single-synchronizer]: judged by {!finish} (§4.3).  Every node
+      that read and did not [crash] read rounds 1, 2, 3, … with one
+      send-or-suppress decision per round read, or opened ([ccs-open])
+      and not yet read (a [ccs-propose], or a [ccs-suppress] naming no
+      round; one naming a round retracts the node's proposal of it), and
+      each ring's unretracted proposals are at least its distinct rounds
+      read.  worst = how far a count is off
+      (0 for a sequence break); node = [-1] for a ring's count.
     - [skew-envelope]: the spread of [(group clock - simulated time)]
       offsets across live (non-stale) nodes stays within a configured
       bound (the §3 bounded-skew guarantee); worst = largest spread, µs.
@@ -38,12 +38,21 @@
       the next token, so one loss episode is one occurrence however many
       records elapse inside it.
     - [membership-agreement]: every node reaching operational state in
-      a ring generation reports the same member count; worst =
-      member-count difference.
+      one Totem ring, identified by its [(rep, gen)], reports the same
+      member count; worst = member-count difference.
+    - [no-global-regression]: no gateway's global clock clamps a newer
+      bridge agreement ([hier-clamp]); worst = how far it lay behind, µs.
+    - [deterministic-election]: judged by {!finish}, on a settled run.
+      Each ring that elected a gateway ([hier-elect]) last elected its
+      lowest-numbered live member; node = the gateway, worst = the
+      member it should have been.
+    - [cross-shard-skew]: judged by {!finish}, on a settled run (gateway
+      failover moves a shard's clock transiently).  The rings' offsets
+      (their lowest live member's latest [gc-sample] minus its time)
+      spread less than 5 ms; worst = the spread, µs.
 
-    [agreement] and [single-synchronizer] read only [read] records, so
-    they are silent on runs whose application does not emit them.
-    Each property has at most one verdict, updated in place. *)
+    Properties are silent on streams without the records they read.
+    Each has at most one verdict, updated in place. *)
 
 type verdict = {
   inv : string;  (** property name, e.g. ["token-liveness"] *)
@@ -64,12 +73,11 @@ type config = {
   staleness_us : int;
       (** nodes whose last sample is older than this are excluded from
           the skew envelope *)
-  one_ring : bool;
-      (** the stream comes from one ring and one CCS group.  Ring
-          generations and CCS rounds are only comparable within one, so a
-          check fed by several at once ([lib/hier] clusters) must turn
-          this off; it gates [membership-agreement], [agreement] and
-          [single-synchronizer] *)
+  rings : int array;
+      (** the ring partition: node [n] is in ring [rings.(n)], nodes past
+          the end in ring 0 ([[||]] = one ring).  CCS rounds are numbered
+          per ring, so [agreement] and [single-synchronizer] are judged
+          per ring; a hierarchy's shards are its rings *)
 }
 
 val default_config : config
@@ -89,8 +97,13 @@ val step : t -> kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit
     raised. *)
 
 val finish : t -> unit
-(** Judge the end-of-run counts ([single-synchronizer]).  Call once,
-    after the last {!step}. *)
+(** Judge the end-of-run properties ([single-synchronizer],
+    [deterministic-election], [cross-shard-skew]).  Call once, after
+    the last {!step}, on a run that has settled. *)
+
+val fingerprint : t -> int
+(** A hash of every [read] [(node, round, value)], each node's in read
+    order and the nodes in id order: a run's identity. *)
 
 val verdicts : t -> verdict list
 (** In first-raised order. *)

@@ -42,126 +42,103 @@ let emit t ~kind ~ts_us ~node ~a ~b =
 [@@inline] [@@ctslint.hotpath]
 
 (* ------------------------------------------------------------------ *)
-(* Record kinds.  Adding a kind means extending [kind_name],
-   [kind_sub] and [arg_names] below (plus [span_phase] for a span
-   boundary) — every consumer decodes through these tables only. *)
+(* Record kinds, each declared once in [kinds]: name, subsystem, [a] /
+   [b] payload names ("" = unused) and span role (a Begin kind closed by
+   one End kind of its subsystem renders as one named span).  The [k_*]
+   constants are looked up by name; a new kind is one new row. *)
 
-let k_step = 0
-let k_fiber_spawn = 1
-let k_fiber_switch = 2
-let k_send = 3
-let k_deliver = 4
-let k_drop = 5
-let k_token = 6
-let k_gather = 7
-let k_operational = 8
-let k_view = 9
-let k_ccs_open = 10
-let k_ccs_settle = 11
-let k_ccs_suppress = 12
-let k_ccs_discard = 13
-let k_gc_sample = 14
-let k_hier_round = 15
-let k_hier_correct = 16
-let k_hier_elect = 17
-let k_ccs_offset = 18
-let k_rpc_begin = 19
-let k_rpc_end = 20
-let k_repl_request = 21
-let k_repl_checkpoint = 22
-let k_bridge_open = 23
-let k_bridge_close = 24
-let k_read = 25
-let k_ccs_propose = 26
-let k_crash = 27
-let kind_count = 28
+type role = Instant | Opens of string | Closes of string
 
-let kind_name = function
-  | 0 -> "step"
-  | 1 -> "fiber-spawn"
-  | 2 -> "fiber-switch"
-  | 3 -> "send"
-  | 4 -> "deliver"
-  | 5 -> "drop"
-  | 6 -> "token"
-  | 7 -> "gather"
-  | 8 -> "operational"
-  | 9 -> "view"
-  | 10 -> "ccs-open"
-  | 11 -> "ccs-settle"
-  | 12 -> "ccs-suppress"
-  | 13 -> "ccs-discard"
-  | 14 -> "gc-sample"
-  | 15 -> "hier-round"
-  | 16 -> "hier-correct"
-  | 17 -> "hier-elect"
-  | 18 -> "ccs-offset"
-  | 19 -> "rpc-begin"
-  | 20 -> "rpc-end"
-  | 21 -> "repl-request"
-  | 22 -> "repl-checkpoint"
-  | 23 -> "bridge-open"
-  | 24 -> "bridge-close"
-  | 25 -> "read"
-  | 26 -> "ccs-propose"
-  | 27 -> "crash"
-  | _ -> "?"
+let kinds =
+  Subsystem.
+    [|
+      ("step", Dsim, "at_us", "", Instant);
+      ("fiber-spawn", Dsim, "fiber", "", Instant);
+      ("fiber-switch", Dsim, "fiber", "", Instant);
+      ("send", Netsim, "dst", "", Instant);
+      ("deliver", Netsim, "src", "pos", Instant);
+      ("drop", Netsim, "src", "reason", Instant);
+      ("token", Totem, "seq", "aru", Instant);
+      ("gather", Totem, "members", "", Instant);
+      ("operational", Totem, "gen", "members", Instant);
+      ("view", Gcs, "members", "primary", Instant);
+      ("ccs-open", Ccs, "round", "thread", Opens "ccs-round");
+      ("ccs-settle", Ccs, "round", "adjustment_us", Closes "ccs-round");
+      ("ccs-suppress", Ccs, "round", "", Instant);
+      ("ccs-discard", Ccs, "round", "", Instant);
+      ("gc-sample", Ccs, "gc_us", "thread", Instant);
+      ("hier-round", Hier, "round", "", Instant);
+      ("hier-correct", Hier, "round", "ahead_us", Instant);
+      ("hier-elect", Hier, "shard", "gateway", Instant);
+      ("ccs-offset", Ccs, "offset_us", "adjustment_us", Instant);
+      ("rpc-begin", Rpc, "seq", "", Opens "rpc");
+      ("rpc-end", Rpc, "latency_us", "timeout", Closes "rpc");
+      ("repl-request", Repl, "index", "", Instant);
+      ("repl-checkpoint", Repl, "upto", "applied", Instant);
+      ("bridge-open", Hier, "round", "", Opens "bridge-round");
+      ("bridge-close", Hier, "round", "offers", Closes "bridge-round");
+      ("read", Scenario, "value_ns", "round", Instant);
+      ("ccs-propose", Ccs, "round", "proposal_ns", Instant);
+      ("crash", Totem, "", "", Instant);
+      ("hier-clamp", Hier, "round", "behind_us", Instant);
+    |]
 
-let kind_sub = function
-  | 0 | 1 | 2 -> Subsystem.Dsim
-  | 3 | 4 | 5 -> Subsystem.Netsim
-  | 6 | 7 | 8 | 27 -> Subsystem.Totem
-  | 9 -> Subsystem.Gcs
-  | 10 | 11 | 12 | 13 | 14 | 18 | 26 -> Subsystem.Ccs
-  | 15 | 16 | 17 | 23 | 24 -> Subsystem.Hier
-  | 19 | 20 -> Subsystem.Rpc
-  | 21 | 22 -> Subsystem.Repl
-  | _ -> Subsystem.Scenario
+let kind_count = Array.length kinds
 
-(* Names of the [a] / [b] payloads per kind ("" = unused). *)
-let arg_names = function
-  | 0 -> ("at_us", "")
-  | 1 -> ("fiber", "")
-  | 2 -> ("fiber", "")
-  | 3 -> ("dst", "")
-  | 4 -> ("src", "pos")
-  | 5 -> ("src", "reason")
-  | 6 -> ("seq", "aru")
-  | 7 -> ("members", "")
-  | 8 -> ("gen", "members")
-  | 9 -> ("members", "primary")
-  | 10 -> ("round", "thread")
-  | 11 -> ("round", "adjustment_us")
-  | 12 -> ("round", "")
-  | 13 -> ("round", "")
-  | 14 -> ("gc_us", "thread")
-  | 15 -> ("round", "")
-  | 16 -> ("round", "ahead_us")
-  | 17 -> ("shard", "gateway")
-  | 18 -> ("offset_us", "adjustment_us")
-  | 19 -> ("seq", "")
-  | 20 -> ("latency_us", "timeout")
-  | 21 -> ("index", "")
-  | 22 -> ("upto", "applied")
-  | 23 -> ("round", "")
-  | 24 -> ("round", "offers")
-  | 25 -> ("value_ns", "round")
-  | 26 -> ("round", "proposal_ns")
-  | 27 -> ("", "")
-  | _ -> ("a", "b")
+let k name =
+  let rec find i =
+    match kinds.(i) with n, _, _, _, _ when n = name -> i | _ -> find (i + 1)
+  in
+  find 0
 
-(* Span boundaries: each Begin kind is closed by one End kind of the
-   same subsystem, and the pair renders as one named span. *)
-let span_phase = function
-  | 10 | 19 | 23 -> Trace.Begin
-  | 11 | 20 | 24 -> Trace.End
-  | _ -> Trace.Instant
+let k_step = k "step"
+let k_fiber_spawn = k "fiber-spawn"
+let k_fiber_switch = k "fiber-switch"
+let k_send = k "send"
+let k_deliver = k "deliver"
+let k_drop = k "drop"
+let k_token = k "token"
+let k_gather = k "gather"
+let k_operational = k "operational"
+let k_view = k "view"
+let k_ccs_open = k "ccs-open"
+let k_ccs_settle = k "ccs-settle"
+let k_ccs_suppress = k "ccs-suppress"
+let k_ccs_discard = k "ccs-discard"
+let k_gc_sample = k "gc-sample"
+let k_hier_round = k "hier-round"
+let k_hier_correct = k "hier-correct"
+let k_hier_elect = k "hier-elect"
+let k_ccs_offset = k "ccs-offset"
+let k_rpc_begin = k "rpc-begin"
+let k_rpc_end = k "rpc-end"
+let k_repl_request = k "repl-request"
+let k_repl_checkpoint = k "repl-checkpoint"
+let k_bridge_open = k "bridge-open"
+let k_bridge_close = k "bridge-close"
+let k_read = k "read"
+let k_ccs_propose = k "ccs-propose"
+let k_crash = k "crash"
+let k_hier_clamp = k "hier-clamp"
 
-let span_name = function
-  | 10 | 11 -> "ccs-round"
-  | 19 | 20 -> "rpc"
-  | 23 | 24 -> "bridge-round"
-  | k -> kind_name k
+let desc kind =
+  if kind >= 0 && kind < kind_count then kinds.(kind)
+  else ("?", Subsystem.Scenario, "a", "b", Instant)
+
+let kind_name kind = match desc kind with n, _, _, _, _ -> n
+let kind_sub kind = match desc kind with _, sub, _, _, _ -> sub
+let arg_names kind = match desc kind with _, _, a, b, _ -> (a, b)
+
+let span_phase kind =
+  match desc kind with
+  | _, _, _, _, Opens _ -> Trace.Begin
+  | _, _, _, _, Closes _ -> Trace.End
+  | _, _, _, _, Instant -> Trace.Instant
+
+let span_name kind =
+  match desc kind with
+  | _, _, _, _, (Opens name | Closes name) -> name
+  | name, _, _, _, Instant -> name
 
 (* A drop's [b] packs the reason (low two bits: 0 = loss, 1 =
    partitioned, 2 = no port) with its batch position + 1, so an
@@ -175,11 +152,20 @@ let drop_reason_name b =
   | 2 -> "no-port"
   | _ -> "?"
 
+(* An operational record's [b] packs the member count (low 20 bits)
+   with the ring's representative: a Totem ring is [(rep, gen)]. *)
+let operational_b ~members ~rep = members lor (rep lsl 20) [@@inline]
+let operational_members b = b land 0xFFFFF
+let operational_rep b = b lsr 20
+
 let args ~kind ~a ~b =
   if kind = k_drop then
     let pos = (b lsr 2) - 1 in
     let common = [ ("src", a); ("reason", b land 3) ] in
     if pos < 0 then common else common @ [ ("pos", pos) ]
+  else if kind = k_operational then
+    [ ("gen", a); ("members", operational_members b);
+      ("rep", operational_rep b) ]
   else
     let an, bn = arg_names kind in
     List.filter (fun (name, _) -> name <> "") [ (an, a); (bn, b) ]

@@ -108,9 +108,9 @@ val k_bridge_close : int
 
 val k_read : int
 (** The application's group-clock read ([value_ns], [round]), emitted by
-    the application itself (the model checker's harness) — the value it
-    actually uses, which a buggy application may not have taken from the
-    service. *)
+    the application itself (the model checker's harness, the hierarchy's
+    readers) — the value it actually uses, which a buggy application may
+    not have taken from the service. *)
 
 val k_ccs_propose : int
 (** A CCS message queued for multicast ([round], [proposal_ns]); the
@@ -120,6 +120,10 @@ val k_ccs_propose : int
 
 val k_crash : int
 (** A node crashed (no payload). *)
+
+val k_hier_clamp : int
+(** A gateway's global clock clamped a newer bridge agreement that lay
+    behind the value it holds ([round], [behind_us]: how far behind). *)
 
 val kind_count : int
 
@@ -133,6 +137,13 @@ val drop_b : reason:int -> pos:int -> int
     partitioned, 2 = no port) packed with the message's batch position
     ([-1] = unbatched, which leaves [b] = [reason]). *)
 
+val operational_b : members:int -> rep:int -> int
+val operational_members : int -> int
+val operational_rep : int -> int
+(** The [b] payload of a [k_operational] record, whose [a] is the ring
+    generation: the member count packed with the ring's representative,
+    since a Totem ring is [(rep, gen)]; and its two halves. *)
+
 val drop_reason_name : int -> string
 (** The reason of a [k_drop] record's [b] payload: ["loss"],
     ["partitioned"] or ["no-port"]. *)
@@ -140,4 +151,5 @@ val drop_reason_name : int -> string
 val args : kind:int -> a:int -> b:int -> (string * int) list
 (** A record's named payloads, as the Chrome export and the postmortem
     timeline show them: {!arg_names} with unused payloads left out, and
-    a drop's [b] split into [reason] and (when batched) [pos]. *)
+    a drop's [b] split into [reason] and (when batched) [pos], an
+    operational record's into [members] and [rep]. *)

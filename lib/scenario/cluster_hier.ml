@@ -245,6 +245,7 @@ let start_readers t =
   Array.iter
     (fun r ->
       Dsim.Fiber.spawn t.eng (fun () ->
+          let reads = ref 0 in
           let rec loop () =
             if not (t.readers_stopped || r.crashed) then begin
               (* Sleep to the next common period boundary so every
@@ -263,10 +264,18 @@ let start_readers t =
                 Dsim.Fiber.sleep t.eng (Time.diff next now)
               end;
               if not (t.readers_stopped || r.crashed) then begin
-                ignore
-                  (Cts.Service.clock_read r.service ~thread:reader_thread
-                     ~call:Cts.Call_type.Gettimeofday
-                    : Time.t);
+                let v =
+                  Cts.Service.clock_read r.service ~thread:reader_thread
+                    ~call:Cts.Call_type.Gettimeofday
+                in
+                incr reads;
+                (* the application's read, which the check compares
+                   across the shard's replicas round by round *)
+                (let s = Dsim.Engine.obs t.eng in
+                 if s.Obs.Sink.active then
+                   Obs.Sink.rec_event s ~kind:Obs.Recorder.k_read
+                     ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+                     ~node:(Nid.to_int r.id) ~a:(Time.to_ns v) ~b:!reads);
                 loop ()
               end
             end

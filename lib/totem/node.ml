@@ -490,7 +490,9 @@ and maybe_finish_recovery t (rs : recovery_state) =
        Obs.Sink.rec_event s ~kind:Obs.Recorder.k_operational
          ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
          ~node:(Nid.to_int t.me) ~a:c.new_ring.gen
-         ~b:(List.length c.members));
+         ~b:
+           (Obs.Recorder.operational_b ~members:(List.length c.members)
+              ~rep:(Nid.to_int c.new_ring.rep)));
     (* Only the new ring's store remains relevant. *)
     t.stores <-
       Ring_id.Map.filter (fun r _ -> Ring_id.equal r c.new_ring) t.stores;

@@ -242,15 +242,21 @@ let test_health_membership () =
       check int "member-count difference" 1 i.Obs.Check.worst;
       check int "disagreeing node" 3 i.Obs.Check.node
   | is -> Alcotest.failf "expected 1 incident, got %d" (List.length is));
-  (* the check is per-ring: a monitor configured for multi-ring input
-     must stay quiet on the same stream *)
-  let config =
-    { Obs.Check.default_config with Obs.Check.one_ring = false }
+  (* a Totem ring is (rep, gen): two rings of one generation, with
+     different representatives, are different rings *)
+  let h2 = Obs.Check.create () in
+  let op ts node ~rep gen members =
+    Obs.Check.step h2 ~kind:Rec.k_operational ~ts_us:ts ~node ~a:gen
+      ~b:(Rec.operational_b ~members ~rep)
   in
-  let h2 = Obs.Check.create ~config () in
-  Obs.Check.step h2 ~kind:Rec.k_operational ~ts_us:100 ~node:0 ~a:7 ~b:4;
-  Obs.Check.step h2 ~kind:Rec.k_operational ~ts_us:130 ~node:3 ~a:7 ~b:3;
-  check int "membership check disabled" 0 (List.length (Obs.Check.verdicts h2))
+  op 100 0 ~rep:0 7 3;
+  op 110 1 ~rep:0 7 3;
+  op 130 3 ~rep:3 7 1;
+  check int "two rings of one generation stay quiet" 0
+    (List.length (Obs.Check.verdicts h2));
+  op 140 2 ~rep:0 7 2;
+  check int "a disagreement within one of them is caught" 1
+    (List.length (Obs.Check.verdicts h2))
 
 let test_health_skew_envelope () =
   let config =
@@ -308,10 +314,6 @@ let test_token_loss_e2e () =
              a few more, so a 2 ms watchdog fires inside the outage
              window — before the ring heals itself *)
           Obs.Check.token_timeout_us = 2_000;
-          (* the partition forms a 3-node ring while the 4-node view is
-             still on the books; that disagreement is the fault being
-             injected, not the one under test *)
-          Obs.Check.one_ring = false;
         }
       ()
   in
@@ -346,6 +348,12 @@ let test_token_loss_e2e () =
   Net.heal cluster.Cluster.net;
   Cluster.run_until ~limit:(Span.of_sec 10) cluster (fun () ->
       Cluster.ring_stable cluster ~on_nodes:[ 0; 1; 2; 3 ]);
+  (* both sides of the partition installed a ring of one generation,
+     {0,1,2} and {3}: different representatives, so different rings *)
+  check bool "no membership verdict across the partition" false
+    (List.exists
+       (fun v -> v.Obs.Check.inv = "membership-agreement")
+       (Obs.Check.verdicts health));
   (* the black box: dump, reload, and ask the postmortem who did it *)
   let dump = Obs.Postmortem.dump_string recorder (Obs.Check.verdicts health) in
   let w =

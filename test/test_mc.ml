@@ -421,6 +421,66 @@ let test_invariants_catch_violations () =
   check Alcotest.(list string) "threads are judged apart" [] (names rolled);
   caught "monotone" (rolled @ [ (Rec.k_gc_sample, 400, 0, 150, 1) ])
 
+(* The hierarchy's properties over hand-built streams, judged with the
+   ring partition of two shards of two: nodes 0 and 1 are shard 0,
+   nodes 2 and 3 shard 1. *)
+let two_shards = { Obs.Check.default_config with rings = [| 0; 0; 1; 1 |] }
+
+(* Round [r] of shard [s], both replicas reading value [v] (µs) on
+   thread 1: the lower proposes, the higher suppresses. *)
+let shard_round s r v =
+  let lo = 2 * s and hi = (2 * s) + 1 in
+  [
+    (Rec.k_ccs_propose, 100 * r, lo, r, v * 1000);
+    (Rec.k_ccs_suppress, 100 * r, hi, -1, 0);
+    (Rec.k_gc_sample, (100 * r) + 10, lo, v, 1);
+    (Rec.k_read, (100 * r) + 10, lo, v * 1000, r);
+    (Rec.k_gc_sample, (100 * r) + 20, hi, v, 1);
+    (Rec.k_read, (100 * r) + 20, hi, v * 1000, r);
+  ]
+
+let elect ts node ~shard = (Rec.k_hier_elect, ts, node, shard, node)
+let crash ts node = (Rec.k_crash, ts, node, 0, 0)
+
+let test_hier_properties () =
+  let names ?(config = two_shards) records =
+    let c = Obs.Check.create ~config () in
+    List.iter
+      (fun (kind, ts_us, node, a, b) -> Obs.Check.step c ~kind ~ts_us ~node ~a ~b)
+      records;
+    Obs.Check.finish c;
+    List.map (fun v -> v.Obs.Check.inv) (Obs.Check.verdicts c)
+  in
+  let caught what stream =
+    check bool (what ^ " caught") true (List.mem what (names stream))
+  in
+  let quiet what stream = check Alcotest.(list string) what [] (names stream) in
+  (* each shard reads its own round 1, with its own value: per-ring
+     agreement stays quiet, one ring would not *)
+  let healthy =
+    [ elect 50 0 ~shard:0; elect 50 2 ~shard:1 ]
+    @ shard_round 0 1 100 @ shard_round 1 1 300
+  in
+  quiet "per-shard rounds" healthy;
+  check bool "one ring compares the shards' rounds" true
+    (List.mem "agreement" (names ~config:Obs.Check.default_config healthy));
+  (* the stream ends inside node 0's round 2: decided, not yet read *)
+  quiet "an open round at the end"
+    (healthy
+    @ [ (Rec.k_ccs_open, 400, 0, 2, 1); (Rec.k_ccs_propose, 400, 0, 2, 0) ]);
+  (* a gateway's global clock clamps a newer agreement *)
+  caught "no-global-regression" (healthy @ [ (Rec.k_hier_clamp, 500, 0, 3, 250) ]);
+  (* failover: the gateway crashes and the next member takes over *)
+  quiet "re-election of the lowest live member"
+    (healthy @ [ crash 400 0; elect 450 1 ~shard:0 ]);
+  (* no re-election: the shard's last gateway is dead *)
+  caught "deterministic-election" (healthy @ [ crash 400 0 ]);
+  (* an election that skips the lowest live member *)
+  caught "deterministic-election" (healthy @ [ elect 450 3 ~shard:1 ]);
+  (* the shards' offsets (group clock - time) lie 4 ms, then 6 ms, apart *)
+  quiet "shards 4 ms apart" (shard_round 0 1 100 @ shard_round 1 1 4110);
+  caught "cross-shard-skew" (shard_round 0 1 100 @ shard_round 1 1 6110)
+
 (* ------------------------------------------------------------------ *)
 (* Shrinker on a synthetic predicate *)
 
@@ -727,6 +787,8 @@ let suites =
       ] );
     ( "mc.invariants",
       [
+        Alcotest.test_case "hier properties on hand-built streams" `Quick
+          test_hier_properties;
         Alcotest.test_case "catch hand-built violations" `Quick
           test_invariants_catch_violations;
       ] );
