@@ -71,7 +71,8 @@ let print_attrib_opt = function
   | None -> ()
 
 (* The always-on black box: every run of these subcommands carries a
-   recorder and a check (the cost bench/main.ml's OBS section measures),
+   recorder and a check (bench/main.exe's `obs` gate bounds the stream's
+   cost),
    and the window hits disk when the operator asked for it or when the
    check saw something wrong. *)
 let flush_flight ~prefix recorder check =
@@ -245,6 +246,88 @@ let causal_cmd =
        ~doc:
          "Causal group-clock timestamps across two replicated groups           (section 5's proposed extension)")
     Term.(const run $ seed)
+
+(* The paper's evaluation end to end at its full sizes: the same calls
+   as the per-figure subcommands, in the order of DESIGN.md's experiment
+   index, each under a "==== <id>: <title> ====" heading. *)
+let experiments_cmd =
+  let section name = Format.fprintf ppf "@.==== %s ====@.@." name in
+  let run () =
+    section "E1 / Figure 4: worked example of the CCS algorithm";
+    R.fig4 ppf (E.fig4 ());
+    section "M1: token-passing-time calibration (paper ref [20])";
+    R.token ppf (E.token_calibration ~rotations:10_000 ());
+    section
+      "E2 / Figure 5: end-to-end latency with and without the consistent \
+       time service";
+    let invocations = 10_000 in
+    Format.fprintf ppf "(%d invocations per run)@." invocations;
+    R.latency_pair ppf
+      ~with_cts:(E.latency ~invocations ~use_cts:true ())
+      ~without_cts:(E.latency ~invocations ~use_cts:false ());
+    section "E3-E6 / Figure 6: skew, drift and CCS message counts";
+    let rounds = 10_000 in
+    Format.fprintf ppf "(%d clock-related operations per replica)@.@." rounds;
+    let run = E.skew ~rounds () in
+    R.fig6a ppf run ~rounds:20;
+    Format.fprintf ppf "@.";
+    R.fig6b ppf run ~rounds:20;
+    Format.fprintf ppf "@.";
+    R.fig6c ppf run ~rounds:20;
+    Format.fprintf ppf "@.";
+    R.msg_counts ppf run;
+    section "A1: drift-compensation ablation (paper section 3.3)";
+    R.drift_table ppf
+      (List.map
+         (fun (name, c) -> (name, E.skew ~rounds:2_000 ~compensation:c ()))
+         [
+           ("no compensation", `No_compensation);
+           ("mean-delay (+50 us)", `Mean_delay 50);
+           ("anchored (gain 0.1)", `Anchored (0.1, 50));
+         ]);
+    section "A2: clock roll-back on failover (paper section 1)";
+    let rollback offset_tracking =
+      E.rollback ~readings_per_phase:30 ~style:Repl.Replica.Semi_active
+        ~offset_tracking
+        ~clock_offset_us:(fun i -> -300_000 * (i - 1))
+        ()
+    in
+    R.rollback_pair ppf ~baseline:(rollback false) ~cts:(rollback true);
+    section "A4: overhead vs replication degree";
+    R.group_size_table ppf
+      (List.map
+         (fun replicas ->
+           ( replicas,
+             E.latency ~invocations:2_000 ~replicas ~use_cts:true (),
+             E.latency ~invocations:2_000 ~replicas ~use_cts:false () ))
+         [ 2; 3; 4; 5 ]);
+    section "A3: new-replica integration (paper section 3.2)";
+    R.recovery ppf (E.recovery ~readings:40 ());
+    section "E7: causal group clocks across groups (paper section 5)";
+    R.causal ppf (E.causal ());
+    section "A5: agreed vs safe delivery (Totem delivery-guarantee ablation)";
+    let mean delivery =
+      Stats.Summary.mean
+        (E.latency ~invocations:2_000 ~use_cts:true
+           ~totem_config:{ Totem.Config.default with delivery }
+           ())
+          .E.summary
+    in
+    let agreed = mean Totem.Config.Agreed in
+    let safe = mean Totem.Config.Safe in
+    Format.fprintf ppf "%-22s %-18s@." "delivery guarantee" "mean latency (us)";
+    Format.fprintf ppf "%-22s %-18.1f@." "agreed (paper's)" agreed;
+    Format.fprintf ppf "%-22s %-18.1f@." "safe" safe;
+    Format.fprintf ppf
+      "safe delivery stabilizes every message across the ring first; the      paper's CTS only needs agreed delivery@."
+  in
+  Cmd.v
+    (Cmd.info "experiments"
+       ~doc:
+         "The paper's whole evaluation at full size: Figures 4-6, the token \
+          calibration, the ablations and the causal extension (E1-E7, M1, \
+          A1-A5)")
+    Term.(const run $ const ())
 
 let run_cmd =
   let trace_file =
@@ -747,6 +830,7 @@ let main =
       token_cmd;
       recovery_cmd;
       causal_cmd;
+      experiments_cmd;
       hier_cmd;
       explore_cmd;
       run_cmd;

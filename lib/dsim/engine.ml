@@ -51,7 +51,7 @@ let set_scheduler t s = t.scheduler <- s
    load and one predictable branch; the [steps] check stays out of line
    (off by default: per-callback records would spend the whole window on
    steps).  All arguments are ints, so the enabled path allocates
-   nothing — bench/main.ml's OBS section measures it. *)
+   nothing — test_lint_typed's engine cross-check asserts it. *)
 let rec_step s at =
   if s.Obs.Sink.steps then
     let us = Time.to_ns at / 1000 in

@@ -114,16 +114,6 @@ let load_file path =
   | exception Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Chrome export of a loaded window                                    *)
-
-let to_trace w =
-  Recorder.trace_of ~length:(Array.length w.records) (fun f ->
-      Array.iter (fun r -> f ~kind:r.kind ~ts_us:r.ts_us ~node:r.node ~a:r.a ~b:r.b)
-        w.records)
-
-let write_chrome_file w path = Trace.write_chrome_file (to_trace w) path
-
-(* ------------------------------------------------------------------ *)
 (* Lineage: match deliveries / drops back to sends                     *)
 
 (* Sends carry dst in [a] (-1 for broadcast); deliveries and drops run

@@ -186,10 +186,10 @@ let iter t f =
    start of the window, and the validator rejects an unmatched End.  A
    [ccs-offset] record immediately precedes its round's settle, so the
    settle's End also carries the post-round [offset_us]. *)
-let trace_of ~length iter =
-  let tr = Trace.create ~capacity:(length + 16) () in
+let to_trace t =
+  let tr = Trace.create ~capacity:(length t + 16) () in
   let depth = Hashtbl.create 16 and offset = Hashtbl.create 16 in
-  iter (fun ~kind ~ts_us ~node ~a ~b ->
+  iter t (fun ~kind ~ts_us ~node ~a ~b ->
       let sub = kind_sub kind in
       let row = (node, Subsystem.to_int sub) in
       let open_ = Option.value ~default:0 (Hashtbl.find_opt depth row) in
@@ -216,5 +216,3 @@ let trace_of ~length iter =
       | Trace.End -> ()
       | Trace.Instant -> record Trace.Instant);
   tr
-
-let to_trace t = trace_of ~length:(length t) (iter t)

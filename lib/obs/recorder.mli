@@ -56,13 +56,6 @@ val to_trace : t -> Trace.t
     [ccs-round] End also carries the [offset_us] of the [ccs-offset]
     record emitted just before it. *)
 
-val trace_of :
-  length:int ->
-  ((kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit) -> unit) ->
-  Trace.t
-(** {!to_trace} over any oldest-first record iterator of [length]
-    records (e.g. a window reloaded by [Postmortem]). *)
-
 (** {1 Record kinds}
 
     The kind determines the subsystem and the meaning of the payload

@@ -358,25 +358,42 @@ let test_cross_check_engine_queue () =
       "Dsim.Event_queue.drop_min";
       "Dsim.Event_queue.min_time_exn";
     ];
-  let eng = Dsim.Engine.create () in
-  let fill n =
-    for i = 1 to n do
-      Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
-    done;
-    Dsim.Engine.run eng
-  in
-  (* warm: engine construction and the queue's one-time growth to the
-     largest batch happen outside the meter, as in the LOOP bench.  The
-     certificate covers the per-event path (schedule/push/fire), not the
-     [run] entry itself, so the meter holds the number of [run] calls
-     fixed and varies the event count: any per-event allocation shows up
-     as the deltas diverging, while a constant per-call cost cancels. *)
-  fill 8192;
-  fill 8192;
-  let d_small = minor_delta (fun () -> fill 1024) in
-  let d_large = minor_delta (fun () -> fill 8192) in
-  check (Alcotest.float 0.0) "per-event allocation is zero" d_small d_large;
-  check bool "per-run overhead is bounded" true (d_small < 64.0)
+  (* Once with the record stream off (nothing attached, the default) and
+     once on, with a recorder and [steps] set: one record per fired event,
+     the worst case bench/main.exe's `obs` gate times. *)
+  let recorder = Obs.Recorder.create ~capacity:1024 () in
+  let sink = Obs.Sink.create () in
+  Obs.Sink.set_recorder sink (Some recorder);
+  Obs.Sink.set_steps sink true;
+  List.iter
+    (fun (stream, sink) ->
+      let eng = Dsim.Engine.create () in
+      Option.iter (Dsim.Engine.set_obs eng) sink;
+      let fill n =
+        for i = 1 to n do
+          Dsim.Engine.schedule eng (Dsim.Time.Span.of_us (i mod 997)) ignore
+        done;
+        Dsim.Engine.run eng
+      in
+      (* warm: engine construction, the queue's one-time growth to the
+         largest batch and the ring's first wrap happen outside the meter.
+         The certificate covers the per-event path (schedule/push/fire),
+         not the [run] entry itself, so the meter holds the number of
+         [run] calls fixed and varies the event count: any per-event
+         allocation shows up as the deltas diverging, while a constant
+         per-call cost cancels. *)
+      fill 8192;
+      fill 8192;
+      let d_small = minor_delta (fun () -> fill 1024) in
+      let d_large = minor_delta (fun () -> fill 8192) in
+      check (Alcotest.float 0.0)
+        ("per-event allocation is zero, stream " ^ stream)
+        d_small d_large;
+      check bool ("per-run overhead is bounded, stream " ^ stream) true
+        (d_small < 64.0))
+    [ ("off", None); ("on", Some sink) ];
+  check int "stream on: one record per fired event" (8192 + 8192 + 1024 + 8192)
+    (Obs.Recorder.total recorder)
 
 let test_cross_check_rng () =
   assert_certified [ "Dsim.Rng.bits" ];
