@@ -170,18 +170,21 @@ let drift_cmd =
   in
   let mean_delay =
     let doc = "Mean-delay compensation in microseconds." in
-    Arg.(value & opt int 150 & info [ "mean-delay" ] ~docv:"US" ~doc)
+    Arg.(value & opt int 50 & info [ "mean-delay" ] ~docv:"US" ~doc)
   in
   let run seed rounds gain mean_delay =
-    let s c = E.skew ~seed:(seed64 seed) ~rounds ~compensation:c () in
     R.drift_table ppf
-      [
-        ("no compensation", s `No_compensation);
-        ( Printf.sprintf "mean-delay (+%d us)" mean_delay,
-          s (`Mean_delay mean_delay) );
-        ( Printf.sprintf "anchored (gain %g)" gain,
-          s (`Anchored (gain, 50)) );
-      ]
+      (List.map
+         (fun c ->
+           let c =
+             match c with
+             | `No_compensation -> c
+             | `Mean_delay _ -> `Mean_delay mean_delay
+             | `Anchored (_, max_skew_us) -> `Anchored (gain, max_skew_us)
+           in
+           ( E.compensation_name c,
+             E.skew ~seed:(seed64 seed) ~rounds ~compensation:c () ))
+         E.drift_strategies)
   in
   Cmd.v
     (Cmd.info "drift"
@@ -244,7 +247,8 @@ let causal_cmd =
   Cmd.v
     (Cmd.info "causal"
        ~doc:
-         "Causal group-clock timestamps across two replicated groups           (section 5's proposed extension)")
+         "Causal group-clock timestamps across two replicated groups \
+          (section 5's proposed extension)")
     Term.(const run $ seed)
 
 (* The paper's evaluation end to end at its full sizes: the same calls
@@ -279,12 +283,9 @@ let experiments_cmd =
     section "A1: drift-compensation ablation (paper section 3.3)";
     R.drift_table ppf
       (List.map
-         (fun (name, c) -> (name, E.skew ~rounds:2_000 ~compensation:c ()))
-         [
-           ("no compensation", `No_compensation);
-           ("mean-delay (+50 us)", `Mean_delay 50);
-           ("anchored (gain 0.1)", `Anchored (0.1, 50));
-         ]);
+         (fun c ->
+           (E.compensation_name c, E.skew ~rounds:2_000 ~compensation:c ()))
+         E.drift_strategies);
     section "A2: clock roll-back on failover (paper section 1)";
     let rollback offset_tracking =
       E.rollback ~readings_per_phase:30 ~style:Repl.Replica.Semi_active
@@ -319,7 +320,8 @@ let experiments_cmd =
     Format.fprintf ppf "%-22s %-18.1f@." "agreed (paper's)" agreed;
     Format.fprintf ppf "%-22s %-18.1f@." "safe" safe;
     Format.fprintf ppf
-      "safe delivery stabilizes every message across the ring first; the      paper's CTS only needs agreed delivery@."
+      "safe delivery stabilizes every message across the ring first; the \
+       paper's CTS only needs agreed delivery@."
   in
   Cmd.v
     (Cmd.info "experiments"
@@ -612,16 +614,8 @@ let explore_cmd =
 let hier_cmd =
   let module CH = Scenario.Cluster_hier in
   let module Span = Dsim.Time.Span in
-  let run seed shards shard_size duration_ms mode crash_shard trace_file
+  let run seed shards shard_size duration_ms crash_shard trace_file
       metrics_file attrib dump =
-    let mode =
-      match mode with
-      | "star" -> Hier.Gateway.Star
-      | "ring" -> Hier.Gateway.Ring
-      | m ->
-          Format.fprintf ppf "unknown --mode %S (star|ring)@." m;
-          exit 2
-    in
     let topo = Hier.Topology.create ~shards ~shard_size in
     let clock_config i =
       {
@@ -652,16 +646,14 @@ let hier_cmd =
     let attrib = if attrib then Some (Obs.Attrib.create ()) else None in
     Obs.Sink.set_attrib sink attrib;
     let t =
-      CH.create ~seed:(seed64 seed) ~clock_config
-        ~gateway_config:{ Hier.Gateway.default_config with Hier.Gateway.mode }
-        ~shards ~shard_size ~obs:sink ()
+      CH.create ~seed:(seed64 seed) ~clock_config ~shards ~shard_size
+        ~obs:sink ()
     in
     Format.fprintf ppf
-      "%d replicas (%d shards x %d), %s bridge, shard s clocks start s ms \
+      "%d replicas (%d shards x %d), star bridge, shard s clocks start s ms \
        behind@."
       (Hier.Topology.replicas topo)
-      shards shard_size
-      (match mode with Hier.Gateway.Star -> "star" | Hier.Gateway.Ring -> "ring");
+      shards shard_size;
     (* Minor words are a deterministic count per seed and build, so the
        formation's allocation can be gated without timing anything. *)
     let words0 = Gc.minor_words () in
@@ -763,10 +755,6 @@ let hier_cmd =
     let doc = "Simulated run length in milliseconds." in
     Arg.(value & opt int 100 & info [ "duration-ms" ] ~docv:"MS" ~doc)
   in
-  let mode =
-    let doc = "Bridge protocol: star (poll/offer/agree) or ring (token)." in
-    Arg.(value & opt string "star" & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
   let crash =
     let doc =
       "Crash shard $(docv)'s gateway halfway through, to watch the \
@@ -783,7 +771,7 @@ let hier_cmd =
           (accepts the full --trace/--metrics/--attrib set and \
           --dump-on-exit)")
     Term.(
-      const run $ seed $ shards $ shard_size $ duration $ mode $ crash
+      const run $ seed $ shards $ shard_size $ duration $ crash
       $ trace_file $ metrics_file $ attrib_flag $ dump_on_exit)
 
 let postmortem_cmd =

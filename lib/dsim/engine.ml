@@ -142,58 +142,46 @@ let step t =
    event, shared between the horizon check and the pop.  The horizon test
    is hoisted out of the loop: the unbounded case — every [Engine.run]
    and the whole explorer hot path — pays no per-event option match. *)
-let run_plain t ~horizon budget =
+let run_plain t ~horizon =
   match horizon with
   | None ->
-      let n = ref !budget in
-      while
-        (not t.stopped) && !n > 0 && not (Event_queue.is_empty t.queue)
-      do
-        fire_head t;
-        decr n
-      done;
-      budget := !n
+      while (not t.stopped) && not (Event_queue.is_empty t.queue) do
+        fire_head t
+      done
   | Some h ->
-      let continue = ref true in
-      while !continue do
-        if t.stopped || !budget <= 0 || Event_queue.is_empty t.queue then
-          continue := false
-        else if Time.(Event_queue.min_time_exn t.queue > h) then
-          continue := false
-        else begin
-          fire_head t;
-          decr budget
-        end
+      while
+        (not t.stopped)
+        && (not (Event_queue.is_empty t.queue))
+        && Time.(Event_queue.min_time_exn t.queue <= h)
+      do
+        fire_head t
       done
 
 (* Hook path (model checking): the hook decides what runs, so we only peek
    at the head for the horizon test and delegate to [step]. *)
-let run_hooked t ~horizon budget =
-  let continue = ref true in
-  while !continue do
-    if t.stopped || !budget <= 0 || Event_queue.is_empty t.queue then
-      continue := false
-    else
-      match horizon with
-      | Some h when Time.(Event_queue.min_time_exn t.queue > h) ->
-          continue := false
-      | _ ->
-          ignore (step t : bool);
-          decr budget
+let run_hooked t ~horizon =
+  while
+    (not t.stopped)
+    && (not (Event_queue.is_empty t.queue))
+    &&
+    match horizon with
+    | Some h -> Time.(Event_queue.min_time_exn t.queue <= h)
+    | None -> true
+  do
+    ignore (step t : bool)
   done
 
-let run ?until ?max_events t =
+let run ?until t =
   t.stopped <- false;
-  let budget = ref (match max_events with Some n -> n | None -> max_int) in
   (match t.scheduler with
-  | None -> run_plain t ~horizon:until budget
-  | Some _ -> run_hooked t ~horizon:until budget);
+  | None -> run_plain t ~horizon:until
+  | Some _ -> run_hooked t ~horizon:until);
   match until with Some h when Time.(h > t.now) -> t.now <- h | _ -> ()
 
-let with_gc_tuning ?(minor_heap_words = 1024 * 1024)
-    ?(space_overhead = 800) f =
+let with_gc_tuning ?(minor_heap_words = 1024 * 1024) f =
   let saved = Gc.get () in
-  Gc.set { saved with Gc.minor_heap_size = minor_heap_words; space_overhead };
+  Gc.set
+    { saved with Gc.minor_heap_size = minor_heap_words; space_overhead = 800 };
   Fun.protect ~finally:(fun () -> Gc.set saved) f
 
 let steps t = t.steps

@@ -56,9 +56,9 @@ val schedule_call_at : t -> Time.t -> ('a -> unit) -> 'a -> unit
 (** Absolute-time variant of {!schedule_call}.  Raises [Invalid_argument]
     if the instant is in the past. *)
 
-val run : ?until:Time.t -> ?max_events:int -> t -> unit
-(** Process events in timestamp order until the queue drains, the optional
-    [until] horizon is passed, or [max_events] callbacks have run.
+val run : ?until:Time.t -> t -> unit
+(** Process events in timestamp order until the queue drains or the
+    optional [until] horizon is passed.
     Exceptions raised by callbacks propagate and abort the run. *)
 
 val step : t -> bool
@@ -75,13 +75,12 @@ val set_scheduler : t -> (ready:int -> choice) option -> unit
     schedule.  Used by [Mc] to enumerate interleavings; a hook that always
     answers [Take 0] reproduces the default schedule exactly. *)
 
-val with_gc_tuning : ?minor_heap_words:int -> ?space_overhead:int ->
-  (unit -> 'a) -> 'a
+val with_gc_tuning : ?minor_heap_words:int -> (unit -> 'a) -> 'a
 (** [with_gc_tuning f] runs [f] under GC parameters sized for the
     simulator hot loop — a 1M-word minor heap (short-lived event garbage
     dies young instead of being promoted; larger heaps measured slower
-    here, they outgrow the cache) and a relaxed [space_overhead]
-    (default 800: simulation live heaps are tiny, so trading idle memory
+    here, they outgrow the cache) and a relaxed [space_overhead] of 800
+    (simulation live heaps are tiny, so trading idle memory
     for ~3x fewer major collections is nearly free) — and restores the
     previous parameters afterwards, also on exception.  Used by the
     benchmarks and by [ctsim] around exploration. *)

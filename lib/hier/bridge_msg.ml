@@ -1,50 +1,37 @@
-(* Wire messages of the cross-shard bridge protocol.
+(* Wire messages of the cross-shard bridge protocol (a star: the lowest
+   live shard's gateway polls, the others offer, the poller agrees).
 
-   Everything on the bridge is broadcast and filtered by the receiver
-   (shard indices are stable; gateway node ids are not, so addressing a
-   message to "the gateway of shard s" by node id would break across
-   failovers).  Every constructor carries the sender's shard index so
-   receivers can maintain per-shard liveness without a separate
-   heartbeat. *)
+   Polls and agrees are broadcast and filtered by the receiver (shard
+   indices are stable; gateway node ids are not, so addressing a message
+   to "the gateway of shard s" by node id would break across failovers);
+   an offer goes back to the polling gateway only.  Every constructor
+   carries the sender's shard index so receivers can maintain per-shard
+   liveness without a separate heartbeat. *)
 
 type t =
   | Poll of { round : int; coord_shard : int }
-      (* star: the coordinator opens a bridge round and solicits offers *)
+      (* the coordinator opens a bridge round and solicits offers *)
   | Offer of { round : int; shard : int; time : Dsim.Time.t }
-      (* star: a gateway's view of the global clock for the round — the
-         max of its shard's group-clock estimate and the last agreed
-         global value, so agreement can never regress while any holder
-         of the previous value survives *)
-  | Collect of {
-      round : int;
-      origin_shard : int;
-      from_shard : int;
-      dst_shard : int;
-      acc : Dsim.Time.t;
-    }
-      (* ring: a token accumulating the max around the live shards *)
+      (* a gateway's view of the global clock for the round — the max of
+         its shard's group-clock estimate and the last agreed global
+         value, so agreement can never regress while any holder of the
+         previous value survives *)
   | Agree of { round : int; coord_shard : int; time : Dsim.Time.t }
-      (* both modes: the agreed global group-clock value for the round *)
+      (* the agreed global group-clock value for the round *)
 
 let sender_shard = function
   | Poll { coord_shard; _ } -> coord_shard
   | Offer { shard; _ } -> shard
-  | Collect { from_shard; _ } -> from_shard
   | Agree { coord_shard; _ } -> coord_shard
 
 let round = function
-  | Poll { round; _ } | Offer { round; _ } | Collect { round; _ }
-  | Agree { round; _ } ->
-      round
+  | Poll { round; _ } | Offer { round; _ } | Agree { round; _ } -> round
 
 let pp ppf = function
   | Poll { round; coord_shard } ->
       Format.fprintf ppf "poll(r%d from s%d)" round coord_shard
   | Offer { round; shard; time } ->
       Format.fprintf ppf "offer(r%d s%d %a)" round shard Dsim.Time.pp time
-  | Collect { round; origin_shard; from_shard; dst_shard; acc } ->
-      Format.fprintf ppf "collect(r%d origin s%d, s%d->s%d, %a)" round
-        origin_shard from_shard dst_shard Dsim.Time.pp acc
   | Agree { round; coord_shard; time } ->
       Format.fprintf ppf "agree(r%d from s%d %a)" round coord_shard
         Dsim.Time.pp time

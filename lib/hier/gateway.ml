@@ -5,27 +5,19 @@ module Time = Dsim.Time
 module Span = Dsim.Time.Span
 module Nid = Netsim.Node_id
 
-type mode = Star | Ring
+(* Bridge round period at each gateway. *)
+let period = Span.of_us 2_000
 
-type config = {
-  mode : mode;
-  period : Span.t;
-  offer_timeout : Span.t;
-  liveness_timeout : Span.t;
-  max_correction : Span.t;
-}
+(* The coordinator's offer-collection window: > 2 WAN one-way trips, so a
+   Poll and its Offers round-trip inside it. *)
+let offer_timeout = Span.of_us 900
 
-let default_config =
-  {
-    mode = Star;
-    period = Span.of_us 2_000;
-    (* > 2 WAN one-way trips: a Poll and its Offers must round-trip
-       inside the window. *)
-    offer_timeout = Span.of_us 900;
-    (* > 3 periods, so one lost round does not depose a live coordinator. *)
-    liveness_timeout = Span.of_us 6_500;
-    max_correction = Span.of_ms 10;
-  }
+(* A shard unheard for this long is presumed dead: > 3 periods, so one
+   lost round does not depose a live coordinator. *)
+let liveness_timeout = Span.of_us 6_500
+
+(* Clamp on the forward correction injected per agreed round. *)
+let max_correction = Span.of_ms 10
 
 type stats = {
   elections : int;
@@ -37,12 +29,10 @@ type stats = {
 type t = {
   eng : Dsim.Engine.t;
   bridge : Bridge_msg.t Netsim.Network.t;
-  topo : Topology.t;
   my_shard : int;
   me : Nid.t;
   service : Cts.Service.t;
   clock : Clock.Hwclock.t;
-  cfg : config;
   gclock : Global_clock.t;
   last_heard : Time.t array; (* per shard; seeded with creation time *)
   mutable active : bool;
@@ -60,8 +50,6 @@ type t = {
   mutable on_correction : unit -> unit;
 }
 
-let shard t = t.my_shard
-let is_gateway t = t.active && not t.crashed
 let elected t = t.elected
 let global t = t.gclock
 
@@ -95,7 +83,7 @@ let shard_live t s =
   s = t.my_shard
   || Span.compare
        (Time.diff (Dsim.Engine.now t.eng) t.last_heard.(s))
-       t.cfg.liveness_timeout
+       liveness_timeout
      <= 0
 
 let coordinator_shard t =
@@ -103,18 +91,6 @@ let coordinator_shard t =
   go 0 (* terminates: my own shard is always live *)
 
 let i_coordinate t = t.active && coordinator_shard t = t.my_shard
-
-(* Next live shard after mine in ring order (ring mode); [None] when I am
-   the only live shard. *)
-let next_live t =
-  let n = Topology.shards t.topo in
-  let rec go k =
-    if k = n then None
-    else
-      let s = (t.my_shard + k) mod n in
-      if shard_live t s then Some s else go (k + 1)
-  in
-  go 1
 
 (* ------------------------------------------------------------------ *)
 (* Obs probes                                                          *)
@@ -141,7 +117,7 @@ let apply_agree t ~round ~time =
        lifts this gateway's next CCS proposals, and the shard adopts the
        corrected time the next round the gateway's message wins — clocks
        only ever move forward. *)
-    let target = Time.min adopted (Time.add local t.cfg.max_correction) in
+    let target = Time.min adopted (Time.add local max_correction) in
     Cts.Service.observe_timestamp t.service target;
     t.s_corrections <- t.s_corrections + 1;
     probe t ~kind:Obs.Recorder.k_hier_correct ~a:round
@@ -168,38 +144,20 @@ let open_round t =
   t.round <- t.round + 1;
   t.s_coordinated <- t.s_coordinated + 1;
   let round = t.round in
-  match t.cfg.mode with
-  | Star ->
-      t.offer_round <- round;
-      t.offers <- offer_time t;
-      t.offers_n <- 1;
-      probe t ~kind:Obs.Recorder.k_bridge_open ~a:round ~b:0;
-      broadcast t (Bridge_msg.Poll { round; coord_shard = t.my_shard });
-      let gen = t.gen in
-      Dsim.Engine.schedule t.eng t.cfg.offer_timeout (close_round t gen round)
-  | Ring -> (
-      let acc = offer_time t in
-      match next_live t with
-      | None ->
-          (* Only shard standing: agree with myself. *)
-          apply_agree t ~round ~time:acc
-      | Some dst ->
-          broadcast t
-            (Bridge_msg.Collect
-               {
-                 round;
-                 origin_shard = t.my_shard;
-                 from_shard = t.my_shard;
-                 dst_shard = dst;
-                 acc;
-               }))
+  t.offer_round <- round;
+  t.offers <- offer_time t;
+  t.offers_n <- 1;
+  probe t ~kind:Obs.Recorder.k_bridge_open ~a:round ~b:0;
+  broadcast t (Bridge_msg.Poll { round; coord_shard = t.my_shard });
+  let gen = t.gen in
+  Dsim.Engine.schedule t.eng offer_timeout (close_round t gen round)
 
 let rec tick t gen () =
   if (not t.crashed) && t.active && gen = t.gen then begin
     let s = Dsim.Engine.obs t.eng in
     Obs.Sink.attr_enter s Obs.Attrib.Hier_tick;
     if i_coordinate t then open_round t;
-    Dsim.Engine.schedule t.eng t.cfg.period (tick t gen);
+    Dsim.Engine.schedule t.eng period (tick t gen);
     Obs.Sink.attr_leave s
   end
 
@@ -225,8 +183,7 @@ and on_bridge_inner t ~src msg =
       match msg with
       | Bridge_msg.Agree { coord_shard; _ } ->
           coordinator_shard t = coord_shard
-      | Bridge_msg.Poll _ | Bridge_msg.Offer _ | Bridge_msg.Collect _ ->
-          true
+      | Bridge_msg.Poll _ | Bridge_msg.Offer _ -> true
     in
     note_heard t (Bridge_msg.sender_shard msg);
     let r = Bridge_msg.round msg in
@@ -256,29 +213,6 @@ and on_bridge_inner t ~src msg =
         end
     | Bridge_msg.Agree { round; time; coord_shard } ->
         if legit && coord_shard <> t.my_shard then apply_agree t ~round ~time
-    | Bridge_msg.Collect { round; origin_shard; dst_shard; acc; _ } ->
-        if dst_shard = t.my_shard then
-          let acc = Time.max acc (offer_time t) in
-          if origin_shard = t.my_shard then begin
-            (* Token came home: agree. *)
-            broadcast t
-              (Bridge_msg.Agree
-                 { round; coord_shard = t.my_shard; time = acc });
-            apply_agree t ~round ~time:acc
-          end
-          else
-            let dst =
-              match next_live t with Some s -> s | None -> origin_shard
-            in
-            broadcast t
-              (Bridge_msg.Collect
-                 {
-                   round;
-                   origin_shard;
-                   from_shard = t.my_shard;
-                   dst_shard = dst;
-                   acc;
-                 })
   end
 
 (* ------------------------------------------------------------------ *)
@@ -295,7 +229,7 @@ let activate t =
     Log.debug (fun m ->
         m "%a: gateway of shard %d (election %d)" Nid.pp t.me t.my_shard
           t.s_elections);
-    Dsim.Engine.schedule t.eng t.cfg.period (tick t t.gen)
+    Dsim.Engine.schedule t.eng period (tick t t.gen)
   end
 
 let resign t =
@@ -330,19 +264,16 @@ let crash t =
 
 let set_on_correction t f = t.on_correction <- f
 
-let create eng bridge ~topology ~shard ~me ~service ~clock
-    ?(config = default_config) () =
+let create eng bridge ~topology ~shard ~me ~service ~clock =
   if shard < 0 || shard >= Topology.shards topology then
     invalid_arg "Hier.Gateway.create: shard outside the topology";
   {
     eng;
     bridge;
-    topo = topology;
     my_shard = shard;
     me;
     service;
     clock;
-    cfg = config;
     gclock = Global_clock.create eng ~me;
     last_heard = Array.make (Topology.shards topology) (Dsim.Engine.now eng);
     active = false;

@@ -10,17 +10,11 @@
     surviving replica on every view change, which is what makes gateway
     failover deterministic.
 
-    Bridge protocol (both modes agree on a max-combined global value):
-
-    - {e Star}: the gateway of the lowest live shard coordinates.  Each
-      round it broadcasts a [Poll]; gateways answer with an [Offer]
-      carrying [max (local shard estimate, last agreed global value)];
-      after a fixed collection window the coordinator broadcasts
-      [Agree (max offers)].
-    - {e Ring}: the coordinator circulates a [Collect] token around the
-      live shards in index order; each gateway folds its offer into the
-      accumulator; when the token returns, the coordinator broadcasts
-      [Agree].
+    Bridge protocol (a star): the gateway of the lowest live shard
+    coordinates.  Every bridge period it broadcasts a [Poll]; gateways
+    answer with an [Offer] carrying [max (local shard estimate, last
+    agreed global value)]; after a fixed collection window the
+    coordinator broadcasts [Agree (max offers)].
 
     On [Agree], a gateway folds the value into its monotone
     {!Global_clock} and, if the agreed value is ahead of its shard,
@@ -30,24 +24,10 @@
     clock without ever stepping a clock backwards.
 
     Liveness is tracked per shard from bridge traffic: a shard unheard
-    of for [liveness_timeout] is presumed dead, which both moves the
-    coordinator role and routes the ring token around crashed
-    gateways. *)
-
-type mode = Star | Ring
-
-type config = {
-  mode : mode;
-  period : Dsim.Time.Span.t;  (** bridge round period at each gateway *)
-  offer_timeout : Dsim.Time.Span.t;
-      (** star: the coordinator's offer-collection window *)
-  liveness_timeout : Dsim.Time.Span.t;
-      (** a shard unheard for this long is presumed dead *)
-  max_correction : Dsim.Time.Span.t;
-      (** clamp on the forward correction injected per agreed round *)
-}
-
-val default_config : config
+    of for [liveness_timeout] is presumed dead, which moves the
+    coordinator role past crashed gateways.  The period (2 ms), the
+    collection window (900 µs), [liveness_timeout] (6.5 ms) and
+    [max_correction] (10 ms) are constants of the protocol. *)
 
 type stats = {
   elections : int;  (** times this replica became its shard's gateway *)
@@ -66,8 +46,6 @@ val create :
   me:Netsim.Node_id.t ->
   service:Cts.Service.t ->
   clock:Clock.Hwclock.t ->
-  ?config:config ->
-  unit ->
   t
 
 val on_view : t -> Gcs.View.t -> unit
@@ -77,11 +55,9 @@ val on_view : t -> Gcs.View.t -> unit
 val crash : t -> unit
 (** Stop participating (models the replica's host crashing).  Idempotent. *)
 
-val is_gateway : t -> bool
 val elected : t -> Netsim.Node_id.t option
 (** This replica's view of who its shard's gateway is. *)
 
-val shard : t -> int
 val global : t -> Global_clock.t
 val estimate : t -> Dsim.Time.t
 (** This replica's current group-clock estimate (physical clock +

@@ -100,10 +100,9 @@ module Make (R : World.RUN) = struct
      world's stream, to sit next to its packet log: the Chrome trace and
      the metrics fold of the shrunk schedule.  Deterministic — the replayed
      spec pins the schedule, and probes never perturb a run. *)
-  let trace_violation ?(quantum_us = 200) ?(capacity = 1_000_000) cfg
-      (v : violation) =
+  let trace_violation ?(quantum_us = 200) cfg (v : violation) =
     let quantum = Span.of_us quantum_us in
-    let recorder = Obs.Recorder.create ~capacity () in
+    let recorder = Obs.Recorder.create ~capacity:1_000_000 () in
     let sink = Obs.Sink.create () in
     Obs.Sink.set_recorder sink (Some recorder);
     let _, info =

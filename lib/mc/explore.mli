@@ -73,14 +73,13 @@ module Make (R : World.RUN) : sig
 
   val trace_violation :
     ?quantum_us:int ->
-    ?capacity:int ->
     R.config ->
     violation ->
     Obs.Trace.t * Obs.Metrics.t * int
   (** Replay the violation's minimal counterexample with a recorder of
-      [capacity] records (default 1,000,000) on its stream: its Chrome
-      trace, its metrics fold, and the number of records the ring
-      overwrote (0 unless the replay outgrew [capacity]).  [quantum_us]
+      1,000,000 records on its stream: its Chrome trace, its metrics
+      fold, and the number of records the ring overwrote (0 unless the
+      replay outgrew it).  [quantum_us]
       must match the exploration's (default 200).  Probes never perturb
       a run, so the replay reproduces the violation. *)
 end

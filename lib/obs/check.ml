@@ -19,7 +19,6 @@ type verdict = {
 type config = {
   skew_bound_us : int;
   token_timeout_us : int;
-  staleness_us : int;
   rings : int array;
 }
 
@@ -27,9 +26,12 @@ let default_config =
   {
     skew_bound_us = 0;
     token_timeout_us = 10_000;
-    staleness_us = 5_000;
     rings = [||];
   }
+
+(* Nodes whose last sample is older than this are out of the skew
+   envelope. *)
+let staleness_us = 5_000
 
 let shard_skew_us = 5_000
 
@@ -162,8 +164,7 @@ let gc_sample t ~at ~ts_us ~node:n ~gc_us ~thread =
     let lo = ref max_int and hi = ref min_int and hi_node = ref n in
     for i = 0 to Array.length t.nodes - 1 do
       match t.nodes.(i) with
-      | Some s when s.seen_us <> unseen && ts_us - s.seen_us <= t.cfg.staleness_us
-        ->
+      | Some s when s.seen_us <> unseen && ts_us - s.seen_us <= staleness_us ->
           let off = s.gc_us - s.seen_us in
           if off < !lo then lo := off;
           if off > !hi then begin

@@ -30,8 +30,9 @@
       read.  worst = how far a count is off
       (0 for a sequence break); node = [-1] for a ring's count.
     - [skew-envelope]: the spread of [(group clock - simulated time)]
-      offsets across live (non-stale) nodes stays within a configured
-      bound (the §3 bounded-skew guarantee); worst = largest spread, µs.
+      offsets across nodes sampled in the last 5 ms stays within a
+      configured bound (the §3 bounded-skew guarantee); worst = largest
+      spread, µs.
     - [token-liveness]: once a first token has been sighted, tokens keep
       being sighted within [token_timeout_us] (the liveness the §12
       watchdogs restore); worst = silent gap, µs.  The alarm re-arms on
@@ -70,9 +71,6 @@ type verdict = {
 type config = {
   skew_bound_us : int;  (** <= 0 disables [skew-envelope] *)
   token_timeout_us : int;  (** <= 0 disables [token-liveness] *)
-  staleness_us : int;
-      (** nodes whose last sample is older than this are excluded from
-          the skew envelope *)
   rings : int array;
       (** the ring partition: node [n] is in ring [rings.(n)], nodes past
           the end in ring 0 ([[||]] = one ring).  CCS rounds are numbered
@@ -82,7 +80,7 @@ type config = {
 
 val default_config : config
 (** Skew check disabled (the bound is scenario-specific), 10 ms token
-    timeout, 5 ms staleness, one ring. *)
+    timeout, one ring. *)
 
 val properties : string list
 (** Every property name, in the order listed above. *)

@@ -96,7 +96,7 @@ val k_repl_checkpoint : int
 
 val k_bridge_open : int
 val k_bridge_close : int
-(** A star-mode bridge round opened / closed by its coordinator
+(** A bridge round opened / closed by its coordinator
     ([round], [offers]). *)
 
 val k_read : int

@@ -21,7 +21,6 @@ type t = {
   bridge : Hier.Bridge_msg.t Netsim.Network.t;
   replicas : replica array;
   group : Gcs.Group_id.t;
-  reader_period : Span.t;
   mutable readers_stopped : bool;
   (* Event-driven formation tracking.  The old barriers re-evaluated an
      O(shards x shard_size^2) membership predicate after EVERY engine
@@ -46,16 +45,17 @@ let mark_dirty t s =
     t.form_any_dirty <- true
   end
 
-let create ?(seed = 1L) ?shard_latency ?bridge_latency ?(bridge_loss = 0.)
-    ?totem_config ?clock_config ?gateway_config
-    ?(reader_period = Span.of_ms 2) ?obs ~shards ~shard_size () =
+(* The CCS round issue period of every reader fiber; it must comfortably
+   exceed a shard's token rotation time. *)
+let reader_period = Span.of_ms 2
+
+let create ?(seed = 1L) ?bridge_latency ?clock_config ?obs ~shards
+    ~shard_size () =
   let topo = Hier.Topology.create ~shards ~shard_size in
   let eng = Dsim.Engine.create ~seed () in
   (match obs with Some s -> Dsim.Engine.set_obs eng s | None -> ());
   let shard_latency =
-    match shard_latency with
-    | Some l -> l
-    | None -> Netsim.Latency.calibrated ~wire:Netsim.Latency.default_wire
+    Netsim.Latency.calibrated ~wire:Netsim.Latency.default_wire
   in
   let bridge_latency =
     match bridge_latency with
@@ -64,7 +64,7 @@ let create ?(seed = 1L) ?shard_latency ?bridge_latency ?(bridge_loss = 0.)
   in
   let bridge =
     Netsim.Network.create eng
-      { Netsim.Network.latency = bridge_latency; loss = bridge_loss }
+      { Netsim.Network.latency = bridge_latency; loss = 0. }
   in
   let shard_nets =
     Array.init shards (fun _ ->
@@ -81,14 +81,13 @@ let create ?(seed = 1L) ?shard_latency ?bridge_latency ?(bridge_loss = 0.)
     let id = Nid.of_int i in
     let shard = Hier.Topology.shard_of topo id in
     let endpoint =
-      Gcs.Endpoint.create eng shard_nets.(shard) ~me:id ?totem_config
-        ~bootstrap:true ()
+      Gcs.Endpoint.create eng shard_nets.(shard) ~me:id ~bootstrap:true ()
     in
     let clock = Clock.Hwclock.create eng (clock_config i) in
     let service = Cts.Service.create eng ~endpoint ~group ~clock () in
     let gateway =
       Hier.Gateway.create eng bridge ~topology:topo ~shard ~me:id ~service
-        ~clock ?config:gateway_config ()
+        ~clock
     in
     let r =
       {
@@ -114,7 +113,6 @@ let create ?(seed = 1L) ?shard_latency ?bridge_latency ?(bridge_loss = 0.)
       bridge;
       replicas = Array.init (Hier.Topology.replicas topo) make;
       group;
-      reader_period;
       readers_stopped = false;
       form_dirty = Array.make shards true;
       form_cache = Array.make shards false;
@@ -259,8 +257,8 @@ let start_readers t =
               if r.boost then r.boost <- false
               else begin
                 let now = Dsim.Engine.now t.eng in
-                let next = Time.truncate_to t.reader_period now in
-                let next = Time.add next t.reader_period in
+                let next = Time.truncate_to reader_period now in
+                let next = Time.add next reader_period in
                 Dsim.Fiber.sleep t.eng (Time.diff next now)
               end;
               if not (t.readers_stopped || r.crashed) then begin

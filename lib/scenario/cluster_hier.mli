@@ -30,7 +30,6 @@ type t = {
   bridge : Hier.Bridge_msg.t Netsim.Network.t;
   replicas : replica array;  (** indexed by global node id *)
   group : Gcs.Group_id.t;
-  reader_period : Dsim.Time.Span.t;
   mutable readers_stopped : bool;
   form_dirty : bool array;
       (** per shard: a membership event fired since the formation
@@ -42,23 +41,18 @@ type t = {
 
 val create :
   ?seed:int64 ->
-  ?shard_latency:Netsim.Latency.t ->
   ?bridge_latency:Netsim.Latency.t ->
-  ?bridge_loss:float ->
-  ?totem_config:Totem.Config.t ->
   ?clock_config:(int -> Clock.Hwclock.config) ->
-  ?gateway_config:Hier.Gateway.config ->
-  ?reader_period:Dsim.Time.Span.t ->
   ?obs:Obs.Sink.t ->
   shards:int ->
   shard_size:int ->
   unit ->
   t
 (** [clock_config i] configures global node [i]'s physical clock (use
-    [Hier.Topology.shard_of] to skew whole shards).  [reader_period]
-    (default 2 ms) is the CCS round issue period; it must comfortably
-    exceed the shard's token rotation time.  Endpoints are created but
-    not started. *)
+    [Hier.Topology.shard_of] to skew whole shards).  [bridge_latency]
+    (default: the WAN model) is the bridge network's latency; each shard
+    runs on a calibrated LAN.  Readers open a CCS round every 2 ms.
+    Endpoints are created but not started. *)
 
 val start_all : t -> unit
 (** Start every endpoint and run the simulation until each shard's ring

@@ -127,9 +127,18 @@ type skew_run = {
   cluster : Cluster.t;
 }
 
+type compensation =
+  [ `No_compensation | `Mean_delay of int | `Anchored of float * int ]
+
+let drift_strategies = [ `No_compensation; `Mean_delay 50; `Anchored (0.1, 50) ]
+
+let compensation_name = function
+  | `No_compensation -> "no compensation"
+  | `Mean_delay us -> Printf.sprintf "mean-delay (+%d us)" us
+  | `Anchored (gain, _) -> Printf.sprintf "anchored (gain %g)" gain
+
 let skew ?seed ?(rounds = 100) ?(replicas = 3)
-    ?(delays_us = [ 100; 200; 300 ]) ?(compensation = `No_compensation)
-    ?clock_drift_ppm ?obs () =
+    ?(compensation : compensation = `No_compensation) ?obs () =
   let acc = Array.make replicas [] in
   let recorder node =
     (* node 1 -> replica index 0 *)
@@ -139,13 +148,6 @@ let skew ?seed ?(rounds = 100) ?(replicas = 3)
         (fun ~round ~real ~pc ~gc ~offset ->
           acc.(idx) <- { round; real; pc; gc; offset } :: acc.(idx));
     }
-  in
-  let clock_config =
-    match clock_drift_ppm with
-    | None -> None
-    | Some f ->
-        Some
-          (fun i -> { Clock.Hwclock.default_config with drift_ppm = f i })
   in
   let drift cluster =
     match compensation with
@@ -160,11 +162,8 @@ let skew ?seed ?(rounds = 100) ?(replicas = 3)
             gain;
           }
   in
-  let rig = setup ?seed ~replicas ~drift ?clock_config ~recorder ?obs () in
-  let arg =
-    Printf.sprintf "%d:%s" rounds
-      (String.concat "," (List.map string_of_int delays_us))
-  in
+  let rig = setup ?seed ~replicas ~drift ~recorder ?obs () in
+  let arg = Printf.sprintf "%d:100,200,300" rounds in
   run_client rig (fun client ->
       ignore (Rpc.Client.invoke client ~op:"seq" ~arg : string));
   (* The client returns once a quorum replies, so the laggard replica's

@@ -40,25 +40,32 @@ type skew_run = {
   cluster : Cluster.t;  (** the finished world, for post-run inspection *)
 }
 
+type compensation =
+  [ `No_compensation
+  | `Mean_delay of int  (** microseconds added to the offset per round *)
+  | `Anchored of float * int  (** gain, external-source max skew in µs *) ]
+
 val skew :
   ?seed:int64 ->
   ?rounds:int ->
   ?replicas:int ->
-  ?delays_us:int list ->
-  ?compensation:
-    [ `No_compensation
-    | `Mean_delay of int  (** microseconds added to the offset per round *)
-    | `Anchored of float * int  (** gain, external-source max skew in µs *) ] ->
-  ?clock_drift_ppm:(int -> float) ->
+  ?compensation:compensation ->
   ?obs:Obs.Sink.t ->
   unit ->
   skew_run
 (** The §4.2 experiment (2): one client invocation triggers [rounds]
     clock-related operations at each replica, separated by random delays
-    drawn from [delays_us] (default [{100; 200; 300}] µs, the testbed's
-    30k/60k/90k iteration loops).  [clock_drift_ppm i] sets node [i]'s
-    crystal drift (default 0).  Figures 6(a)-(c) and the drift ablation are
-    all projections of the returned samples. *)
+    drawn from [{100; 200; 300}] µs (the testbed's 30k/60k/90k iteration
+    loops).  Figures 6(a)-(c) and the drift ablation are all projections
+    of the returned samples. *)
+
+val drift_strategies : compensation list
+(** A1's strategies, in table order: no compensation, mean-delay +50 µs,
+    anchored with gain 0.1 (external source within 50 µs). *)
+
+val compensation_name : compensation -> string
+(** The strategy's row label in the drift table, e.g.
+    ["mean-delay (+50 us)"]. *)
 
 val drift_slope : skew_run -> float
 (** Drift rate of the group clock against real time in µs per second
