@@ -1,8 +1,8 @@
 (* ctsim — command-line driver for the consistent-time-service simulator.
 
-   Each subcommand runs one of the paper's experiments with adjustable
-   parameters and prints the same series the paper reports.  See DESIGN.md
-   for the experiment index. *)
+   [experiments] prints every section of DESIGN.md's experiment index at
+   the paper's sizes; the other subcommands run the simulator with the
+   observability stack attached, or read what such a run wrote. *)
 
 module E = Scenario.Experiments
 module R = Scenario.Report
@@ -17,9 +17,18 @@ let seed =
 
 let seed64 s = Int64.of_int s
 
+(* An option out of range ends the command before anything runs: one
+   line on stderr and exit status 2. *)
+let usage_error fmt =
+  Format.kasprintf (fun msg -> prerr_endline ("ctsim: " ^ msg); exit 2) fmt
+
 let replicas =
   let doc = "Number of server replicas." in
   Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"N" ~doc)
+
+let rounds_arg default =
+  let doc = "Clock-related operations per replica." in
+  Arg.(value & opt int default & info [ "rounds" ] ~docv:"N" ~doc)
 
 (* Observability flags shared by run / hier / explore, so the three
    subcommands accept the same set (documented per command). *)
@@ -100,160 +109,9 @@ let flush_flight ~prefix recorder check =
 
 (* ------------------------------------------------------------------ *)
 
-let fig4_cmd =
-  let run () = R.fig4 ppf (E.fig4 ()) in
-  Cmd.v
-    (Cmd.info "fig4"
-       ~doc:"Re-enact the worked example of the paper's Figure 4 (section 3.4)")
-    Term.(const run $ const ())
-
-let fig5_cmd =
-  let invocations =
-    let doc = "Remote method invocations per run." in
-    Arg.(value & opt int 10_000 & info [ "invocations"; "n" ] ~docv:"N" ~doc)
-  in
-  let run seed replicas invocations =
-    let with_cts =
-      E.latency ~seed:(seed64 seed) ~invocations ~replicas ~use_cts:true ()
-    in
-    let without_cts =
-      E.latency ~seed:(seed64 seed) ~invocations ~replicas ~use_cts:false ()
-    in
-    R.latency_pair ppf ~with_cts ~without_cts
-  in
-  Cmd.v
-    (Cmd.info "fig5"
-       ~doc:
-         "Probability density of the end-to-end latency with and without \
-          the consistent time service (Figure 5)")
-    Term.(const run $ seed $ replicas $ invocations)
-
-let rounds_arg default =
-  let doc = "Clock-related operations per replica." in
-  Arg.(value & opt int default & info [ "rounds" ] ~docv:"N" ~doc)
-
-let show_arg =
-  let doc = "Rounds to print in the per-round tables." in
-  Arg.(value & opt int 20 & info [ "show" ] ~docv:"N" ~doc)
-
-let fig6_cmd =
-  let run seed replicas rounds show =
-    let r = E.skew ~seed:(seed64 seed) ~rounds ~replicas () in
-    R.fig6a ppf r ~rounds:show;
-    Format.fprintf ppf "@.";
-    R.fig6b ppf r ~rounds:show;
-    Format.fprintf ppf "@.";
-    R.fig6c ppf r ~rounds:show
-  in
-  Cmd.v
-    (Cmd.info "fig6"
-       ~doc:
-         "Skew and drift of the group clock: intervals, offset evolution, \
-          normalized clocks (Figure 6)")
-    Term.(const run $ seed $ replicas $ rounds_arg 10_000 $ show_arg)
-
-let msgcounts_cmd =
-  let run seed replicas rounds =
-    R.msg_counts ppf (E.skew ~seed:(seed64 seed) ~rounds ~replicas ())
-  in
-  Cmd.v
-    (Cmd.info "msgcounts"
-       ~doc:
-         "CCS messages sent per node under duplicate suppression (section \
-          4.3)")
-    Term.(const run $ seed $ replicas $ rounds_arg 10_000)
-
-let drift_cmd =
-  let gain =
-    let doc = "Gain of the anchored compensation strategy." in
-    Arg.(value & opt float 0.1 & info [ "gain" ] ~docv:"G" ~doc)
-  in
-  let mean_delay =
-    let doc = "Mean-delay compensation in microseconds." in
-    Arg.(value & opt int 50 & info [ "mean-delay" ] ~docv:"US" ~doc)
-  in
-  let run seed rounds gain mean_delay =
-    R.drift_table ppf
-      (List.map
-         (fun c ->
-           let c =
-             match c with
-             | `No_compensation -> c
-             | `Mean_delay _ -> `Mean_delay mean_delay
-             | `Anchored (_, max_skew_us) -> `Anchored (gain, max_skew_us)
-           in
-           ( E.compensation_name c,
-             E.skew ~seed:(seed64 seed) ~rounds ~compensation:c () ))
-         E.drift_strategies)
-  in
-  Cmd.v
-    (Cmd.info "drift"
-       ~doc:"Drift-compensation strategies ablation (section 3.3)")
-    Term.(const run $ seed $ rounds_arg 2_000 $ gain $ mean_delay)
-
-let rollback_cmd =
-  let skew_ms =
-    let doc = "Physical-clock skew per backup in milliseconds (behind)." in
-    Arg.(value & opt int 300 & info [ "skew-ms" ] ~docv:"MS" ~doc)
-  in
-  let run seed replicas skew_ms =
-    let offs i = -1000 * skew_ms * (i - 1) in
-    let go offset_tracking =
-      E.rollback ~seed:(seed64 seed) ~replicas
-        ~style:Repl.Replica.Semi_active ~offset_tracking
-        ~clock_offset_us:offs ()
-    in
-    R.rollback_pair ppf ~baseline:(go false) ~cts:(go true)
-  in
-  Cmd.v
-    (Cmd.info "rollback"
-       ~doc:
-         "Clock roll-back on primary failover: prior-work baseline vs the \
-          consistent time service (section 1)")
-    Term.(const run $ seed $ replicas $ skew_ms)
-
-let token_cmd =
-  let rotations =
-    let doc = "Token rotations to sample." in
-    Arg.(value & opt int 10_000 & info [ "rotations" ] ~docv:"N" ~doc)
-  in
-  let nodes =
-    let doc = "Ring size." in
-    Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N" ~doc)
-  in
-  let run seed rotations nodes =
-    R.token ppf (E.token_calibration ~seed:(seed64 seed) ~rotations ~nodes ())
-  in
-  Cmd.v
-    (Cmd.info "token"
-       ~doc:"Token-passing-time calibration of the simulated testbed")
-    Term.(const run $ seed $ rotations $ nodes)
-
-let recovery_cmd =
-  let readings =
-    let doc = "Client readings across the join." in
-    Arg.(value & opt int 40 & info [ "readings" ] ~docv:"N" ~doc)
-  in
-  let run seed readings =
-    R.recovery ppf (E.recovery ~seed:(seed64 seed) ~readings ())
-  in
-  Cmd.v
-    (Cmd.info "recovery"
-       ~doc:"Add a replica to a running group (state transfer, section 3.2)")
-    Term.(const run $ seed $ readings)
-
-let causal_cmd =
-  let run seed = R.causal ppf (E.causal ~seed:(seed64 seed) ()) in
-  Cmd.v
-    (Cmd.info "causal"
-       ~doc:
-         "Causal group-clock timestamps across two replicated groups \
-          (section 5's proposed extension)")
-    Term.(const run $ seed)
-
-(* The paper's evaluation end to end at its full sizes: the same calls
-   as the per-figure subcommands, in the order of DESIGN.md's experiment
-   index, each under a "==== <id>: <title> ====" heading. *)
+(* The paper's evaluation end to end at its full sizes, in the order of
+   DESIGN.md's experiment index, each under a "==== <id>: <title> ===="
+   heading. *)
 let experiments_cmd =
   let section name = Format.fprintf ppf "@.==== %s ====@.@." name in
   let run () =
@@ -273,11 +131,11 @@ let experiments_cmd =
     let rounds = 10_000 in
     Format.fprintf ppf "(%d clock-related operations per replica)@.@." rounds;
     let run = E.skew ~rounds () in
-    R.fig6a ppf run ~rounds:20;
+    R.fig6a ppf run;
     Format.fprintf ppf "@.";
-    R.fig6b ppf run ~rounds:20;
+    R.fig6b ppf run;
     Format.fprintf ppf "@.";
-    R.fig6c ppf run ~rounds:20;
+    R.fig6c ppf run;
     Format.fprintf ppf "@.";
     R.msg_counts ppf run;
     section "A1: drift-compensation ablation (paper section 3.3)";
@@ -288,10 +146,7 @@ let experiments_cmd =
          E.drift_strategies);
     section "A2: clock roll-back on failover (paper section 1)";
     let rollback offset_tracking =
-      E.rollback ~readings_per_phase:30 ~style:Repl.Replica.Semi_active
-        ~offset_tracking
-        ~clock_offset_us:(fun i -> -300_000 * (i - 1))
-        ()
+      E.rollback ~style:Repl.Replica.Semi_active ~offset_tracking ()
     in
     R.rollback_pair ppf ~baseline:(rollback false) ~cts:(rollback true);
     section "A4: overhead vs replication degree";
@@ -358,6 +213,9 @@ let run_cmd =
   in
   let run seed replicas rounds trace_file metrics_file steps capacity attrib
       dump =
+    if replicas < 1 then usage_error "--replicas must be >= 1";
+    if rounds < 1 then usage_error "--rounds must be >= 1";
+    if capacity < 1 then usage_error "--trace-capacity must be >= 1";
     let recorder = Obs.Recorder.create ~capacity () in
     let check = Obs.Check.create () in
     let sink = Obs.Sink.create () in
@@ -510,18 +368,11 @@ let explore_cmd =
       | Some (Mc.Strategy.Random _) ->
           Mc.Strategy.Random { delay_prob; reorder_prob }
       | Some (Mc.Strategy.Bounded _) -> Mc.Strategy.Bounded { depth }
-      | None ->
-          Format.eprintf "ctsim: unknown strategy %S@." strategy;
-          exit 2
+      | None -> usage_error "unknown strategy %S" strategy
     in
-    if replicas < 2 then begin
-      Format.eprintf "ctsim: explore needs at least 2 replicas@.";
-      exit 2
-    end;
-    if jobs < 1 then begin
-      Format.eprintf "ctsim: --jobs must be >= 1@.";
-      exit 2
-    end;
+    if replicas < 2 then usage_error "explore needs at least 2 replicas";
+    if rounds < 1 then usage_error "--rounds must be >= 1";
+    if jobs < 1 then usage_error "--jobs must be >= 1";
     (* Oversubscribing domains never helps: workers are CPU-bound, and
        extra domains only add GC synchronization.  Results are identical
        at any job count, so capping is safe. *)
@@ -616,6 +467,12 @@ let hier_cmd =
   let module Span = Dsim.Time.Span in
   let run seed shards shard_size duration_ms crash_shard trace_file
       metrics_file attrib dump =
+    if shards < 1 then usage_error "--shards must be >= 1";
+    if shard_size < 1 then usage_error "--shard-size must be >= 1";
+    (match crash_shard with
+    | Some s when s < 0 || s >= shards ->
+        usage_error "--crash-shard must be a shard, 0 to %d" (shards - 1)
+    | _ -> ());
     let topo = Hier.Topology.create ~shards ~shard_size in
     let clock_config i =
       {
@@ -809,15 +666,6 @@ let main =
          "Deterministic simulator for the consistent time service of Zhao, \
           Moser and Melliar-Smith (DSN 2003)")
     [
-      fig4_cmd;
-      fig5_cmd;
-      fig6_cmd;
-      msgcounts_cmd;
-      drift_cmd;
-      rollback_cmd;
-      token_cmd;
-      recovery_cmd;
-      causal_cmd;
       experiments_cmd;
       hier_cmd;
       explore_cmd;

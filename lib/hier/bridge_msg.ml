@@ -26,12 +26,3 @@ let sender_shard = function
 
 let round = function
   | Poll { round; _ } | Offer { round; _ } | Agree { round; _ } -> round
-
-let pp ppf = function
-  | Poll { round; coord_shard } ->
-      Format.fprintf ppf "poll(r%d from s%d)" round coord_shard
-  | Offer { round; shard; time } ->
-      Format.fprintf ppf "offer(r%d s%d %a)" round shard Dsim.Time.pp time
-  | Agree { round; coord_shard; time } ->
-      Format.fprintf ppf "agree(r%d from s%d %a)" round coord_shard
-        Dsim.Time.pp time

@@ -59,10 +59,6 @@ val elected : t -> Netsim.Node_id.t option
 (** This replica's view of who its shard's gateway is. *)
 
 val global : t -> Global_clock.t
-val estimate : t -> Dsim.Time.t
-(** This replica's current group-clock estimate (physical clock +
-    CCS offset). *)
-
 val stats : t -> stats
 
 val set_on_correction : t -> (unit -> unit) -> unit

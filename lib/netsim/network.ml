@@ -60,9 +60,6 @@ and 'a t = {
          partition; ids beyond the array (or with mask 0) are in no group
          and therefore isolated.  Rebuilt wholesale by [partition], read
          with one [land] per packet *)
-  mutable group_sets : Node_id.Set.t list;
-      (* overflow representation when a partition has more groups than
-         mask bits — the legacy set-scan path; empty otherwise *)
   mutable sent : int array; (* per-node sent counter, by [id - base] *)
   mutable delivered : int array;
   mutable last_delivery : int array array;
@@ -86,7 +83,6 @@ let create eng cfg =
     members = [||];
     n_members = 0;
     group_mask = [||];
-    group_sets = [];
     sent = [||];
     delivered = [||];
     last_delivery = [||];
@@ -224,19 +220,12 @@ let bump_delivered t id =
   Array.unsafe_set t.delivered i (Array.unsafe_get t.delivered i + 1)
 
 let reachable t ~src ~dst =
-  match t.group_sets with
-  | _ :: _ as groups ->
-      List.exists
-        (fun g -> Node_id.Set.mem src g && Node_id.Set.mem dst g)
-        groups
-  | [] ->
-      let m = t.group_mask in
-      let len = Array.length m in
-      len = 0
-      ||
-      let i = Node_id.to_int src and j = Node_id.to_int dst in
-      i < len && j < len
-      && Array.unsafe_get m i land Array.unsafe_get m j <> 0
+  let m = t.group_mask in
+  let len = Array.length m in
+  len = 0
+  ||
+  let i = Node_id.to_int src and j = Node_id.to_int dst in
+  i < len && j < len && Array.unsafe_get m i land Array.unsafe_get m j <> 0
 
 (* The FIFO row for [src], sized to the port table; cells hold the last
    delivery instant in ns, [-1] when the path is untouched.  [src] is
@@ -456,15 +445,12 @@ let mask_bits = Sys.int_size - 2
 
 let partition t groups =
   let ng = List.length groups in
-  if ng = 0 then begin
+  if ng > mask_bits then
+    invalid_arg
+      (Printf.sprintf "Network.partition: %d groups, at most %d" ng mask_bits);
+  if ng = 0 then
     (* historical behaviour: an empty partition heals *)
-    t.group_mask <- [||];
-    t.group_sets <- []
-  end
-  else if ng > mask_bits then begin
-    t.group_mask <- [||];
-    t.group_sets <- List.map Node_id.Set.of_list groups
-  end
+    t.group_mask <- [||]
   else begin
     let top =
       List.fold_left
@@ -479,13 +465,10 @@ let partition t groups =
         let bit = 1 lsl g in
         List.iter (fun id -> m.(Node_id.to_int id) <- m.(Node_id.to_int id) lor bit) ids)
       groups;
-    t.group_mask <- m;
-    t.group_sets <- []
+    t.group_mask <- m
   end
 
-let heal t =
-  t.group_mask <- [||];
-  t.group_sets <- []
+let heal t = t.group_mask <- [||]
 
 let stats t ~sent id =
   let a = if sent then t.sent else t.delivered in

@@ -87,7 +87,10 @@ val set_loss : 'a t -> float -> unit
 val partition : 'a t -> Node_id.t list list -> unit
 (** [partition net groups] splits the network: a packet is delivered only if
     its source and destination are in the same group.  Nodes absent from
-    every group are isolated.  Replaces any previous partition. *)
+    every group are isolated.  Replaces any previous partition; an empty
+    list heals.  Each group is one bit of a per-node mask, so at most
+    [Sys.int_size - 2] groups (61 on a 64-bit host) are allowed: raises
+    [Invalid_argument] beyond that. *)
 
 val heal : 'a t -> unit
 (** Remove the partition. *)

@@ -239,20 +239,16 @@ type rollback_run = {
   client_max_jump : Span.t;
 }
 
-let rollback ?seed ?(replicas = 3) ?(readings_per_phase = 30)
-    ?clock_offset_us ~style ~offset_tracking () =
-  let clock_offset_us =
-    match clock_offset_us with
-    | Some f -> f
-    | None -> fun i -> -300 * (i - 1) (* node i is (i-1)*300 us behind *)
-  in
+let rollback ?(readings_per_phase = 30) ~style ~offset_tracking () =
+  let replicas = 3 in
+  (* node i's physical clock is (i-1)*300 ms behind node 1's *)
   let clock_config i =
     {
       Clock.Hwclock.default_config with
-      offset = Span.of_us (clock_offset_us i);
+      offset = Span.of_ms (-300 * (i - 1));
     }
   in
-  let rig = setup ?seed ~replicas ~style ~offset_tracking ~clock_config () in
+  let rig = setup ~replicas ~style ~offset_tracking ~clock_config () in
   let readings = ref 0 in
   let rollbacks = ref 0 in
   let max_rollback = ref Span.zero in
@@ -310,8 +306,9 @@ type token_run = {
   rotations : int;
 }
 
-let token_calibration ?(seed = 1L) ?(rotations = 10_000) ?(nodes = 4) () =
-  let cluster = Cluster.create ~seed ~nodes () in
+let token_calibration ?(rotations = 10_000) () =
+  let nodes = 4 in
+  let cluster = Cluster.create ~seed:1L ~nodes () in
   Cluster.start_all cluster;
   Cluster.run_until cluster (fun () ->
       Cluster.ring_stable cluster ~on_nodes:(List.init nodes Fun.id));
@@ -435,14 +432,14 @@ type causal_run = {
   monotone_after : bool;
 }
 
-let causal ?(seed = 1L) () =
+let causal () =
   let group_a = Gcs.Group_id.of_int 10 and group_b = Gcs.Group_id.of_int 11 in
   let clock_config i =
     if i = 1 || i = 2 then
       { Clock.Hwclock.default_config with offset = Span.of_ms 500 }
     else Clock.Hwclock.default_config
   in
-  let cluster = Cluster.create ~seed ~clock_config ~nodes:5 () in
+  let cluster = Cluster.create ~seed:1L ~clock_config ~nodes:5 () in
   Cluster.start_all cluster;
   Cluster.run_until cluster (fun () ->
       Cluster.ring_stable cluster ~on_nodes:[ 0; 1; 2; 3; 4 ]);

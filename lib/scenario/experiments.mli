@@ -110,21 +110,17 @@ type rollback_run = {
 }
 
 val rollback :
-  ?seed:int64 ->
-  ?replicas:int ->
   ?readings_per_phase:int ->
-  ?clock_offset_us:(int -> int) ->
   style:Repl.Replica.style ->
   offset_tracking:bool ->
   unit ->
   rollback_run
-(** Repeatedly read the clock through a replicated time server, crashing
-    the current primary between phases ([replicas - 1] failovers).
-    [clock_offset_us i] skews node [i]'s physical clock (default: node i is
-    i×300 µs behind node 1).  With [offset_tracking = false] this is the
-    prior-work primary/backup clock service ([9],[3]), which exhibits
-    roll-back; with the consistent time service the readings never go
-    back. *)
+(** Repeatedly read the clock through a 3-way replicated time server,
+    crashing the current primary between phases (2 failovers).  Node [i]'s
+    physical clock is (i−1)×300 ms behind node 1's.  With
+    [offset_tracking = false] this is the prior-work primary/backup clock
+    service ([9],[3]), which exhibits roll-back; with the consistent time
+    service the readings never go back. *)
 
 (** {1 M1 — token-rotation calibration} *)
 
@@ -134,10 +130,9 @@ type token_run = {
   rotations : int;
 }
 
-val token_calibration :
-  ?seed:int64 -> ?rotations:int -> ?nodes:int -> unit -> token_run
-(** Measure token inter-arrival at one node of an idle ring; the per-hop
-    time is the rotation time divided by the ring size (the paper's
+val token_calibration : ?rotations:int -> unit -> token_run
+(** Measure token inter-arrival at one node of an idle 4-node ring; the
+    per-hop time is the rotation time divided by the ring size (the paper's
     reference [20] reports a peak density at ≈ 51 µs). *)
 
 (** {1 E1 — Figure 4 worked example} *)
@@ -169,7 +164,7 @@ type causal_run = {
   monotone_after : bool;  (** B's clock keeps advancing from the floor *)
 }
 
-val causal : ?seed:int64 -> unit -> causal_run
+val causal : unit -> causal_run
 (** Two replicated time-server groups whose clocks are half a second
     apart; a client reads A, carries the timestamp, then reads B. *)
 

@@ -47,16 +47,20 @@ let latency_pair ppf ~(with_cts : E.latency_run)
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let fig6a ppf (run : E.skew_run) ~rounds =
+let fig6_rounds = 20
+
+let fig6a ppf (run : E.skew_run) =
   Format.fprintf ppf
     "Figure 6(a) (interval between clock operations, first %d rounds, us):@."
-    rounds;
+    fig6_rounds;
   Format.fprintf ppf "%-6s %-12s %-12s %-12s %-12s@." "round" "group"
     "local r1" "local r2" "local r3";
   let per_replica =
-    Array.map (fun samples -> Array.of_list (take rounds samples)) run.samples
+    Array.map
+      (fun samples -> Array.of_list (take fig6_rounds samples))
+      run.samples
   in
-  for r = 1 to rounds - 1 do
+  for r = 1 to fig6_rounds - 1 do
     let gc_int =
       us_of_span
         (Time.diff per_replica.(0).(r).E.gc per_replica.(0).(r - 1).E.gc)
@@ -84,7 +88,7 @@ let first_round_winner (run : E.skew_run) =
   Array.iteri (fun i _ -> if score i < score !best then best := i) run.samples;
   !best
 
-let fig6b ppf (run : E.skew_run) ~rounds =
+let fig6b ppf (run : E.skew_run) =
   let w = first_round_winner run in
   Format.fprintf ppf
     "Figure 6(b) (clock offset at the first-round winner, replica %d, us):@."
@@ -92,11 +96,11 @@ let fig6b ppf (run : E.skew_run) ~rounds =
   Format.fprintf ppf "%-6s %-12s@." "round" "offset";
   List.iteri
     (fun i (s : E.round_sample) ->
-      if i < rounds then
+      if i < fig6_rounds then
         Format.fprintf ppf "%-6d %+-12.0f@." s.E.round (us_of_span s.E.offset))
     run.samples.(w)
 
-let fig6c ppf (run : E.skew_run) ~rounds =
+let fig6c ppf (run : E.skew_run) =
   Format.fprintf ppf
     "Figure 6(c) (normalized clocks per round, us since round 1):@.";
   Format.fprintf ppf "%-6s %-12s %-12s %-12s %-12s@." "round" "group"
@@ -111,7 +115,7 @@ let fig6c ppf (run : E.skew_run) ~rounds =
     match run.samples.(0) with s :: _ -> s.E.gc | [] -> Time.epoch
   in
   let arr = Array.map Array.of_list run.samples in
-  for r = 0 to min (rounds - 1) (Array.length arr.(0) - 1) do
+  for r = 0 to min (fig6_rounds - 1) (Array.length arr.(0) - 1) do
     let gc = us_of_span (Time.diff arr.(0).(r).E.gc gc_base) in
     let local i =
       if r < Array.length arr.(i) then

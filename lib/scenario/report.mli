@@ -13,9 +13,9 @@ val latency_pair :
 (** Figure 5: the two latency probability-density columns side by side and
     the measured overhead. *)
 
-val fig6a : Format.formatter -> Experiments.skew_run -> rounds:int -> unit
+val fig6a : Format.formatter -> Experiments.skew_run -> unit
 (** Figure 6(a): interval between clock operations per replica (group clock
-    and local physical clocks), first [rounds] rounds. *)
+    and local physical clocks), first 20 rounds. *)
 
 val first_round_winner : Experiments.skew_run -> int
 (** Replica index (0-based) of the first round's winning synchronizer —
@@ -24,11 +24,13 @@ val first_round_winner : Experiments.skew_run -> int
     Exposed for the observability tests, which cross-check the winner's
     per-round adjustment against the obs [ccs-round] events. *)
 
-val fig6b : Format.formatter -> Experiments.skew_run -> rounds:int -> unit
-(** Figure 6(b): offset evolution at the winner of the first round. *)
+val fig6b : Format.formatter -> Experiments.skew_run -> unit
+(** Figure 6(b): offset evolution at the winner of the first round, first
+    20 rounds. *)
 
-val fig6c : Format.formatter -> Experiments.skew_run -> rounds:int -> unit
-(** Figure 6(c): normalized physical clocks and group clock per round. *)
+val fig6c : Format.formatter -> Experiments.skew_run -> unit
+(** Figure 6(c): normalized physical clocks and group clock per round,
+    first 20 rounds. *)
 
 val msg_counts : Format.formatter -> Experiments.skew_run -> unit
 (** §4.3's duplicate-suppression counts: CCS messages sent per node. *)

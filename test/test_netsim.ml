@@ -235,6 +235,31 @@ let test_partition_mask_after_churn () =
   Dsim.Engine.run eng;
   check int "heal restores cross traffic" 2 got.(1)
 
+let test_partition_group_limit () =
+  (* One mask bit per group: the widest partition (61 groups on a 64-bit
+     host) still isolates every node, and one group more is rejected. *)
+  let max_groups = Sys.int_size - 2 in
+  let eng = Dsim.Engine.create () in
+  let net = constant_net eng 10 in
+  let nodes = max_groups + 1 in
+  let got = Array.make nodes 0 in
+  for i = 0 to nodes - 1 do
+    Net.attach net (n i) (fun ~src:_ _ -> got.(i) <- got.(i) + 1)
+  done;
+  Net.partition net (List.init max_groups (fun i -> [ n i ]));
+  for i = 0 to nodes - 1 do
+    Net.broadcast net ~src:(n i) ();
+    Net.send net ~src:(n i) ~dst:(n i) ()
+  done;
+  Dsim.Engine.run eng;
+  check (Alcotest.list int) "each group hears only itself"
+    (List.init nodes (fun i -> if i < max_groups then 1 else 0))
+    (Array.to_list got);
+  check bool "one group more is rejected" true
+    (match Net.partition net (List.init nodes (fun i -> [ n i ])) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let test_send_tracked_outcomes () =
   (* [send_tracked] reports the loss outcome the simulator already knows
      at send time: queued on the clean path, false under loss or across a
@@ -578,6 +603,8 @@ let suites =
           test_attach_detach_attach_sorted;
         Alcotest.test_case "partition mask survives churn" `Quick
           test_partition_mask_after_churn;
+        Alcotest.test_case "partition group limit" `Quick
+          test_partition_group_limit;
         Alcotest.test_case "send_tracked outcomes" `Quick
           test_send_tracked_outcomes;
         Alcotest.test_case "send_tracked_after delay" `Quick

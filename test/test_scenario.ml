@@ -83,9 +83,7 @@ let test_anchored_compensation_removes_drift () =
 let test_rollback_baseline_vs_cts () =
   let go offset_tracking =
     E.rollback ~readings_per_phase:10 ~style:Repl.Replica.Semi_active
-      ~offset_tracking
-      ~clock_offset_us:(fun i -> -300_000 * (i - 1))
-      ()
+      ~offset_tracking ()
   in
   let baseline = go false and cts = go true in
   check bool "baseline rolls back" true (baseline.E.client_rollbacks > 0);
