@@ -31,11 +31,7 @@ let rounds_arg default =
   Arg.(value & opt int default & info [ "rounds" ] ~docv:"N" ~doc)
 
 (* Observability flags shared by run / hier / explore, so the three
-   subcommands accept the same set (documented per command). *)
-
-let metrics_file =
-  let doc = "Write the metrics-registry snapshot as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+   subcommands accept the same set. *)
 
 let attrib_flag =
   let doc =
@@ -46,63 +42,86 @@ let attrib_flag =
 
 let dump_on_exit =
   let doc =
-    "Flush the flight-recorder window at exit to $(docv).flight.txt \
-     (postmortem dump, read with $(b,ctsim postmortem)) and \
-     $(docv).flight.json (Chrome trace, check with $(b,ctsim \
-     trace-check)).  Without this flag the window is flushed only when \
-     the run's check raised a verdict.  The window is the run's \
-     record stream: the last --trace-capacity records for $(b,run), the \
-     last 1,000,000 for $(b,hier) with --trace or --metrics, else the \
-     last 65,536."
+    "Flush the run's record stream at exit to $(docv).flight.txt \
+     (postmortem dump, read with $(b,ctsim postmortem)), \
+     $(docv).flight.json (Chrome trace for Perfetto, check with \
+     $(b,ctsim trace-check)) and $(docv).metrics.json (metrics \
+     snapshot).  Without this flag the stream is flushed, with prefix \
+     $(b,incident), only when the run raised a verdict.  The stream is \
+     a ring holding the last 1,000,000 records with this flag, else the \
+     last 65,536; $(b,explore) flushes the minimal counterexample's \
+     window, and only on a violation."
   in
   Arg.(
     value & opt (some string) None & info [ "dump-on-exit" ] ~docv:"PREFIX" ~doc)
 
-(* Trace and metrics are read from a ring: say so when it overflowed,
-   since both then cover only the records it still holds. *)
-let warn_overwritten ?(hint = "") overwritten =
-  if overwritten > 0 then
-    Format.fprintf ppf
-      "warning: the first %d record(s) were overwritten; trace and metrics \
-       cover only the rest of the run%s@."
-      overwritten hint
-
-let write_metrics_opt metrics = function
-  | Some f ->
-      Out_channel.with_open_text f (fun oc ->
-          output_string oc (Obs.Metrics.to_json metrics);
-          output_char oc '\n');
-      Format.fprintf ppf "wrote %s@." f
-  | None -> ()
+(* The observers on a simulation's stream: the recorder, the [check] and,
+   with --attrib, wall-time attribution (bench/main.exe's `obs` gate bounds
+   their cost).  A flush asked for keeps the whole of most runs; a verdict
+   flush keeps the default window, since the 32x32 join storm ends in a
+   true verdict and a 1,000,000-record flush of it would double the run's
+   time. *)
+let observe ~dump ~attrib check =
+  let recorder =
+    Obs.Recorder.create
+      ~capacity:
+        (if dump = None then Obs.Recorder.default_capacity else 1_000_000)
+      ()
+  in
+  let attrib = if attrib then Some (Obs.Attrib.create ()) else None in
+  let sink = Obs.Sink.create () in
+  Obs.Sink.set_recorder sink (Some recorder);
+  Obs.Sink.set_check sink (Some check);
+  Obs.Sink.set_attrib sink attrib;
+  (sink, recorder, attrib)
 
 let print_attrib_opt = function
   | Some a -> Format.fprintf ppf "@.wall-time attribution:@.%a@." Obs.Attrib.pp a
   | None -> ()
 
-(* The always-on black box: every run of these subcommands carries a
-   recorder and a check (bench/main.exe's `obs` gate bounds the stream's
-   cost),
-   and the window hits disk when the operator asked for it or when the
-   check saw something wrong. *)
-let flush_flight ~prefix recorder check =
+let check_verdicts check =
   Obs.Check.finish check;
-  let verdicts = Obs.Check.verdicts check in
-  (match verdicts with
-  | [] -> Format.fprintf ppf "check: no verdicts@."
-  | vs ->
-      Format.fprintf ppf "check: %d verdict(s):@." (List.length vs);
-      List.iter (fun v -> Format.fprintf ppf "  %a@." Obs.Check.pp_verdict v) vs);
-  match (prefix, verdicts) with
+  let vs = Obs.Check.verdicts check in
+  if vs = [] then Format.fprintf ppf "check: no verdicts@."
+  else Format.fprintf ppf "check: %d verdict(s):@." (List.length vs);
+  List.iter (fun v -> Format.fprintf ppf "  %a@." Obs.Check.pp_verdict v) vs;
+  vs
+
+let metrics_of ?engine_events ?(gauges = []) recorder =
+  let m = Obs.Metrics.of_recorder ?engine_events recorder in
+  List.iter (fun (name, v) -> Obs.Metrics.gauge m name := v) gauges;
+  m
+
+(* The one writer of a run's record stream, on a verdict or when asked
+   for.  Every view of the run is read from the one ring, so say so when
+   it overflowed: each then covers only the records it still holds. *)
+let flush ~dump ~process_name ~metrics recorder verdicts =
+  let overwritten = Obs.Recorder.dropped recorder in
+  if overwritten > 0 then
+    Format.fprintf ppf
+      "warning: the first %d record(s) were overwritten; the window covers \
+       only the rest of the run%s@."
+      overwritten
+      (if dump = None then " (--dump-on-exit keeps the last 1,000,000)"
+       else "");
+  match (dump, verdicts) with
   | None, [] -> ()
   | _ ->
-      let prefix = Option.value prefix ~default:"incident" in
-      let txt = prefix ^ ".flight.txt" and json = prefix ^ ".flight.json" in
+      let prefix = Option.value dump ~default:"incident" in
+      let txt = prefix ^ ".flight.txt"
+      and json = prefix ^ ".flight.json"
+      and mjson = prefix ^ ".metrics.json" in
       Obs.Postmortem.dump_file recorder verdicts txt;
-      Obs.Trace.write_chrome_file (Obs.Recorder.to_trace recorder) json;
+      Obs.Trace.write_chrome_file ~process_name
+        (Obs.Recorder.to_trace recorder)
+        json;
+      Out_channel.with_open_text mjson (fun oc ->
+          output_string oc (Obs.Metrics.to_json metrics);
+          output_char oc '\n');
       Format.fprintf ppf
-        "wrote %s and %s: flight window, %d record(s) held of %d emitted \
-         (diagnose with `ctsim postmortem %s`)@."
-        txt json
+        "wrote %s, %s and %s: flight window, %d record(s) held of %d \
+         emitted (diagnose with `ctsim postmortem %s`)@."
+        txt json mjson
         (Obs.Recorder.length recorder)
         (Obs.Recorder.total recorder)
         txt
@@ -187,15 +206,6 @@ let experiments_cmd =
     Term.(const run $ const ())
 
 let run_cmd =
-  let trace_file =
-    let doc =
-      "Write the run's span trace to $(docv) in Chrome trace-event JSON \
-       (load it in Perfetto or chrome://tracing; ts is simulated \
-       microseconds, one process row per node, one thread row per \
-       subsystem)."
-    in
-    Arg.(value & opt string "trace.json" & info [ "trace"; "o" ] ~docv:"FILE" ~doc)
-  in
   let steps =
     let doc =
       "Record one step record per engine callback too (per-step engine \
@@ -203,51 +213,20 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "steps" ] ~doc)
   in
-  let capacity =
-    let doc =
-      "Capacity of the run's record stream.  The stream is a ring: an \
-       over-full run keeps the $(i,last) $(docv) records, so the trace \
-       starts mid-run and the metrics count that window only."
-    in
-    Arg.(value & opt int 1_000_000 & info [ "trace-capacity" ] ~docv:"N" ~doc)
-  in
-  let run seed replicas rounds trace_file metrics_file steps capacity attrib
-      dump =
+  let run seed replicas rounds steps attrib dump =
     if replicas < 1 then usage_error "--replicas must be >= 1";
     if rounds < 1 then usage_error "--rounds must be >= 1";
-    if capacity < 1 then usage_error "--trace-capacity must be >= 1";
-    let recorder = Obs.Recorder.create ~capacity () in
     let check = Obs.Check.create () in
-    let sink = Obs.Sink.create () in
-    Obs.Sink.set_recorder sink (Some recorder);
-    Obs.Sink.set_check sink (Some check);
+    let sink, recorder, attrib = observe ~dump ~attrib check in
     Obs.Sink.set_steps sink steps;
-    let attrib = if attrib then Some (Obs.Attrib.create ()) else None in
-    Obs.Sink.set_attrib sink attrib;
     let r = E.skew ~seed:(seed64 seed) ~rounds ~replicas ~obs:sink () in
-    (* Node 0 hosts the client; experiment replica [k] is node [k+1]. *)
-    let process_name pid =
-      if pid = 0 then "client (node 0)"
-      else Printf.sprintf "replica %d (node %d)" (pid - 1) pid
-    in
-    let trace = Obs.Recorder.to_trace recorder in
-    Obs.Trace.write_chrome_file ~process_name trace trace_file;
-    let subs =
-      String.concat ", "
-        (List.map Obs.Subsystem.name (Obs.Trace.subsystems trace))
-    in
-    Format.fprintf ppf "wrote %s: %d event(s) across %d subsystem(s): %s@."
-      trace_file (Obs.Trace.length trace)
-      (List.length (Obs.Trace.subsystems trace))
-      subs;
-    warn_overwritten ~hint:" (raise --trace-capacity)"
-      (Obs.Recorder.dropped recorder);
     let eng = r.E.cluster.Scenario.Cluster.eng in
     let hwm = Dsim.Engine.queue_high_water eng in
     let metrics =
-      Obs.Metrics.of_recorder ~engine_events:(Dsim.Engine.steps eng) recorder
+      metrics_of ~engine_events:(Dsim.Engine.steps eng)
+        ~gauges:[ ("event_queue_hwm", float_of_int hwm) ]
+        recorder
     in
-    Obs.Metrics.gauge metrics "event_queue_hwm" := float_of_int hwm;
     let c k = Obs.Metrics.get metrics k in
     Format.fprintf ppf
       "ccs: %d round(s), %d win(s), %d suppressed, %d discard(s)@."
@@ -259,20 +238,23 @@ let run_cmd =
       (c Obs.Metrics.Net_delivered)
       (c Obs.Metrics.Net_dropped);
     Format.fprintf ppf "engine: event-queue high water %d@." hwm;
-    write_metrics_opt metrics metrics_file;
     print_attrib_opt attrib;
-    flush_flight ~prefix:dump recorder check
+    (* Node 0 hosts the client; experiment replica [k] is node [k+1]. *)
+    let process_name pid =
+      if pid = 0 then "client (node 0)"
+      else Printf.sprintf "replica %d (node %d)" (pid - 1) pid
+    in
+    flush ~dump ~process_name ~metrics recorder (check_verdicts check)
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Run the clock-sequence experiment with a recorder on the record \
-          stream and dump a Perfetto-loadable trace plus a metrics \
-          snapshot, both read from that stream; the check rides \
-          along (see --dump-on-exit)")
+         "Run the clock-sequence experiment with a recorder and a check on \
+          the record stream, and print counts read from it (see \
+          --dump-on-exit for the trace, metrics and postmortem files)")
     Term.(
-      const run $ seed $ replicas $ rounds_arg 200 $ trace_file
-      $ metrics_file $ steps $ capacity $ attrib_flag $ dump_on_exit)
+      const run $ seed $ replicas $ rounds_arg 200 $ steps $ attrib_flag
+      $ dump_on_exit)
 
 let trace_check_cmd =
   let file =
@@ -337,32 +319,8 @@ let explore_cmd =
     in
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
-  let trace_out =
-    let doc =
-      "On a violation, replay the shrunk counterexample with a recorder \
-       on its record stream and write the stream as a Chrome trace to \
-       $(docv) (next to the packet log)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_out =
-    let doc =
-      "On a violation, write the metrics snapshot of the shrunk \
-       counterexample's replay as JSON to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let flight_out =
-    let doc =
-      "On a violation, write the counterexample's attached flight-recorder \
-       window (its black box) to $(docv), in the format $(b,ctsim \
-       postmortem) reads."
-    in
-    Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
-  in
   let run seed replicas strategy budget depth rounds crash quantum_us
-      delay_prob reorder_prob keep_going jobs trace_out metrics_out flight_out
-      attrib =
+      delay_prob reorder_prob keep_going jobs attrib dump =
     let strategy =
       match Mc.Strategy.of_string strategy with
       | Some (Mc.Strategy.Random _) ->
@@ -372,6 +330,13 @@ let explore_cmd =
     in
     if replicas < 2 then usage_error "explore needs at least 2 replicas";
     if rounds < 1 then usage_error "--rounds must be >= 1";
+    if budget < 1 then usage_error "--budget must be >= 1";
+    if quantum_us < 1 then usage_error "--quantum-us must be >= 1";
+    let probability name p =
+      if not (p >= 0. && p <= 1.) then usage_error "%s must be in [0, 1]" name
+    in
+    probability "--delay-prob" delay_prob;
+    probability "--reorder-prob" reorder_prob;
     if jobs < 1 then usage_error "--jobs must be >= 1";
     (* Oversubscribing domains never helps: workers are CPU-bound, and
        extra domains only add GC synchronization.  Results are identical
@@ -391,12 +356,12 @@ let explore_cmd =
        always sequential on the calling domain). *)
     let attrib = if attrib then Some (Obs.Attrib.create ()) else None in
     let attr_sink =
-      match attrib with
-      | None -> None
-      | Some a ->
+      Option.map
+        (fun a ->
           let s = Obs.Sink.create () in
           Obs.Sink.set_attrib s (Some a);
-          Some s
+          s)
+        attrib
     in
     let cfg =
       {
@@ -413,38 +378,28 @@ let explore_cmd =
         ~stop_at_first:(not keep_going) ~jobs cfg
     in
     Format.fprintf ppf "%a@." Mc.Explore.pp_report report;
-    (match (report.Mc.Explore.violations, trace_out, metrics_out) with
-    | v :: _, trace_out, metrics_out
-      when trace_out <> None || metrics_out <> None ->
-        let trace, metrics, overwritten =
-          Mc.Explore.trace_violation ~quantum_us cfg v
+    (match report.Mc.Explore.violations with
+    | v :: _ ->
+        (* The minimal counterexample's black box is the window to flush:
+           refill a recorder from its dump. *)
+        let w =
+          match Obs.Postmortem.load_string v.Mc.Explore.blackbox with
+          | Ok w -> w
+          | Error e -> failwith ("the black box does not load: " ^ e)
         in
-        (match trace_out with
-        | Some file ->
-            (* In the model-check harness every node runs a replica. *)
-            let process_name pid = Printf.sprintf "replica %d" pid in
-            Obs.Trace.write_chrome_file ~process_name trace file;
-            Format.fprintf ppf
-              "wrote %s: span trace of the minimal counterexample (%d \
-               event(s))@."
-              file (Obs.Trace.length trace)
-        | None -> ());
-        warn_overwritten overwritten;
-        write_metrics_opt metrics metrics_out
-    | [], Some _, _ | [], _, Some _ ->
-        Format.fprintf ppf "no violation, no counterexample trace written@."
-    | _ -> ());
-    (match (report.Mc.Explore.violations, flight_out) with
-    | v :: _, Some file ->
-        Out_channel.with_open_text file (fun oc ->
-            output_string oc v.Mc.Explore.blackbox);
-        Format.fprintf ppf
-          "wrote %s: flight window of the minimal counterexample (diagnose \
-           with `ctsim postmortem %s`)@."
-          file file
-    | [], Some _ ->
+        let recorder = Obs.Recorder.create () in
+        Array.iter
+          (fun { Obs.Postmortem.kind; ts_us; node; a; b } ->
+            Obs.Recorder.emit recorder ~kind ~ts_us ~node ~a ~b)
+          w.Obs.Postmortem.records;
+        (* In the model-check harness every node runs a replica. *)
+        let process_name pid = Printf.sprintf "replica %d" pid in
+        flush ~dump ~process_name
+          ~metrics:(Obs.Metrics.of_recorder recorder)
+          recorder w.Obs.Postmortem.verdicts
+    | [] when dump <> None ->
         Format.fprintf ppf "no violation, no flight window written@."
-    | _, None -> ());
+    | [] -> ());
     print_attrib_opt attrib;
     if report.Mc.Explore.violations <> [] then exit 1
   in
@@ -454,21 +409,22 @@ let explore_cmd =
          "Model-check the group clock: drive many event interleavings \
           through the simulator and judge each with the stream's check \
           (monotonicity, agreement, single synchronizer, liveness and \
-          membership)")
+          membership); on a violation, flush the minimal counterexample's \
+          window (see --dump-on-exit)")
     Term.(
       const run $ seed $ replicas $ strategy $ budget $ depth $ rounds_arg 12
       $ crash $ quantum_us $ delay_prob $ reorder_prob $ keep_going $ jobs
-      $ trace_out $ metrics_out $ flight_out $ attrib_flag)
+      $ attrib_flag $ dump_on_exit)
 
 (* ------------------------------------------------------------------ *)
 
 let hier_cmd =
   let module CH = Scenario.Cluster_hier in
   let module Span = Dsim.Time.Span in
-  let run seed shards shard_size duration_ms crash_shard trace_file
-      metrics_file attrib dump =
+  let run seed shards shard_size duration_ms crash_shard attrib dump =
     if shards < 1 then usage_error "--shards must be >= 1";
     if shard_size < 1 then usage_error "--shard-size must be >= 1";
+    if duration_ms < 1 then usage_error "--duration-ms must be >= 1";
     (match crash_shard with
     | Some s when s < 0 || s >= shards ->
         usage_error "--crash-shard must be a shard, 0 to %d" (shards - 1)
@@ -481,15 +437,6 @@ let hier_cmd =
           Span.of_ms (-1 * Hier.Topology.shard_of topo (Netsim.Node_id.of_int i));
       }
     in
-    let sink = Obs.Sink.create () in
-    (* A trace or metrics snapshot reads the run from the stream, so it
-       gets a big ring (and a warning if even that wraps); the flight
-       recorder alone keeps the default window. *)
-    let traced = trace_file <> None || metrics_file <> None in
-    let recorder =
-      if traced then Obs.Recorder.create ~capacity:1_000_000 ()
-      else Obs.Recorder.create ()
-    in
     (* CCS rounds are numbered per shard ring, so the check judges each
        shard as its own ring. *)
     let check =
@@ -498,10 +445,7 @@ let hier_cmd =
           { Obs.Check.default_config with rings = Hier.Topology.rings topo }
         ()
     in
-    Obs.Sink.set_recorder sink (Some recorder);
-    Obs.Sink.set_check sink (Some check);
-    let attrib = if attrib then Some (Obs.Attrib.create ()) else None in
-    Obs.Sink.set_attrib sink attrib;
+    let sink, recorder, attrib = observe ~dump ~attrib check in
     let t =
       CH.create ~seed:(seed64 seed) ~clock_config ~shards ~shard_size
         ~obs:sink ()
@@ -564,41 +508,26 @@ let hier_cmd =
       "engine: %d events executed, event-queue high water %d@."
       (Dsim.Engine.steps t.CH.eng)
       (CH.queue_hwm t);
-    if traced then warn_overwritten (Obs.Recorder.dropped recorder);
-    (match trace_file with
-    | Some file ->
-        let process_name pid =
-          Printf.sprintf "replica %d (shard %d)" pid
-            (Hier.Topology.shard_of topo (Netsim.Node_id.of_int pid))
-        in
-        let tr = Obs.Recorder.to_trace recorder in
-        Obs.Trace.write_chrome_file ~process_name tr file;
-        Format.fprintf ppf "wrote %s: %d event(s)@." file (Obs.Trace.length tr)
-    | None -> ());
-    if metrics_file <> None then begin
-      let m =
-        Obs.Metrics.of_recorder ~engine_events:(Dsim.Engine.steps t.CH.eng)
-          recorder
-      in
-      List.iter
-        (fun (name, v) -> Obs.Metrics.gauge m name := float_of_int v)
-        [
-          ("event_queue_hwm", CH.queue_hwm t);
-          ("formation_minor_words", formation_words);
-          ("hier_cross_shard_skew_us", Span.to_us skew);
-          ("hier_neighbor_skew_us", Span.to_us (CH.neighbor_skew t));
-        ];
-      Obs.Metrics.gauge m "world_mb" := world_mb;
-      write_metrics_opt m metrics_file
-    end;
     print_attrib_opt attrib;
-    flush_flight ~prefix:dump recorder check
-  in
-  let trace_file =
-    let doc =
-      "Write the run's span trace to $(docv) (Chrome trace-event JSON)."
+    let verdicts = check_verdicts check in
+    let metrics =
+      metrics_of ~engine_events:(Dsim.Engine.steps t.CH.eng)
+        ~gauges:
+          [
+            ("event_queue_hwm", float_of_int (CH.queue_hwm t));
+            ("formation_minor_words", float_of_int formation_words);
+            ("hier_cross_shard_skew_us", float_of_int (Span.to_us skew));
+            ( "hier_neighbor_skew_us",
+              float_of_int (Span.to_us (CH.neighbor_skew t)) );
+            ("world_mb", world_mb);
+          ]
+        recorder
     in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+    let process_name pid =
+      Printf.sprintf "replica %d (shard %d)" pid
+        (Hier.Topology.shard_of topo (Netsim.Node_id.of_int pid))
+    in
+    flush ~dump ~process_name ~metrics recorder verdicts
   in
   let shards =
     let doc = "Number of shards (second-level ring size)." in
@@ -625,17 +554,16 @@ let hier_cmd =
        ~doc:
          "Run the hierarchical multi-ring time service: per-shard Totem \
           rings bridged by elected gateways agreeing a global group clock \
-          (accepts the full --trace/--metrics/--attrib set and \
-          --dump-on-exit)")
+          (see --dump-on-exit for the trace, metrics and postmortem files)")
     Term.(
-      const run $ seed $ shards $ shard_size $ duration $ crash
-      $ trace_file $ metrics_file $ attrib_flag $ dump_on_exit)
+      const run $ seed $ shards $ shard_size $ duration $ crash $ attrib_flag
+      $ dump_on_exit)
 
 let postmortem_cmd =
   let file =
     let doc =
       "Flight-recorder dump to diagnose (the .flight.txt written by \
-       --dump-on-exit, a verdict flush, or explore --flight)."
+       --dump-on-exit or by a verdict flush)."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in

@@ -47,7 +47,6 @@ type t = {
       (* my_common_input_buffer: CCS messages for threads not yet created *)
   mutable view : Gcs.View.t option;
   mutable init : bool;
-  init_done : unit Dsim.Sync.Ivar.t;
   mutable last_recovery_round : int;
   mutable floor : Time.t option; (* causal lower bound from other groups *)
   (* statistics *)
@@ -66,47 +65,40 @@ type t = {
 let no_reading = min_int
 
 let create eng ~endpoint ~group ~clock ?(config = default_config) () =
-  let t =
-    {
-      eng;
-      endpoint;
-      group;
-      clock;
-      cfg = config;
-      offset = Span.zero;
-      handlers = Hashtbl.create 8;
-      handler_memo = None;
-      common_buffer = Hashtbl.create 8;
-      view = None;
-      init = not config.recovering;
-      init_done = Dsim.Sync.Ivar.create ();
-      last_recovery_round = 0;
-      floor = None;
-      s_rounds = 0;
-      s_sent = 0;
-      s_received = 0;
-      s_suppressed = 0;
-      s_rollbacks = 0;
-      s_max_rollback = Span.zero;
-      s_last_value = None;
-      last_per_thread = [||];
-    }
-  in
-  if not config.recovering then Dsim.Sync.Ivar.fill eng t.init_done ();
-  t
+  {
+    eng;
+    endpoint;
+    group;
+    clock;
+    cfg = config;
+    offset = Span.zero;
+    handlers = Hashtbl.create 8;
+    handler_memo = None;
+    common_buffer = Hashtbl.create 8;
+    view = None;
+    init = not config.recovering;
+    last_recovery_round = 0;
+    floor = None;
+    s_rounds = 0;
+    s_sent = 0;
+    s_received = 0;
+    s_suppressed = 0;
+    s_rollbacks = 0;
+    s_max_rollback = Span.zero;
+    s_last_value = None;
+    last_per_thread = [||];
+  }
 
 let group t = t.group
 let me t = Gcs.Endpoint.me t.endpoint
 let offset t = t.offset
 let initialized t = t.init
-let await_initialized t = Dsim.Sync.Ivar.read t.init_done
 
 let observe_timestamp t ts =
   match t.floor with
   | Some f when Time.(f >= ts) -> ()
   | Some _ | None -> t.floor <- Some ts
 
-let causal_floor t = t.floor
 let last_reading t = t.s_last_value
 
 let stats t =
@@ -238,7 +230,6 @@ let adopt_recovery_sync t (p : Ccs_msg.payload) =
       let h = handler_for t Thread_id.recovery in
       Ccs_handler.recv h p;
       Ccs_handler.advance_to h ~round:p.round;
-      Dsim.Sync.Ivar.fill t.eng t.init_done ();
       Log.debug (fun m ->
           m "%a: clock initialized from special round %d (offset %a)"
             Netsim.Node_id.pp (me t) p.round Span.pp t.offset)

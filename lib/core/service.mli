@@ -110,9 +110,6 @@ val initialized : t -> bool
 (** A recovering replica becomes initialized when the special round's CCS
     message arrives and its offset is adopted. *)
 
-val await_initialized : t -> unit
-(** Block the calling fiber until {!initialized} (no-op when already). *)
-
 val thread_rounds : t -> (Thread_id.t * int) list
 (** Current round number of every known thread — recorded in checkpoints. *)
 
@@ -133,8 +130,6 @@ val observe_timestamp : t -> Dsim.Time.t -> unit
 (** Record a group-clock timestamp carried by a delivered message.
     Observation happens in delivery order at every replica, so the floor is
     identical group-wide. *)
-
-val causal_floor : t -> Dsim.Time.t option
 
 val last_reading : t -> Dsim.Time.t option
 (** The most recent group clock value at this replica — the timestamp to

@@ -67,18 +67,6 @@ let choose t = function
   | [] -> invalid_arg "Rng.choose: empty list"
   | l -> List.nth l (int_range t 0 (List.length l - 1))
 
-let exponential t ~mean =
-  let u = 1.0 -. float t 1.0 in
-  -.mean *. log u
-
 let gaussian t ~mu ~sigma =
   let u1 = 1.0 -. float t 1.0 and u2 = float t 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int_range t 0 i in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -44,11 +44,5 @@ val bool : t -> bool
 val choose : t -> 'a list -> 'a
 (** Uniform choice.  Raises [Invalid_argument] on the empty list. *)
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean. *)
-
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normally distributed draw (Box-Muller). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -22,7 +22,3 @@ let id t =
     i_conn = t.header.conn_id;
     i_seq = t.header.msg_seq;
   }
-
-let pp_header ppf h =
-  Format.fprintf ppf "%s %a->%a conn=%d seq=%d" h.msg_type Group_id.pp
-    h.src_grp Group_id.pp h.dst_grp h.conn_id h.msg_seq

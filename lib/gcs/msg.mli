@@ -35,4 +35,3 @@ val make :
   t
 
 val id : t -> id
-val pp_header : Format.formatter -> header -> unit

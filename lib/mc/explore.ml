@@ -67,8 +67,9 @@ module Make (R : World.RUN) = struct
     (* The confirming re-run carries the flight recorder beside the
        world's check, so every shrunk counterexample ships its own black
        box, verdicts included: the dumped window travels in the report and
-       feeds [ctsim postmortem] directly. *)
-    let recorder = Obs.Recorder.create ~capacity:8192 () in
+       feeds [ctsim postmortem] directly.  The default window holds a whole
+       replay of either world at its default size. *)
+    let recorder = Obs.Recorder.create () in
     let bb_sink = Obs.Sink.create () in
     Obs.Sink.set_recorder bb_sink (Some recorder);
     let final_outcome, _ =
@@ -95,24 +96,6 @@ module Make (R : World.RUN) = struct
       packet_log = final_outcome.Invariant.packet_log;
       blackbox = Obs.Postmortem.dump_string recorder verdicts;
     }
-
-  (* Replay the minimal counterexample once more with a recorder on the
-     world's stream, to sit next to its packet log: the Chrome trace and
-     the metrics fold of the shrunk schedule.  Deterministic — the replayed
-     spec pins the schedule, and probes never perturb a run. *)
-  let trace_violation ?(quantum_us = 200) cfg (v : violation) =
-    let quantum = Span.of_us quantum_us in
-    let recorder = Obs.Recorder.create ~capacity:1_000_000 () in
-    let sink = Obs.Sink.create () in
-    Obs.Sink.set_recorder sink (Some recorder);
-    let _, info =
-      R.run
-        ~spec:(Controller.replay_spec ~quantum v.counterexample)
-        (R.prepare ~sink ~seed:v.seed ~packets:false cfg)
-    in
-    ( Obs.Recorder.to_trace recorder,
-      Obs.Metrics.of_recorder ~engine_events:info.World.steps recorder,
-      Obs.Recorder.dropped recorder )
 
   let explore ?(strategy = Strategy.default_random) ?(budget = 500)
       ?(quantum_us = 200) ?(stop_at_first = true) ?(jobs = 1) cfg =
@@ -190,8 +173,8 @@ let pp_violation ppf v =
       v.packet_log;
   if v.blackbox <> "" then
     Format.fprintf ppf
-      "@,flight window: %d line(s) attached (write with --flight, read \
-       with `ctsim postmortem`)"
+      "@,flight window: %d line(s) attached (`ctsim explore` flushes it; \
+       read with `ctsim postmortem`)"
       (List.length (String.split_on_char '\n' v.blackbox) - 1)
 
 let pp_report ppf r =

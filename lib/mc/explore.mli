@@ -24,9 +24,11 @@ type violation = {
   packet_log : string;  (** packet trace of the minimal replay *)
   blackbox : string;
       (** flight-recorder window of the minimal replay, in
-          {!Obs.Postmortem} dump format — every shrunk counterexample
-          ships its own black box, whose verdict lines are the failing
-          run's check.  A function of the counterexample:
+          {!Obs.Postmortem} dump format; the default window of
+          {!Obs.Recorder.default_capacity} records holds a whole replay
+          of either world at its default size.  Every shrunk
+          counterexample ships its own black box, whose verdict lines
+          are the failing run's check.  A function of the counterexample:
           fiber ids are per engine, so the same violation dumps the same
           bytes in any process and at any [jobs] *)
 }
@@ -70,18 +72,6 @@ module Make (R : World.RUN) : sig
       (default 1: no domain spawned) worker domains run the schedules;
       the report is the same at any [jobs] but for its timing fields and
       [jobs].  Raises [Invalid_argument] if [jobs < 1]. *)
-
-  val trace_violation :
-    ?quantum_us:int ->
-    R.config ->
-    violation ->
-    Obs.Trace.t * Obs.Metrics.t * int
-  (** Replay the violation's minimal counterexample with a recorder of
-      1,000,000 records on its stream: its Chrome trace, its metrics
-      fold, and the number of records the ring overwrote (0 unless the
-      replay outgrew it).  [quantum_us]
-      must match the exploration's (default 200).  Probes never perturb
-      a run, so the replay reproduces the violation. *)
 end
 
 include module type of Make (Harness)

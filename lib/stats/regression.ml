@@ -17,7 +17,3 @@ let fit points =
   let intercept = my -. (slope *. mx) in
   let r2 = if syy = 0. then 1. else sxy *. sxy /. (sxx *. syy) in
   { slope; intercept; r2 }
-
-let pp_fit ppf f =
-  Format.fprintf ppf "slope=%.6g intercept=%.6g r2=%.4f" f.slope f.intercept
-    f.r2

@@ -8,5 +8,3 @@ type fit = { slope : float; intercept : float; r2 : float }
 val fit : (float * float) list -> fit
 (** [fit points] fits [y = slope * x + intercept].  Raises
     [Invalid_argument] with fewer than 2 points or when all x are equal. *)
-
-val pp_fit : Format.formatter -> fit -> unit

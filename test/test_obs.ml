@@ -438,7 +438,11 @@ let test_wrapped_ring_exports_valid_trace () =
 (* ------------------------------------------------------------------ *)
 (* Mc: span trace of a shrunk counterexample                           *)
 
-let test_trace_violation () =
+(* The shrunk counterexample's black box is the window ctsim flushes on a
+   violation: reloaded and refilled into a recorder, it must hold the
+   whole replay, export a valid span trace with CCS rounds in it, and dump
+   back to the same bytes. *)
+let test_counterexample_blackbox () =
   let buggy =
     {
       Mc.Harness.default with
@@ -456,19 +460,34 @@ let test_trace_violation () =
   in
   match r.Mc.Explore.violations with
   | [] -> Alcotest.fail "exploration missed the seeded bug"
-  | v :: _ ->
-      let trace, metrics, overwritten = Mc.Explore.trace_violation buggy v in
-      check int "the whole replay fits the ring" 0 overwritten;
-      check bool "trace nonempty" true (Obs.Trace.length trace > 0);
-      check bool "ccs rounds counted" true
-        (Obs.Metrics.get metrics Obs.Metrics.Ccs_rounds > 0);
-      check bool "ccs spans present" true
-        (List.mem Obs.Subsystem.Ccs (Obs.Trace.subsystems trace));
-      let b = Buffer.create 4096 in
-      Obs.Trace.to_chrome trace b;
-      (match Obs.Trace.validate_string (Buffer.contents b) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("counterexample trace invalid: " ^ e))
+  | v :: _ -> (
+      match Obs.Postmortem.load_string v.Mc.Explore.blackbox with
+      | Error e -> Alcotest.fail ("black box does not load: " ^ e)
+      | Ok w ->
+          check int "the whole replay fits the window" 0
+            w.Obs.Postmortem.w_dropped;
+          let recorder = Obs.Recorder.create () in
+          Array.iter
+            (fun { Obs.Postmortem.kind; ts_us; node; a; b } ->
+              Obs.Recorder.emit recorder ~kind ~ts_us ~node ~a ~b)
+            w.Obs.Postmortem.records;
+          let trace = Obs.Recorder.to_trace recorder in
+          check bool "trace nonempty" true (Obs.Trace.length trace > 0);
+          check bool "ccs rounds counted" true
+            (Obs.Metrics.get
+               (Obs.Metrics.of_recorder recorder)
+               Obs.Metrics.Ccs_rounds
+            > 0);
+          check bool "ccs spans present" true
+            (List.mem Obs.Subsystem.Ccs (Obs.Trace.subsystems trace));
+          let b = Buffer.create 4096 in
+          Obs.Trace.to_chrome trace b;
+          (match Obs.Trace.validate_string (Buffer.contents b) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail ("counterexample trace invalid: " ^ e));
+          check Alcotest.string "the refill dumps the same bytes"
+            v.Mc.Explore.blackbox
+            (Obs.Postmortem.dump_string recorder w.Obs.Postmortem.verdicts))
 
 (* [Attrib.index] is written out by hand: it must number [sites] densely
    in order, and no two sites may share a report row. *)
@@ -520,7 +539,7 @@ let suites =
         Alcotest.test_case "wrapped ring exports a valid trace" `Quick
           test_wrapped_ring_exports_valid_trace;
         Alcotest.test_case "counterexample span trace" `Quick
-          test_trace_violation;
+          test_counterexample_blackbox;
         Alcotest.test_case "attrib sites" `Quick test_attrib_sites;
       ] );
   ]
