@@ -188,7 +188,8 @@ let group_size_table ppf rows =
       Format.fprintf ppf "%-10d %-12.1f %-12.1f %-12.1f@." n mw mwo (mw -. mwo))
     rows;
   Format.fprintf ppf
-    "the overhead stays around one token rotation, which itself grows with      the ring size@."
+    "the overhead stays around one token rotation, which itself grows with \
+     the ring size@."
 
 let token ppf (run : E.token_run) =
   Format.fprintf ppf

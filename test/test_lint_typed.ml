@@ -427,6 +427,37 @@ let test_cross_check_recorder () =
   in
   check (Alcotest.float 0.0) "flight recorder emits allocate nothing" 0.0 dw
 
+(* The certificate says the token hop's probes allocate nothing; it
+   takes cross-module inlining for the hop's helpers ([Dsim.Time],
+   [Node_id], [Engine.obs], the probes themselves, the [Rng.float] behind
+   each latency draw) to keep their results unboxed too.  An idle 4-node
+   ring, after formation, allocates one [dcell] (5 words) and one
+   [Wire.Token] box (2) per hop and about nothing else: 7.0 words per
+   engine event.  A build under [-opaque] (dune's dev profile) turns
+   every one of those helpers into a real call and measures 14.4. *)
+let test_cross_check_token_hop () =
+  assert_certified [ "Netsim.Network.rec_sent"; "Netsim.Network.rec_delivered" ];
+  let c = Scenario.Cluster.create ~nodes:4 () in
+  Scenario.Cluster.start_all c;
+  Scenario.Cluster.run_until c (fun () ->
+      Scenario.Cluster.ring_stable c ~on_nodes:[ 0; 1; 2; 3 ]);
+  (* warm: the token settles into its idle rotation and every table and
+     free list reaches its steady size outside the meter *)
+  Scenario.Cluster.run_for c (Dsim.Time.Span.of_ms 100);
+  let e0 = Dsim.Engine.steps c.eng in
+  let dw =
+    minor_delta (fun () ->
+        Scenario.Cluster.run_for c (Dsim.Time.Span.of_ms 6_000))
+  in
+  let events = Dsim.Engine.steps c.eng - e0 in
+  check bool "at least 100k events metered" true (events >= 100_000);
+  let per_event = dw /. float_of_int events in
+  if per_event > 7.25 then
+    Alcotest.failf
+      "idle ring allocates %.2f minor words per event (bound 7.25): is the \
+       build compiled with -opaque?"
+      per_event
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -467,5 +498,7 @@ let suites =
         Alcotest.test_case "cross-check: rng" `Quick test_cross_check_rng;
         Alcotest.test_case "cross-check: recorder" `Quick
           test_cross_check_recorder;
+        Alcotest.test_case "cross-check: inlined token hop" `Quick
+          test_cross_check_token_hop;
       ] );
   ]
