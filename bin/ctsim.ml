@@ -112,9 +112,9 @@ let flush ~dump ~process_name ~metrics recorder verdicts =
       and json = prefix ^ ".flight.json"
       and mjson = prefix ^ ".metrics.json" in
       Obs.Postmortem.dump_file recorder verdicts txt;
-      Obs.Trace.write_chrome_file ~process_name
-        (Obs.Recorder.to_trace recorder)
-        json;
+      Out_channel.with_open_text json (fun oc ->
+          Obs.Trace.write_chrome ~process_name oc
+            (Obs.Recorder.chrome_events recorder));
       Out_channel.with_open_text mjson (fun oc ->
           output_string oc (Obs.Metrics.to_json metrics);
           output_char oc '\n');

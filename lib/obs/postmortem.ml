@@ -32,32 +32,44 @@ type window = {
 
 let header = "# ctsim flight recorder v2"
 
-let write_window buf (recorder : Recorder.t) (verdicts : Check.verdict list) =
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf
-    (Printf.sprintf "# total %d dropped %d\n" (Recorder.total recorder)
-       (Recorder.dropped recorder));
-  Recorder.iter recorder (fun ~kind ~ts_us ~node ~a ~b ->
-      Buffer.add_string buf
-        (Printf.sprintf "R %d %d %d %d %d\n" kind ts_us node a b));
+(* [spill] runs between lines: a no-op into a string, {!Out.spill} into
+   a file. *)
+let write_window ~spill b (recorder : Recorder.t) verdicts =
+  Buffer.add_string b header;
+  Buffer.add_string b "\n# total ";
+  Out.int b (Recorder.total recorder);
+  Buffer.add_string b " dropped ";
+  Out.int b (Recorder.dropped recorder);
+  Buffer.add_char b '\n';
+  let field v =
+    Buffer.add_char b ' ';
+    Out.int b v
+  in
+  Recorder.iter recorder (fun ~kind ~ts_us ~node ~a ~b:pb ->
+      Buffer.add_char b 'R';
+      field kind;
+      field ts_us;
+      field node;
+      field a;
+      field pb;
+      Buffer.add_char b '\n';
+      spill b);
   List.iter
     (fun (v : Check.verdict) ->
-      Buffer.add_string buf
-        (Printf.sprintf "I %s %d %d %d %d %d %d\n" v.inv v.first_us v.last_us
-           v.count v.worst v.node v.at))
+      Printf.bprintf b "I %s %d %d %d %d %d %d\n" v.inv v.first_us v.last_us
+        v.count v.worst v.node v.at)
     verdicts
 
 let dump_string recorder verdicts =
-  let buf = Buffer.create 4096 in
-  write_window buf recorder verdicts;
-  Buffer.contents buf
+  let b = Buffer.create 4096 in
+  write_window ~spill:ignore b recorder verdicts;
+  Buffer.contents b
 
 let dump_file recorder verdicts path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (dump_string recorder verdicts))
+  Out_channel.with_open_text path (fun oc ->
+      let b = Buffer.create 65_536 in
+      write_window ~spill:(Out.spill oc) b recorder verdicts;
+      Buffer.output_buffer oc b)
 
 let parse_error line msg =
   Error (Printf.sprintf "flight window parse error, line %d: %s" line msg)

@@ -129,12 +129,6 @@ let kind_name kind = match desc kind with n, _, _, _, _ -> n
 let kind_sub kind = match desc kind with _, sub, _, _, _ -> sub
 let arg_names kind = match desc kind with _, _, a, b, _ -> (a, b)
 
-let span_phase kind =
-  match desc kind with
-  | _, _, _, _, Opens _ -> Trace.Begin
-  | _, _, _, _, Closes _ -> Trace.End
-  | _, _, _, _, Instant -> Trace.Instant
-
 let span_name kind =
   match desc kind with
   | _, _, _, _, (Opens name | Closes name) -> name
@@ -186,8 +180,7 @@ let iter t f =
    start of the window, and the validator rejects an unmatched End.  A
    [ccs-offset] record immediately precedes its round's settle, so the
    settle's End also carries the post-round [offset_us]. *)
-let to_trace t =
-  let tr = Trace.create ~capacity:(length t + 16) () in
+let chrome_events t f =
   let depth = Hashtbl.create 16 and offset = Hashtbl.create 16 in
   iter t (fun ~kind ~ts_us ~node ~a ~b ->
       let sub = kind_sub kind in
@@ -202,17 +195,15 @@ let to_trace t =
             args @ [ ("offset_us", off) ]
         | _ -> args
       in
-      let record ph =
-        Trace.record tr ~ph ~ts_ns:(ts_us * 1000) ~pid:node ~sub
-          ~name:(span_name kind) ~args
+      let event ph =
+        f ~ph ~ts_ns:(ts_us * 1000) ~pid:node ~sub ~name:(span_name kind) ~args
       in
-      match span_phase kind with
-      | Trace.Begin ->
+      match desc kind with
+      | _, _, _, _, Opens _ ->
           Hashtbl.replace depth row (open_ + 1);
-          record Trace.Begin
-      | Trace.End when open_ > 0 ->
+          event Trace.Begin
+      | _, _, _, _, Closes _ when open_ > 0 ->
           Hashtbl.replace depth row (open_ - 1);
-          record Trace.End
-      | Trace.End -> ()
-      | Trace.Instant -> record Trace.Instant);
-  tr
+          event Trace.End
+      | _, _, _, _, Closes _ -> ()
+      | _, _, _, _, Instant -> event Trace.Instant)

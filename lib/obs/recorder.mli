@@ -6,7 +6,8 @@
     flat [int array].  [emit] on the steady-state wrap path is five
     integer stores and two field writes: no boxing, no branch on
     capacity growth, nothing for the GC.  Every other view reads this
-    stream: the Chrome trace ({!to_trace}), the metrics registry
+    stream: the Chrome trace ({!chrome_events}, written by
+    {!Trace.write_chrome} straight from the ring), the metrics registry
     ([Metrics.of_recorder]), the {!Check} fold (fed the same records
     online) and the model checker's packet log.
 
@@ -46,15 +47,16 @@ val iter :
   unit
 (** Oldest to newest. *)
 
-val to_trace : t -> Trace.t
-(** Decode the window for {!Trace.write_chrome_file} (pid = node, tid =
-    the kind's subsystem): [ccs-open]/[ccs-settle], [rpc-begin]/[rpc-end]
-    and [bridge-open]/[bridge-close] become B/E spans named [ccs-round],
+val chrome_events : t -> Trace.source
+(** The window as Chrome events, decoded in one walk of the ring for
+    {!Trace.write_chrome} (pid = node, tid = the kind's subsystem):
+    [ccs-open]/[ccs-settle], [rpc-begin]/[rpc-end] and
+    [bridge-open]/[bridge-close] become B/E spans named [ccs-round],
     [rpc] and [bridge-round]; every other record is an instant named by
-    {!kind_name}.  An End whose Begin fell off the start of the window
-    is dropped, so a wrapped ring still exports a valid trace.  A
-    [ccs-round] End also carries the [offset_us] of the [ccs-offset]
-    record emitted just before it. *)
+    {!kind_name}, with {!args} as its arguments.  An End whose Begin
+    fell off the start of the window is dropped, so a wrapped ring still
+    exports a valid trace.  A [ccs-round] End also carries the
+    [offset_us] of the [ccs-offset] record emitted just before it. *)
 
 (** {1 Record kinds}
 

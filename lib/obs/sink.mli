@@ -14,10 +14,11 @@
     ]}
 
     Nothing is boxed on either side of the gate.  The record stream is
-    the only emit path: the Chrome trace ({!Recorder.to_trace}), the
-    metrics registry ({!Metrics.of_recorder}) and the model checker's
-    packet log are all read from the attached recorder afterwards, and
-    the {!Check} fold judges the same records online.
+    the only emit path: the Chrome trace ({!Recorder.chrome_events},
+    streamed by {!Trace.write_chrome}), the metrics registry
+    ({!Metrics.of_recorder}) and the model checker's packet log are all
+    read from the attached recorder afterwards, and the {!Check} fold
+    judges the same records online.
 
     Components must read the sink through the engine at each probe
     rather than caching it at construction time, so a sink attached

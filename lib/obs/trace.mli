@@ -1,42 +1,36 @@
-(** Span / instant-event buffer with a Chrome trace-event exporter.
+(** The Chrome trace-event writer, the span buffer it also serves, and
+    the validator [ctsim trace-check] and CI run on what it writes.
 
-    The simulator's probes do not write here: they emit {!Recorder}
-    records, and {!Recorder.to_trace} decodes a window into a [Trace.t]
-    for export.  Events carry the {e simulated} timestamp (integer
-    nanoseconds), the replica identity as [pid] and the {!Subsystem} as
-    [tid], so a dump loads directly into Perfetto / [chrome://tracing]
-    with one process row per replica and one named thread row per
-    subsystem.
-
-    The buffer is an append-only growable array of plain records,
-    bounded by [capacity].  Events past the capacity are counted in
-    {!dropped} rather than silently discarded. *)
+    {!write_chrome} is the one writer.  Its events carry a timestamp in
+    integer nanoseconds, the replica identity as [pid] and the
+    {!Subsystem} as [tid], so a file loads directly into Perfetto /
+    [chrome://tracing] with one process row per replica and one named
+    thread row per subsystem.  Two sources feed it: a run's record ring,
+    decoded by {!Recorder.chrome_events}, and the span buffer {!t}, in
+    which a benchmark harness times its own phases. *)
 
 type phase = Begin | End | Instant
 
-type event = {
-  ph : phase;
-  ts_ns : int;  (** simulated time, ns *)
-  pid : int;  (** replica / node id ([0] doubles as "the simulator") *)
-  sub : Subsystem.t;
-  name : string;
-  args : (string * int) list;
-}
+type source =
+  (ph:phase -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
+   args:(string * int) list -> unit) -> unit
+(** Hands every event to its argument, oldest first; [ts_ns] >= 0. *)
+
+val write_chrome :
+  ?process_name:(int -> string) -> out_channel -> source -> unit
+(** Write one Chrome trace-event JSON document
+    ([{"traceEvents": [...]}]), streaming: the source runs twice, first
+    to name one process per [pid] ([process_name], default
+    ["replica <pid>"]) and one thread per (pid, subsystem) row in use,
+    then to write the events.  [ts] is in microseconds with three
+    decimals, so nanosecond order survives. *)
+
+(** {2 The span buffer} *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** Default capacity is 1,000,000 events. *)
-
-val record :
-  t ->
-  ph:phase ->
-  ts_ns:int ->
-  pid:int ->
-  sub:Subsystem.t ->
-  name:string ->
-  args:(string * int) list ->
-  unit
 
 val span_begin :
   t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
@@ -46,28 +40,12 @@ val span_end :
   t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
   args:(string * int) list -> unit
 
-val instant :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
 val length : t -> int
 val dropped : t -> int
 (** Events rejected because the buffer hit [capacity]. *)
 
-val clear : t -> unit
-val iter : t -> (event -> unit) -> unit
-val events : t -> event list
-val subsystems : t -> Subsystem.t list
-(** Distinct subsystems appearing in the recorded stream. *)
-
-val to_chrome : ?process_name:(int -> string) -> t -> Buffer.t -> unit
-(** Append the whole trace as one Chrome trace-event JSON document
-    ([{"traceEvents": [...]}]).  [ts] is emitted in microseconds with
-    three decimals so nanosecond order is preserved; process / thread
-    name metadata records are emitted for every (pid, subsystem) pair
-    present. *)
-
 val write_chrome_file : ?process_name:(int -> string) -> t -> string -> unit
+(** {!write_chrome} over the buffer, into a new file. *)
 
 (** {2 Validation}
 
@@ -81,10 +59,12 @@ type summary = {
 }
 
 val validate_string : string -> (summary, string) result
-(** Checks that the input is well-formed JSON, carries a [traceEvents]
-    array whose events have [ph]/[pid]/[tid] (and [ts] for non-metadata
-    phases), that timestamps are non-decreasing per [(pid, tid)] and
-    that no End closes an unopened span (spans still open when the
-    capture ends are allowed). *)
+(** Checks that the input is well-formed JSON by the grammar (a [\u]
+    escape has four hex digits, a number neither starts with [+] or [.]
+    nor ends with [.], a string holds no raw control character), that
+    it carries a [traceEvents] array whose events have [ph]/[pid]/[tid]
+    (and [ts] for non-metadata phases), that timestamps are
+    non-decreasing per [(pid, tid)] and that no End closes an unopened
+    span (spans still open when the capture ends are allowed). *)
 
 val validate_file : string -> (summary, string) result

@@ -1,9 +1,10 @@
-(* Tests for lib/obs: the metrics registry, the span tracer and its
-   Chrome exporter / validator, the single-gate sink, the per-message
-   records of batched network deliveries, the §3.4 cross-check between
-   the skew experiment's samples and the stream's [ccs-round] spans, the
-   stream fold against the components' own counters, and the export of
-   a ring that wrapped mid-round. *)
+(* Tests for lib/obs: the metrics registry, the Chrome writer (its bytes
+   pinned for both sources), the span buffer and the validator, the
+   single-gate sink, the per-message records of batched network
+   deliveries, the §3.4 cross-check between the skew experiment's
+   samples and the stream's [ccs-round] spans, the stream fold against
+   the components' own counters, and the export of a ring that wrapped
+   mid-round. *)
 
 module Time = Dsim.Time
 module Span = Dsim.Time.Span
@@ -61,49 +62,62 @@ let test_metrics_gauges_hists () =
   check bool "json hist" true (contains "\"rpc_latency_us\"")
 
 (* ------------------------------------------------------------------ *)
-(* Trace buffer + Chrome exporter + validator                          *)
+(* The Chrome writer, its span buffer, and the validator               *)
 
 let sub = Obs.Subsystem.Ccs
 
-let test_trace_capacity_and_clear () =
+(* What a writer puts into a file, as a string. *)
+let written write =
+  let file = Filename.temp_file "obs_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      write file;
+      In_channel.with_open_bin file In_channel.input_all)
+
+let test_trace_capacity () =
   let tr = Obs.Trace.create ~capacity:4 () in
   for i = 1 to 6 do
-    Obs.Trace.instant tr ~ts_ns:(i * 1000) ~pid:1 ~sub ~name:"x" ~args:[]
+    Obs.Trace.span_begin tr ~ts_ns:(i * 1000) ~pid:1 ~sub ~name:"x" ~args:[]
   done;
   check int "kept at capacity" 4 (Obs.Trace.length tr);
-  check int "excess counted" 2 (Obs.Trace.dropped tr);
-  Obs.Trace.clear tr;
-  check int "cleared" 0 (Obs.Trace.length tr);
-  check int "dropped cleared" 0 (Obs.Trace.dropped tr)
+  check int "excess counted" 2 (Obs.Trace.dropped tr)
 
-let build_sample_trace () =
-  let tr = Obs.Trace.create () in
-  Obs.Trace.span_begin tr ~ts_ns:1_000 ~pid:1 ~sub ~name:"ccs-round"
-    ~args:[ ("round", 1) ];
-  Obs.Trace.instant tr ~ts_ns:1_500 ~pid:2 ~sub:Obs.Subsystem.Netsim
-    ~name:"send" ~args:[ ("dst", 1) ];
-  Obs.Trace.span_end tr ~ts_ns:2_000 ~pid:1 ~sub ~name:"ccs-round"
-    ~args:[ ("round", 1); ("adjustment_us", -3) ];
-  Obs.Trace.instant tr ~ts_ns:2_500 ~pid:2 ~sub:Obs.Subsystem.Totem
-    ~name:"token" ~args:[];
-  tr
+(* The decoded window, one tuple per Chrome event. *)
+let decode r =
+  let acc = ref [] in
+  Obs.Recorder.chrome_events r (fun ~ph ~ts_ns:_ ~pid ~sub ~name ~args ->
+      acc := (ph, pid, sub, name, args) :: !acc);
+  List.rev !acc
+
+(* The window as the flush writes it. *)
+let chrome_json r =
+  written (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          Obs.Trace.write_chrome oc (Obs.Recorder.chrome_events r)))
+
+let sample_recorder () =
+  let r = Obs.Recorder.create () in
+  Obs.Recorder.emit r ~kind:Obs.Recorder.k_ccs_open ~ts_us:1 ~node:1 ~a:1 ~b:0;
+  Obs.Recorder.emit r ~kind:Obs.Recorder.k_send ~ts_us:1 ~node:2 ~a:1 ~b:0;
+  Obs.Recorder.emit r ~kind:Obs.Recorder.k_ccs_settle ~ts_us:2 ~node:1 ~a:1
+    ~b:(-3);
+  Obs.Recorder.emit r ~kind:Obs.Recorder.k_token ~ts_us:2 ~node:2 ~a:5 ~b:4;
+  r
 
 let test_chrome_roundtrip () =
-  let tr = build_sample_trace () in
-  let b = Buffer.create 256 in
-  Obs.Trace.to_chrome tr b;
-  match Obs.Trace.validate_string (Buffer.contents b) with
+  match Obs.Trace.validate_string (chrome_json (sample_recorder ())) with
   | Error e -> Alcotest.fail e
   | Ok s ->
       check int "events" 4 s.Obs.Trace.v_events;
       check int "pids" 2 s.Obs.Trace.v_pids;
-      check bool "subsystems named" true
-        (List.mem "ccs" s.Obs.Trace.v_subsystems
-        && List.mem "netsim" s.Obs.Trace.v_subsystems
-        && List.mem "totem" s.Obs.Trace.v_subsystems)
+      check (Alcotest.list Alcotest.string) "subsystems named"
+        [ "ccs"; "netsim"; "totem" ] s.Obs.Trace.v_subsystems
 
 let test_chrome_file_roundtrip () =
-  let tr = build_sample_trace () in
+  let tr = Obs.Trace.create () in
+  Obs.Trace.span_begin tr ~ts_ns:1_000 ~pid:0 ~sub ~name:"phase" ~args:[];
+  Obs.Trace.span_end tr ~ts_ns:2_000 ~pid:0 ~sub ~name:"phase" ~args:[];
   let file = Filename.temp_file "obs_trace" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
@@ -111,32 +125,48 @@ let test_chrome_file_roundtrip () =
       Obs.Trace.write_chrome_file tr file;
       match Obs.Trace.validate_file file with
       | Error e -> Alcotest.fail e
-      | Ok s -> check int "events from file" 4 s.Obs.Trace.v_events)
+      | Ok s -> check int "events from file" 2 s.Obs.Trace.v_events)
 
+(* Each rejected input must be rejected for its own reason. *)
 let test_validator_rejects () =
-  (match Obs.Trace.validate_string "{ not json" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed JSON accepted");
-  (match Obs.Trace.validate_string "{\"traceEvents\": 3}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-array traceEvents accepted");
+  let rejects what ~reason json =
+    match Obs.Trace.validate_string json with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        let n = String.length reason in
+        let rec names i =
+          i + n <= String.length e
+          && (String.sub e i n = reason || names (i + 1))
+        in
+        if not (names 0) then
+          Alcotest.failf "%s rejected for %S, not for %S" what e reason
+  in
+  let event fields =
+    {|{"traceEvents":[{"ph":"I","pid":1,"tid":4,|} ^ fields ^ "}]}"
+  in
+  rejects "malformed JSON" ~reason:"not well-formed" "{ not json";
+  rejects "non-array traceEvents" ~reason:"not an array"
+    {|{"traceEvents": 3}|};
+  rejects "a \\u escape without four hex digits" ~reason:"\\u escape"
+    (event {|"ts":1,"name":"\uZZZZ"|});
+  rejects "a number with a leading +" ~reason:"malformed number"
+    (event {|"ts":1,"y":+1|});
+  rejects "a number with a leading ." ~reason:"malformed number"
+    (event {|"ts":.5|});
+  rejects "a number with a trailing ." ~reason:"malformed number"
+    (event {|"ts":5.|});
+  rejects "a raw control character in a string" ~reason:"control character"
+    (event "\"ts\":1,\"name\":\"a\tb\"");
+  rejects "a lower-case instant" ~reason:"unknown ph"
+    {|{"traceEvents":[{"ph":"i","ts":1.000,"pid":1,"tid":4,"name":"a"}]}|};
   (* timestamps running backwards on one (pid, tid) row *)
-  let backwards =
+  rejects "non-monotone ts" ~reason:"ts 1.000 < 2.000"
     {|{"traceEvents":[
-      {"ph":"i","ts":2.000,"pid":1,"tid":4,"name":"a","s":"t"},
-      {"ph":"i","ts":1.000,"pid":1,"tid":4,"name":"b","s":"t"}]}|}
-  in
-  (match Obs.Trace.validate_string backwards with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-monotone ts accepted");
-  (* End with no matching Begin *)
-  let unopened =
+      {"ph":"I","ts":2.000,"pid":1,"tid":4,"name":"a","s":"t"},
+      {"ph":"I","ts":1.000,"pid":1,"tid":4,"name":"b","s":"t"}]}|};
+  rejects "End-without-Begin" ~reason:"span end without begin"
     {|{"traceEvents":[
-      {"ph":"E","ts":1.000,"pid":1,"tid":4,"name":"a"}]}|}
-  in
-  (match Obs.Trace.validate_string unopened with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "End-without-Begin accepted");
+      {"ph":"E","ts":1.000,"pid":1,"tid":4,"name":"a"}]}|};
   (* a span still open when the capture ends is fine *)
   let open_at_end =
     {|{"traceEvents":[
@@ -145,6 +175,88 @@ let test_validator_rejects () =
   match Obs.Trace.validate_string open_at_end with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("open span rejected: " ^ e)
+
+(* The exact bytes of both sources through the one writer, and of the
+   ints it formats.  The ring (capacity 10, 11 records) wrapped past
+   node 1's [ccs-open]: its settle is dropped, though the [ccs-offset]
+   before it stays an instant.  Node 2's settle carries its offset;
+   node 3 drops one unbatched and one batched message; node 4's ring
+   turned operational; the bridge opened and closed a round.  Both
+   expected files are what the decode-to-buffer exporter this writer
+   replaced wrote for the same input. *)
+let test_golden_chrome () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 24 in
+      Obs.Out.int b n;
+      check Alcotest.string "digit loop" (string_of_int n) (Buffer.contents b))
+    [ 0; 7; -7; 10; -1000; max_int; min_int ];
+  let module R = Obs.Recorder in
+  let r = R.create ~capacity:10 () in
+  let e kind ts_us node a b = R.emit r ~kind ~ts_us ~node ~a ~b in
+  e R.k_ccs_open 10 1 1 0;
+  e R.k_ccs_offset 11 1 (-4) 2;
+  e R.k_ccs_settle 12 1 1 2;
+  e R.k_ccs_open 20 2 2 0;
+  e R.k_ccs_offset 29 2 (-7) 3;
+  e R.k_ccs_settle 30 2 2 3;
+  e R.k_drop 31 3 1 (R.drop_b ~reason:0 ~pos:(-1));
+  e R.k_drop 32 3 1 (R.drop_b ~reason:2 ~pos:1);
+  e R.k_operational 40 4 5 (R.operational_b ~members:3 ~rep:1);
+  e R.k_bridge_open 50 0 7 0;
+  e R.k_bridge_close 1234567 0 7 3;
+  let process_name pid =
+    if pid = 0 then "bridge \"0\"" else Printf.sprintf "node %d" pid
+  in
+  check Alcotest.string "ring"
+    {|{"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"bridge \"0\""}},
+{"name":"thread_name","ph":"M","pid":0,"tid":7,"args":{"name":"hier"}},
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"node 1"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"ccs"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"node 2"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":4,"args":{"name":"ccs"}},
+{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"node 3"}},
+{"name":"thread_name","ph":"M","pid":3,"tid":1,"args":{"name":"netsim"}},
+{"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"node 4"}},
+{"name":"thread_name","ph":"M","pid":4,"tid":2,"args":{"name":"totem"}},
+{"name":"ccs-offset","ph":"I","ts":11.000,"pid":1,"tid":4,"s":"t","args":{"offset_us":-4,"adjustment_us":2}},
+{"name":"ccs-round","ph":"B","ts":20.000,"pid":2,"tid":4,"args":{"round":2,"thread":0}},
+{"name":"ccs-offset","ph":"I","ts":29.000,"pid":2,"tid":4,"s":"t","args":{"offset_us":-7,"adjustment_us":3}},
+{"name":"ccs-round","ph":"E","ts":30.000,"pid":2,"tid":4,"args":{"round":2,"adjustment_us":3,"offset_us":-7}},
+{"name":"drop","ph":"I","ts":31.000,"pid":3,"tid":1,"s":"t","args":{"src":1,"reason":0}},
+{"name":"drop","ph":"I","ts":32.000,"pid":3,"tid":1,"s":"t","args":{"src":1,"reason":2,"pos":1}},
+{"name":"operational","ph":"I","ts":40.000,"pid":4,"tid":2,"s":"t","args":{"gen":5,"members":3,"rep":1}},
+{"name":"bridge-round","ph":"B","ts":50.000,"pid":0,"tid":7,"args":{"round":7}},
+{"name":"bridge-round","ph":"E","ts":1234567.000,"pid":0,"tid":7,"args":{"round":7,"offers":3}}
+],"displayTimeUnit":"ms"}
+|}
+    (written (fun file ->
+         Out_channel.with_open_text file (fun oc ->
+             Obs.Trace.write_chrome ~process_name oc (R.chrome_events r))));
+  let tr = Obs.Trace.create () in
+  let scenario = Obs.Subsystem.Scenario and rpc = Obs.Subsystem.Rpc in
+  Obs.Trace.span_begin tr ~ts_ns:0 ~pid:0 ~sub:scenario
+    ~name:"workload fig5_rpc" ~args:[ ("id", 1); ("parent", 0) ];
+  Obs.Trace.span_begin tr ~ts_ns:1_500 ~pid:0 ~sub:rpc ~name:"call"
+    ~args:[ ("id", 2); ("parent", 1) ];
+  Obs.Trace.span_end tr ~ts_ns:2_000_001 ~pid:0 ~sub:rpc ~name:"call"
+    ~args:[ ("id", 2) ];
+  Obs.Trace.span_end tr ~ts_ns:3_000_000 ~pid:0 ~sub:scenario
+    ~name:"workload fig5_rpc" ~args:[ ("id", 1) ];
+  check Alcotest.string "span buffer"
+    {|{"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"ctsbench"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":6,"args":{"name":"rpc"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":8,"args":{"name":"scenario"}},
+{"name":"workload fig5_rpc","ph":"B","ts":0.000,"pid":0,"tid":8,"args":{"id":1,"parent":0}},
+{"name":"call","ph":"B","ts":1.500,"pid":0,"tid":6,"args":{"id":2,"parent":1}},
+{"name":"call","ph":"E","ts":2000.001,"pid":0,"tid":6,"args":{"id":2}},
+{"name":"workload fig5_rpc","ph":"E","ts":3000.000,"pid":0,"tid":8,"args":{"id":1}}
+],"displayTimeUnit":"ms"}
+|}
+    (written
+       (Obs.Trace.write_chrome_file ~process_name:(fun _ -> "ctsbench") tr))
 
 (* ------------------------------------------------------------------ *)
 (* Sink gating on the engine                                           *)
@@ -177,10 +289,11 @@ let test_sink_gating_and_late_attach () =
   Obs.Sink.set_recorder s None;
   check bool "detaching closes the gate" false (Obs.Sink.is_active s)
 
+(* The arguments of every decoded event named [name], as (pid, args). *)
 let events_named r name =
-  List.filter
-    (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = name)
-    (Obs.Trace.events (Obs.Recorder.to_trace r))
+  List.filter_map
+    (fun (_, pid, _, n, args) -> if n = name then Some (pid, args) else None)
+    (decode r)
 
 let test_trace_steps_flag () =
   let run steps =
@@ -229,9 +342,7 @@ let test_batch_per_message_records () =
     (fun pid ->
       let pos =
         List.filter_map
-          (fun (e : Obs.Trace.event) ->
-            if e.Obs.Trace.pid = pid then List.assoc_opt "pos" e.Obs.Trace.args
-            else None)
+          (fun (p, args) -> if p = pid then List.assoc_opt "pos" args else None)
           delivers
       in
       check (Alcotest.list int)
@@ -254,13 +365,11 @@ let test_batch_mid_detach_split () =
   check int "rest dropped per message" 2 (List.length drops);
   check int "drop counter" 2 (counter r Obs.Metrics.Net_dropped);
   check (Alcotest.list int) "drop batch positions" [ 1; 2 ]
-    (List.filter_map
-       (fun (e : Obs.Trace.event) -> List.assoc_opt "pos" e.Obs.Trace.args)
-       drops);
+    (List.filter_map (fun (_, args) -> List.assoc_opt "pos" args) drops);
   List.iter
-    (fun (e : Obs.Trace.event) ->
+    (fun (_, args) ->
       check (Alcotest.option int) "No_port reason" (Some 2)
-        (List.assoc_opt "reason" e.Obs.Trace.args))
+        (List.assoc_opt "reason" args))
     drops
 
 (* ------------------------------------------------------------------ *)
@@ -281,12 +390,15 @@ let prop_skew_trace_matches_samples =
       let run =
         E.skew ~seed:(Int64.of_int seed) ~rounds ~replicas:3 ~obs:sink ()
       in
-      let trace = Obs.Recorder.to_trace recorder in
+      let events = decode recorder in
       let metrics = Obs.Metrics.of_recorder recorder in
       (* the whole stack showed up in the trace *)
-      if List.length (Obs.Trace.subsystems trace) < 6 then
+      let subsystems =
+        List.sort_uniq compare (List.map (fun (_, _, sub, _, _) -> sub) events)
+      in
+      if List.length subsystems < 6 then
         QCheck.Test.fail_reportf "only %d subsystems traced"
-          (List.length (Obs.Trace.subsystems trace));
+          (List.length subsystems);
       if Obs.Metrics.get metrics Obs.Metrics.Ccs_rounds < 3 * rounds then
         QCheck.Test.fail_reportf "ccs rounds undercounted: %d"
           (Obs.Metrics.get metrics Obs.Metrics.Ccs_rounds);
@@ -303,20 +415,19 @@ let prop_skew_trace_matches_samples =
         run.E.samples;
       (* trace-side: per pid, ccs-round End rounds strictly increase *)
       let ends_at pid =
-        List.filter
-          (fun (e : Obs.Trace.event) ->
-            e.Obs.Trace.ph = Obs.Trace.End
-            && e.Obs.Trace.name = "ccs-round"
-            && e.Obs.Trace.pid = pid)
-          (Obs.Trace.events trace)
+        List.filter_map
+          (fun (ph, p, _, name, args) ->
+            if ph = Obs.Trace.End && name = "ccs-round" && p = pid then
+              Some args
+            else None)
+          events
       in
       for pid = 1 to 3 do
         ignore
           (List.fold_left
-             (fun prev (e : Obs.Trace.event) ->
+             (fun prev args ->
                let r =
-                 Option.value ~default:(-1)
-                   (List.assoc_opt "round" e.Obs.Trace.args)
+                 Option.value ~default:(-1) (List.assoc_opt "round" args)
                in
                if r <= prev then
                  QCheck.Test.fail_reportf "trace rounds not monotone";
@@ -331,10 +442,9 @@ let prop_skew_trace_matches_samples =
         QCheck.Test.fail_reportf "winner: %d End events for %d samples"
           (List.length ends) (List.length samples);
       List.iter2
-        (fun (e : Obs.Trace.event) (s : E.round_sample) ->
+        (fun args (s : E.round_sample) ->
           let off =
-            Option.value ~default:min_int
-              (List.assoc_opt "offset_us" e.Obs.Trace.args)
+            Option.value ~default:min_int (List.assoc_opt "offset_us" args)
           in
           if off <> Span.to_us s.E.offset then
             QCheck.Test.fail_reportf
@@ -343,14 +453,13 @@ let prop_skew_trace_matches_samples =
         ends samples;
       ignore
         (List.fold_left
-           (fun prev_off (e : Obs.Trace.event) ->
+           (fun prev_off args ->
              let off =
-               Option.value ~default:min_int
-                 (List.assoc_opt "offset_us" e.Obs.Trace.args)
+               Option.value ~default:min_int (List.assoc_opt "offset_us" args)
              in
              let adj =
                Option.value ~default:min_int
-                 (List.assoc_opt "adjustment_us" e.Obs.Trace.args)
+                 (List.assoc_opt "adjustment_us" args)
              in
              if off - prev_off <> adj then
                QCheck.Test.fail_reportf
@@ -416,12 +525,10 @@ let test_wrapped_ring_exports_valid_trace () =
   Obs.Sink.set_recorder sink (Some ring);
   skew sink;
   check int "same stream, wrapped" !cut (Obs.Recorder.dropped ring);
-  let trace = Obs.Recorder.to_trace ring in
   let ends =
     List.filter
-      (fun (e : Obs.Trace.event) ->
-        e.Obs.Trace.name = "ccs-round" && e.Obs.Trace.ph = Obs.Trace.End)
-      (Obs.Trace.events trace)
+      (fun (ph, _, _, name, _) -> name = "ccs-round" && ph = Obs.Trace.End)
+      (decode ring)
   in
   check bool "ccs-round spans survive" true (ends <> []);
   let settles = ref 0 in
@@ -429,9 +536,7 @@ let test_wrapped_ring_exports_valid_trace () =
       if kind = Obs.Recorder.k_ccs_settle then incr settles);
   check bool "the orphaned settle was dropped" true
     (List.length ends < !settles);
-  let b = Buffer.create 65536 in
-  Obs.Trace.to_chrome trace b;
-  match Obs.Trace.validate_string (Buffer.contents b) with
+  match Obs.Trace.validate_string (chrome_json ring) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("wrapped-ring trace invalid: " ^ e)
 
@@ -471,18 +576,18 @@ let test_counterexample_blackbox () =
             (fun { Obs.Postmortem.kind; ts_us; node; a; b } ->
               Obs.Recorder.emit recorder ~kind ~ts_us ~node ~a ~b)
             w.Obs.Postmortem.records;
-          let trace = Obs.Recorder.to_trace recorder in
-          check bool "trace nonempty" true (Obs.Trace.length trace > 0);
+          let events = decode recorder in
+          check bool "trace nonempty" true (events <> []);
           check bool "ccs rounds counted" true
             (Obs.Metrics.get
                (Obs.Metrics.of_recorder recorder)
                Obs.Metrics.Ccs_rounds
             > 0);
           check bool "ccs spans present" true
-            (List.mem Obs.Subsystem.Ccs (Obs.Trace.subsystems trace));
-          let b = Buffer.create 4096 in
-          Obs.Trace.to_chrome trace b;
-          (match Obs.Trace.validate_string (Buffer.contents b) with
+            (List.exists
+               (fun (_, _, sub, _, _) -> sub = Obs.Subsystem.Ccs)
+               events);
+          (match Obs.Trace.validate_string (chrome_json recorder) with
           | Ok _ -> ()
           | Error e -> Alcotest.fail ("counterexample trace invalid: " ^ e));
           check Alcotest.string "the refill dumps the same bytes"
@@ -518,14 +623,14 @@ let suites =
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
         Alcotest.test_case "metrics gauges/hists" `Quick
           test_metrics_gauges_hists;
-        Alcotest.test_case "trace capacity + clear" `Quick
-          test_trace_capacity_and_clear;
+        Alcotest.test_case "trace capacity" `Quick test_trace_capacity;
         Alcotest.test_case "chrome export round-trip" `Quick
           test_chrome_roundtrip;
         Alcotest.test_case "chrome file round-trip" `Quick
           test_chrome_file_roundtrip;
         Alcotest.test_case "validator rejects bad traces" `Quick
           test_validator_rejects;
+        Alcotest.test_case "golden chrome bytes" `Quick test_golden_chrome;
         Alcotest.test_case "sink gating + late attach" `Quick
           test_sink_gating_and_late_attach;
         Alcotest.test_case "trace_steps flag" `Quick test_trace_steps_flag;
